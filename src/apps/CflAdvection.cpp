@@ -44,11 +44,8 @@ CflAdvectionProgram icores::buildCflAdvectionProgram() {
   A.SFlux2 = addFluxStage("flux2", A.F2, A.U2, 1);
   A.SFlux3 = addFluxStage("flux3", A.F3, A.U3, 2);
 
-  // Per-cell Courant sum. No stage reads `courant`: without the declared
-  // `cfl` reduction below this pass would be a barrier-elision candidate,
-  // yet the runtime's cross-thread fold of the pass region makes the
-  // missing barrier a real race. ScheduleOptimizer must pin it and
-  // ScheduleCheck must flag its absence.
+  // Per-cell Courant sum. No stage reads `courant`; only the `cfl`
+  // reduction below consumes it, folded per worker with no barrier.
   {
     StageDef S;
     S.Name = "courant";

@@ -15,13 +15,13 @@
 ///   S5      qOut       divergence update q - div(f)
 ///
 /// The workload exists to stress the reduction path of the runtime stack:
-/// `courant` is a step output no stage ever reads, so barrier elision
-/// would happily drop the barrier after S4 — except that the declared
-/// `cfl` reduction makes that pass an all-threads dependence (the
-/// runtime's fold reads the whole pass region on the team's thread 0),
-/// which ScheduleCheck must flag and the optimizer must respect. Both
-/// reductions use duplicate-tolerant max-style combiners, so every plan
-/// shape — islands, temporal epochs with overlapping cones, stealing —
+/// `courant` is a step output no stage ever reads, so only the reduction
+/// consumes it. Every worker folds the cells it just computed into its
+/// own partial, in its static share or in stolen chunks, and the partials
+/// are combined in worker order at the step's global barrier; the
+/// reduction therefore needs no barrier of its own. Both reductions use
+/// duplicate-tolerant max-style combiners, so every plan shape — one team
+/// at T = 1, islands, temporal epochs with overlapping cones, stealing —
 /// reproduces the serial stepper's canonical scan bit for bit.
 ///
 //===----------------------------------------------------------------------===//

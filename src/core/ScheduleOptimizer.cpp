@@ -52,17 +52,9 @@ ScheduleOptimizerReport icores::optimizeBarriers(const StencilProgram &Program,
         EpochBegin = I + 1;
         continue;
       }
-      // A pass producing a reduced array must keep its barrier in a
-      // multi-thread team: the executor folds the whole pass region on
-      // thread 0 right after the pass, reading every teammate's
-      // sub-region — an all-threads dependence no pass-pair conflict
-      // query sees (the reduced array may have no in-step reader at
-      // all). ScheduleCheck enforces the same rule as its safety gate.
-      if (N > 1 && Program.stageWritesReduced(Live[I].first->Stage)) {
-        Live[I].first->BarrierAfter = true;
-        EpochBegin = I + 1;
-        continue;
-      }
+      // Reduced arrays need no special case: the executor folds each
+      // worker's own sub-region right after computing it, so a reduction
+      // adds no cross-thread access beyond the pass's own writes.
       ScheduledPass Next{Live[I + 1].first->Stage, Live[I + 1].first->Region,
                          true, Live[I + 1].second};
       bool Conflict = false;

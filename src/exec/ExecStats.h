@@ -71,7 +71,8 @@ struct ThreadStat {
   int64_t SleepWakes = 0; ///< Barrier releases via the futex sleep path.
   int64_t Steals = 0;        ///< Chunks claimed from teammates' deques.
   int64_t StealFailures = 0; ///< Lost steal races (CAS retries).
-  /// Out-of-work time: from the thread's last executed chunk to its entry
+  /// Out-of-work time: from the end of the thread's last executed chunk
+  /// (its kernel call and any reduction fold over it) to its entry
   /// into the pass barrier, summed over stealing-scheduled passes. The
   /// barrier wait itself is counted separately in BarrierWaitSeconds.
   double IdleSeconds = 0.0;

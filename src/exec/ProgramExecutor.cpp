@@ -109,11 +109,12 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
                "temporal blocking requires periodic boundaries");
 
   // Reductions: bindings in declaration order, the per-stage fold lists,
-  // and the (island, step, reduction) partial scratch. The fold reads the
-  // whole pass region on the team's thread 0, so in a multi-thread team
-  // every non-empty pass producing a reduced array must keep its trailing
-  // barrier — the same rule ScheduleCheck enforces and the barrier
-  // elision optimizer preserves.
+  // and the worker-major (worker, step, reduction) partial scratch. Every
+  // worker folds only the cells it computed itself, so the fold adds no
+  // cross-thread dependence and no barrier requirement. The scratch is
+  // sized here, before the large array allocations below: allocated after
+  // them, this small block tripled the measured construction time of
+  // back-to-back executors (a heap-layout effect).
   Reductions = orderedReductionBindings(Program, Opts.Reductions);
   ReductionLog.resize(Reductions.size());
   StageFolds.resize(Program.numStages());
@@ -122,19 +123,11 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     if (Producer != NoStage)
       StageFolds[static_cast<size_t>(Producer)].push_back(R);
   }
-  Partials.resize(Plan.Islands.size() *
-                  static_cast<size_t>(Plan.TemporalDepth) *
+  size_t NumWorkers = 0;
+  for (const IslandPlan &Island : Plan.Islands)
+    NumWorkers += static_cast<size_t>(Island.NumThreads);
+  Partials.resize(NumWorkers * static_cast<size_t>(Plan.TemporalDepth) *
                   Reductions.size());
-  if (!Reductions.empty())
-    for (const IslandPlan &Island : Plan.Islands)
-      for (const BlockTask &Block : Island.Blocks)
-        for (const StagePass &Pass : Block.Passes)
-          ICORES_CHECK(Island.NumThreads == 1 || Pass.Region.empty() ||
-                           Pass.BarrierAfter ||
-                           StageFolds[static_cast<size_t>(Pass.Stage)]
-                               .empty(),
-                       "pass producing a reduced array lacks its trailing "
-                       "barrier (reduction fold would race)");
 
   // With a placement policy armed every allocation is left untouched so
   // the init epoch's pinned workers produce the first (page-homing) write;
@@ -523,48 +516,69 @@ void ProgramExecutor::importEpochInputs(IslandState &IS, int Worker,
   }
 }
 
-double &ProgramExecutor::partialAt(size_t Island, int StepInEpoch,
-                                   size_t R) {
-  return Partials[(Island * static_cast<size_t>(Plan.TemporalDepth) +
+double &ProgramExecutor::partialAt(int Worker, int StepInEpoch, size_t R) {
+  return Partials[(static_cast<size_t>(Worker) *
+                       static_cast<size_t>(Plan.TemporalDepth) +
                    static_cast<size_t>(StepInEpoch)) *
                       Reductions.size() +
                   R];
 }
 
-/// Seeds the island's per-epoch partials with the fold identities. Called
-/// by the island's thread 0 right after the epoch-start global barriers,
-/// before it reaches any pass-end barrier, so no fold can precede it.
-void ProgramExecutor::resetIslandPartials(size_t Island) {
+/// Seeds the worker's per-epoch partials with the fold identities. Called
+/// by the worker itself right after the epoch-start global barriers,
+/// before its first fold; nobody else touches these slots until the next
+/// epoch-start barrier.
+void ProgramExecutor::resetWorkerPartials(int Worker) {
   for (int Step = 0; Step != Plan.TemporalDepth; ++Step)
     for (size_t R = 0; R != Reductions.size(); ++R)
-      partialAt(Island, Step, R) = Reductions[R].Identity;
+      partialAt(Worker, Step, R) = Reductions[R].Identity;
 }
 
-/// Folds \p Pass's region of each reduced array the pass produced into
-/// the island's partial for the current fused step. Runs on the team's
-/// thread 0 right after the pass-end barrier published every teammate's
-/// sub-region; the store still holds the step's bindings (scratch buffers
-/// at intermediate fused steps, the shared arrays at the final one).
-/// Islands' widened cone regions overlap under temporal blocking, but the
-/// overlapping cells carry bit-identical (periodically wrapped) values,
-/// so the duplicate-tolerant combiner contract keeps the combined value
-/// exactly the serial core scan's.
-void ProgramExecutor::foldPassReduction(IslandState &IS, size_t Island,
-                                        int StepInEpoch,
-                                        const StagePass &Pass) {
-  for (size_t R : StageFolds[static_cast<size_t>(Pass.Stage)]) {
+/// Folds \p Sub of each reduced array \p Stage produces into the worker's
+/// partial for fused step \p StepInEpoch. Sub is the region the worker's
+/// own kernel call just computed (its static teamSubRegion share or a
+/// stolen chunk), so the fold reads only cells this thread wrote, still
+/// in its cache, and orders against no teammate. The store still holds
+/// the step's bindings (scratch buffers at intermediate fused steps, the
+/// shared arrays at the final one). Cells may enter more than one partial
+/// — islands' widened cones overlap under temporal blocking, with
+/// bit-identical (periodically wrapped) values — which the
+/// duplicate-tolerant combiner contract makes immaterial.
+///
+/// Each k-row is folded into four independent accumulators, combined
+/// once at the end: the serial chain of opaque Combine calls is
+/// latency-bound, and four chains roughly halve the fold's time. The
+/// contract (neutral identity, associative, commutative) makes the
+/// regrouping bit-exact.
+void ProgramExecutor::foldSubRegion(IslandState &IS, int Worker,
+                                    int StepInEpoch, StageId Stage,
+                                    const Box3 &Sub) {
+  if (Sub.empty())
+    return;
+  const int RowLen = Sub.extent(2);
+  for (size_t R : StageFolds[static_cast<size_t>(Stage)]) {
     const Array3D &Arr = IS.Store.get(Program.reductions()[R].Array);
-    const ReductionBinding &B = Reductions[R];
-    double V = partialAt(Island, StepInEpoch, R);
-    for (int I = Pass.Region.Lo[0]; I != Pass.Region.Hi[0]; ++I)
-      for (int J = Pass.Region.Lo[1]; J != Pass.Region.Hi[1]; ++J)
-        for (int K = Pass.Region.Lo[2]; K != Pass.Region.Hi[2]; ++K)
-          V = B.Combine(V, Arr.at(I, J, K));
-    partialAt(Island, StepInEpoch, R) = V;
+    const auto &C = Reductions[R].Combine;
+    double V0 = partialAt(Worker, StepInEpoch, R);
+    double V1 = Reductions[R].Identity, V2 = V1, V3 = V1;
+    for (int I = Sub.Lo[0]; I != Sub.Hi[0]; ++I)
+      for (int J = Sub.Lo[1]; J != Sub.Hi[1]; ++J) {
+        const double *Row = Arr.pointerTo(I, J, Sub.Lo[2]);
+        int K = 0;
+        for (; K + 4 <= RowLen; K += 4) {
+          V0 = C(V0, Row[K]);
+          V1 = C(V1, Row[K + 1]);
+          V2 = C(V2, Row[K + 2]);
+          V3 = C(V3, Row[K + 3]);
+        }
+        for (; K != RowLen; ++K)
+          V0 = C(V0, Row[K]);
+      }
+    partialAt(Worker, StepInEpoch, R) = C(C(V0, V1), C(V2, V3));
   }
 }
 
-/// Combines the islands' partials of the epoch just finished, in island
+/// Combines the workers' partials of the epoch just finished, in worker
 /// order, and appends one global value per (fused step, reduction) to the
 /// log. Runs with every worker quiesced at a global barrier (or after the
 /// pool dispatch returned), so the partial reads need no further
@@ -573,8 +587,9 @@ void ProgramExecutor::appendEpochReductions() {
   for (int Step = 0; Step != Plan.TemporalDepth; ++Step)
     for (size_t R = 0; R != Reductions.size(); ++R) {
       double V = Reductions[R].Identity;
-      for (size_t Isl = 0; Isl != IslandStates.size(); ++Isl)
-        V = Reductions[R].Combine(V, partialAt(Isl, Step, R));
+      for (size_t W = 0; W != WorkerCoords.size(); ++W)
+        V = Reductions[R].Combine(V,
+                                  partialAt(static_cast<int>(W), Step, R));
       ReductionLog[R].push_back(V);
     }
 }
@@ -659,7 +674,7 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
       if (Epoch != 0) {
         // Every worker is quiesced between the two global barriers, so
         // the previous epoch's reduction partials are complete — combine
-        // them across islands before anyone resets them for this epoch.
+        // them across workers before anyone resets them for this epoch.
         if (!Reductions.empty())
           appendEpochReductions();
         for (const FeedbackPair &FB : Program.feedbacks())
@@ -673,8 +688,8 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           Dom.fillHalo(array(FB.Target));
     }
     globalBarrier();
-    if (ThreadInTeam == 0 && !Reductions.empty())
-      resetIslandPartials(static_cast<size_t>(Island));
+    if (!Reductions.empty())
+      resetWorkerPartials(Worker);
 
     if (Depth > 1) {
       // Epoch prologue: rebind for fused step 0 and gather the imports.
@@ -712,6 +727,9 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
         }
         ++PassIndex;
         const size_t Stage = static_cast<size_t>(Pass.Stage);
+        // Reduced arrays are folded by each worker over exactly the cells
+        // it just computed, outside the kernel timer.
+        const bool Folds = !StageFolds[Stage].empty();
         if (Steal && PrevBarrier && Pass.BarrierAfter &&
             !Pass.Region.empty()) {
           // Work-stealing path: dice the pass region into StealChunks
@@ -740,8 +758,14 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
               double Sec = secondsSince(T0, LastWork);
               Accum.StageKernelSeconds[Stage] += Sec;
               Accum.StepKernelSeconds[static_cast<size_t>(CurStep)] += Sec;
+              if (Folds) {
+                // The chunk's fold is work too, not idle time.
+                foldSubRegion(IS, Worker, CurStep, Pass.Stage, Sub);
+                LastWork = ProfileClock::now();
+              }
             } else {
               Kernels.run(IS.Store, Pass.Stage, Sub);
+              foldSubRegion(IS, Worker, CurStep, Pass.Stage, Sub);
             }
           };
 
@@ -800,9 +824,6 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           } else {
             teamBarrier();
           }
-          if (ThreadInTeam == 0 && !StageFolds[Stage].empty())
-            foldPassReduction(IS, static_cast<size_t>(Island), CurStep,
-                              Pass);
           PrevBarrier = true;
           continue;
         }
@@ -814,12 +835,14 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           ProfileClock::time_point T0 = ProfileClock::now();
           Kernels.run(IS.Store, Pass.Stage, Sub);
           ProfileClock::time_point T1 = ProfileClock::now();
+          foldSubRegion(IS, Worker, CurStep, Pass.Stage, Sub);
           if (Pass.BarrierAfter) {
+            ProfileClock::time_point TB = Folds ? ProfileClock::now() : T1;
             if (Obs)
               Obs->onBarrierArrive(TeamSite, Worker, IslandP.NumThreads);
             countWake(IS.Team.arriveAndWait(ThreadInTeam));
             Accum.StageBarrierWaitSeconds[Stage] +=
-                secondsSince(T1, ProfileClock::now());
+                secondsSince(TB, ProfileClock::now());
             if (Obs)
               Obs->onBarrierDepart(TeamSite, Worker);
           } else {
@@ -831,15 +854,10 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           ++Accum.StagePasses[Stage];
         } else {
           Kernels.run(IS.Store, Pass.Stage, Sub);
+          foldSubRegion(IS, Worker, CurStep, Pass.Stage, Sub);
           if (Pass.BarrierAfter)
             teamBarrier();
         }
-        // The pass-end barrier just published every teammate's sub-region
-        // (single-thread teams need no barrier for that), so thread 0 can
-        // fold the pass's share of any reduced array it produced.
-        if (ThreadInTeam == 0 && !StageFolds[Stage].empty() &&
-            (Pass.BarrierAfter || IslandP.NumThreads == 1))
-          foldPassReduction(IS, static_cast<size_t>(Island), CurStep, Pass);
         PrevBarrier = Pass.BarrierAfter;
       }
     }

@@ -112,12 +112,13 @@ struct ExecutorOptions {
   /// Combiners for the program's declared reductions (see ReductionBinding
   /// in stencil/StencilIR.h; workloads registered in the WorkloadRegistry
   /// carry them). Must cover every declared reduction — checked at
-  /// construction. After each fused step, the team's thread 0 folds its
-  /// island's share of each reduced array right after the producing pass's
-  /// barrier; the per-island partials are combined in island order at the
-  /// next global barrier, so every schedule yields values bit-identical to
-  /// the serial stepper's canonical scan (the combiner contract makes the
-  /// fold order and the islands' redundant cone overlap immaterial).
+  /// construction. Every worker folds the cells of each reduced array it
+  /// just computed (its static share or a stolen chunk) into its own
+  /// per-step partial, right after its kernel call and with no barrier;
+  /// the per-worker partials are combined in worker order at the next
+  /// global barrier, so every schedule yields values bit-identical to the
+  /// serial stepper's canonical scan (the combiner contract makes the fold
+  /// order, the split and the islands' redundant cone overlap immaterial).
   std::vector<ReductionBinding> Reductions;
 };
 
@@ -205,10 +206,10 @@ private:
   void importEpochInputs(IslandState &IS, int Worker, int ThreadInTeam,
                          int NumThreads);
   void runPlacementEpoch();
-  double &partialAt(size_t Island, int StepInEpoch, size_t R);
-  void resetIslandPartials(size_t Island);
-  void foldPassReduction(IslandState &IS, size_t Island, int StepInEpoch,
-                         const StagePass &Pass);
+  double &partialAt(int Worker, int StepInEpoch, size_t R);
+  void resetWorkerPartials(int Worker);
+  void foldSubRegion(IslandState &IS, int Worker, int StepInEpoch,
+                     StageId Stage, const Box3 &Sub);
   void appendEpochReductions();
 
   StencilProgram Program;
@@ -240,8 +241,9 @@ private:
   /// Reduction machinery (empty when the program declares none).
   /// Reductions holds the combiners in ReductionDef order;
   /// StageFolds[stage] lists the reduction indices the stage produces;
-  /// Partials is the (island, step-in-epoch, reduction) scratch the teams'
-  /// thread 0s write (reset per epoch, combined at global barriers);
+  /// Partials is the worker-major (worker, step-in-epoch, reduction)
+  /// scratch, each slot written only by its worker (reset per epoch,
+  /// combined in worker order at global barriers);
   /// ReductionLog accumulates the per-step global values.
   std::vector<ReductionBinding> Reductions;
   std::vector<std::vector<size_t>> StageFolds;

@@ -225,39 +225,9 @@ void checkIntraIsland(const StencilProgram &Program, const IslandSchedule &S,
     checkEpoch(Program, S, Begin, P + 1, Diags);
     Begin = P + 1;
   }
-
-  // A declared reduction is an all-threads dependence the pass-pair
-  // conflict query cannot see: the executor folds the whole pass region
-  // of the reduced array's producer on the team's thread 0 right after
-  // the pass, reading every teammate's sub-region. That read is ordered
-  // only by the pass's own trailing barrier, so eliding it races even
-  // when no later pass reads the array at all.
-  for (size_t P = 0; P != S.Passes.size(); ++P) {
-    const ScheduledPass &Pass = S.Passes[P];
-    if (Pass.BarrierAfter || !Program.stageWritesReduced(Pass.Stage))
-      continue;
-    for (const ReductionDef &R : Program.reductions()) {
-      if (!writesArray(Program.stage(Pass.Stage), R.Array))
-        continue;
-      std::string Id = "race.intra.reduction";
-      if (S.TemporalDepth > 1)
-        Id += formatString(".step%d", Pass.StepInEpoch);
-      Finding &F = Diags.report(
-          Severity::Error, Id,
-          formatString("island %d: stage '%s' produces reduced array '%s' "
-                       "(reduction '%s') but its pass has no trailing "
-                       "barrier; the runtime's reduction fold reads the "
-                       "whole pass region cross-thread",
-                       S.Index, Program.stage(Pass.Stage).Name.c_str(),
-                       Program.array(R.Array).Name.c_str(),
-                       R.Name.c_str()));
-      F.note("island", formatString("%d", S.Index))
-          .note("array", Program.array(R.Array).Name)
-          .note("reduction", R.Name);
-      if (S.TemporalDepth > 1)
-        F.note("step", formatString("%d", Pass.StepInEpoch));
-    }
-  }
+  // Declared reductions add nothing to check: the runtime folds each
+  // worker's own sub-region right after computing it, so the fold reads
+  // only cells the pass-pair query already attributes to that thread.
 }
 
 /// Checks A's writes against B's accesses. Write-write conflicts are

@@ -56,14 +56,6 @@ void StencilProgram::addReduction(ReductionDef Def) {
   Reductions.push_back(std::move(Def));
 }
 
-bool StencilProgram::stageWritesReduced(StageId Stage) const {
-  for (ArrayId Out : Stages[checkStage(Stage)].Outputs)
-    for (const ReductionDef &R : Reductions)
-      if (R.Array == Out)
-        return true;
-  return false;
-}
-
 ArrayId icores::findArrayId(const StencilProgram &Program,
                             const std::string &Name) {
   for (unsigned A = 0; A != Program.numArrays(); ++A)

@@ -107,11 +107,11 @@ struct FeedbackPair {
 /// Static declaration of a per-step global reduction: after every time
 /// step the runtime folds the core values of one StepOutput array into a
 /// single scalar (e.g. a CFL number or a max norm). The declaration is
-/// structural — which array, under which name — so every plan-level
-/// consumer (ScheduleCheck, ScheduleOptimizer, the registry) can reason
-/// about the all-threads dependence it creates; the executable combiner
+/// structural — which array, under which name; the executable combiner
 /// lives in a ReductionBinding, exactly as kernels live in a KernelTable
-/// apart from their StageDefs.
+/// apart from their StageDefs. A reduction places no constraint on the
+/// schedule: the threaded runtime folds each worker's own freshly
+/// computed cells into a per-worker partial, so no barrier orders a fold.
 struct ReductionDef {
   std::string Name;  ///< Stable key, unique within the program.
   ArrayId Array = 0; ///< The reduced StepOutput array.
@@ -120,13 +120,17 @@ struct ReductionDef {
 /// Executable half of a reduction: the fold the runtimes apply over the
 /// reduced array's values, keyed by the ReductionDef name.
 ///
-/// Contract: Combine must be associative, commutative and duplicate
-/// tolerant (folding the same value twice must not change the result —
-/// max/min/absmax-style folds qualify, a plain sum does not). Temporal
-/// islands plans evaluate overlapping dependence cones redundantly, so a
-/// cell's bit-identical value may enter the fold once per island; the
-/// contract is what keeps every schedule's reduction bit-identical to the
-/// serial stepper's canonical i,j,k scan.
+/// Contract: Identity must be neutral, and Combine must be associative,
+/// commutative and duplicate tolerant (folding the same value twice must
+/// not change the result — max/min/absmax-style folds qualify, a plain
+/// sum does not). The contract binds every plan shape, a single-team
+/// T = 1 plan included: the threaded runtime folds each worker's cells
+/// into its own partial and combines the partials in worker order, and
+/// temporal islands plans evaluate overlapping dependence cones
+/// redundantly, so a cell's bit-identical value may enter the fold more
+/// than once. The contract is what keeps every schedule's reduction
+/// bit-identical to the serial stepper's canonical i,j,k scan;
+/// WorkloadRegistry::add probes it (`registry.reduction.contract`).
 struct ReductionBinding {
   std::string Name; ///< Matches a ReductionDef of the program.
   std::function<double(double, double)> Combine;
@@ -163,11 +167,6 @@ public:
   void addReduction(ReductionDef Def);
 
   const std::vector<ReductionDef> &reductions() const { return Reductions; }
-
-  /// Whether \p Stage produces any reduced array. The runtimes fold a
-  /// reduced array right after its producing pass, so such passes must
-  /// keep their trailing team barrier (see exec/ScheduleCheck.h).
-  bool stageWritesReduced(StageId Stage) const;
 
   unsigned numArrays() const { return static_cast<unsigned>(Arrays.size()); }
   unsigned numStages() const { return static_cast<unsigned>(Stages.size()); }

@@ -7,9 +7,65 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cstring>
+#include <initializer_list>
+#include <string>
 #include <utility>
 
 using namespace icores;
+
+namespace {
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof A) == 0;
+}
+
+/// The first combiner law \p B breaks, with its operands: Law is empty
+/// when the probe passes.
+struct ContractViolation {
+  std::string Law;
+  std::string Operands;
+};
+
+/// Probes \p B against the combiner contract the threaded runtime relies
+/// on: per-worker partials seeded with Identity, cells folded in any split
+/// and order, some cells folded twice, partials combined in worker order.
+/// Cells come from a fixed probe set; partials are those cells folded once
+/// from Identity. Results are compared bit for bit.
+ContractViolation probeCombiner(const ReductionBinding &B) {
+  static const double Cells[] = {0.0, 1.0,   -1.0, 0.1, 0.2,
+                                 0.3, -7.25, 2.5,  1e-3, 3e8};
+  auto C = [&B](double X, double Y) { return B.Combine(X, Y); };
+  std::vector<double> Partials = {B.Identity};
+  for (double V : Cells)
+    Partials.push_back(C(B.Identity, V));
+  std::vector<double> Operands = Partials;
+  Operands.insert(Operands.end(), std::begin(Cells), std::end(Cells));
+  auto args = [](std::initializer_list<double> Vs) {
+    std::string S;
+    for (double V : Vs)
+      S += formatString(S.empty() ? "%.17g" : ", %.17g", V);
+    return S;
+  };
+
+  for (double X : Partials) {
+    if (!sameBits(C(X, B.Identity), X))
+      return {"identity-neutral", args({X})};
+    for (double V : Cells)
+      if (!sameBits(C(C(X, V), V), C(X, V)))
+        return {"duplicate-tolerant", args({X, V})};
+    for (double Y : Partials) {
+      if (!sameBits(C(X, Y), C(Y, X)))
+        return {"commutative", args({X, Y})};
+      for (double Z : Operands)
+        if (!sameBits(C(C(X, Y), Z), C(X, C(Y, Z))))
+          return {"associative", args({X, Y, Z})};
+    }
+  }
+  return {};
+}
+
+} // namespace
 
 bool WorkloadRegistry::add(WorkloadSpec Spec, DiagnosticEngine &Diags) {
   size_t ErrorsBefore = Diags.numErrors();
@@ -50,13 +106,15 @@ bool WorkloadRegistry::add(WorkloadSpec Spec, DiagnosticEngine &Diags) {
             .note("declared", formatString("%d", Spec.HaloDepth));
 
     // Reduction contract: every declared reduction needs a callable
-    // combiner, and every binding must name a declared reduction.
+    // combiner that passes the contract probe (a combiner that breaks it
+    // would silently diverge from the serial scan), and every binding
+    // must name a declared reduction.
     for (const ReductionDef &Def : Spec.Program.reductions()) {
       const ReductionBinding *Found = nullptr;
       for (const ReductionBinding &B : Spec.Reductions)
         if (B.Name == Def.Name)
           Found = &B;
-      if (!Found || !Found->Combine)
+      if (!Found || !Found->Combine) {
         Diags
             .report(Severity::Error, "registry.reduction.missing-combiner",
                     formatString("workload '%s': reduction '%s' is declared "
@@ -64,6 +122,19 @@ bool WorkloadRegistry::add(WorkloadSpec Spec, DiagnosticEngine &Diags) {
                                  Spec.Name.c_str(), Def.Name.c_str()))
             .note("workload", Spec.Name)
             .note("reduction", Def.Name);
+        continue;
+      }
+      ContractViolation V = probeCombiner(*Found);
+      if (!V.Law.empty())
+        Diags
+            .report(Severity::Error, "registry.reduction.contract",
+                    formatString("workload '%s': the combiner of reduction "
+                                 "'%s' is not %s (probe operands %s)",
+                                 Spec.Name.c_str(), Def.Name.c_str(),
+                                 V.Law.c_str(), V.Operands.c_str()))
+            .note("workload", Spec.Name)
+            .note("reduction", Def.Name)
+            .note("law", V.Law);
     }
     for (const ReductionBinding &B : Spec.Reductions) {
       bool Declared = false;

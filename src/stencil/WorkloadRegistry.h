@@ -19,7 +19,9 @@
 /// structural validation and layers the registry's own contract checks on
 /// top (unique names, declared halo covering the program's dependence
 /// cone, kernel tables covering every stage for every advertised variant,
-/// a combiner bound for every declared reduction, seeded init present).
+/// a combiner bound for every declared reduction and passing a fixed
+/// probe of the combiner contract in stencil/StencilIR.h, seeded init
+/// present).
 /// Violations are reported as structured `registry.*` findings into the
 /// caller's DiagnosticEngine — misregistration is a diagnosable event,
 /// never a crash — and a spec with errors is not registered.

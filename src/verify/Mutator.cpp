@@ -109,15 +109,6 @@ bool icores::applyMutation(ExecutionPlan &Plan, const StencilProgram &Program,
         for (size_t P = 0; P + 1 < Passes.size(); ++P)
           if (dropBarrierRaces(Program, Island, Passes[P], Passes[P + 1]))
             Cands.push_back({I, B, P});
-        // A pass producing a reduced array races without its barrier by
-        // construction: the runtime folds the whole pass region on the
-        // team's thread 0 right after it. These mutants are killed by
-        // the `race.intra.reduction` finding.
-        for (size_t P = 0; P != Passes.size(); ++P)
-          if (Island.NumThreads > 1 && Passes[P].BarrierAfter &&
-              !Passes[P].Region.empty() &&
-              Program.stageWritesReduced(Passes[P].Stage))
-            Cands.push_back({I, B, P});
       }
     }
     PassRef Ref;

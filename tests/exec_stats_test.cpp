@@ -3,22 +3,27 @@
 // Tests of the executor observability layer: the persistent WorkerPool
 // (threads spawn once and are reused by every run()), and ExecStats
 // (pass/barrier counts match the plan, profiling never perturbs the
-// numerics, the JSON/CSV reports are well formed).
+// numerics, reduction folds are booked as neither kernel nor idle time,
+// the JSON/CSV reports are well formed).
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Workloads.h"
 #include "core/PlanBuilder.h"
 #include "exec/ExecStats.h"
 #include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "exec/WorkerPool.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
 #include "mpdata/Solver.h"
+#include "stencil/WorkloadRegistry.h"
 #include "support/OStream.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <vector>
 
 using namespace icores;
@@ -284,4 +289,56 @@ TEST(ExecStatsTest, CsvReportHasOneRowPerActiveIslandStage) {
     for (const StageStat &Stage : Island.Stages)
       ActiveStages += Stage.Passes > 0;
   EXPECT_EQ(Lines, ActiveStages + 1); // Rows plus the header.
+}
+
+TEST(ExecStatsTest, ReductionFoldsAreNeitherKernelNorIdleTime) {
+  // cfl-advect on one team of 4 with combiners slowed to >= 2 us a call,
+  // so the per-worker folds dwarf the kernels. kernel.* must still mean
+  // kernels, and a stealing worker's last fold before the pass barrier
+  // is work, not idle time. With one chunk per thread, booking the folds
+  // wrongly would put all of their time in one of the two counters.
+  constexpr int Steps = 4;
+  constexpr double CallSeconds = 2e-6;
+  const WorkloadSpec &Spec = *builtinWorkloads().find("cfl-advect");
+  Domain Dom = workloadDomain(Spec, 16, 12, 8);
+  MachineModel Machine = makeToyMachine();
+  PlanConfig Config;
+  Config.Strat = Strategy::Original;
+  Config.Sockets = 2;
+  ExecutionPlan Plan = buildPlan(Spec.Program, Dom.coreBox(), Machine, Config);
+
+  std::vector<ReductionBinding> Slow = Spec.Reductions;
+  for (ReductionBinding &B : Slow)
+    B.Combine = [Inner = B.Combine, CallSeconds](double Acc, double V) {
+      auto Until = std::chrono::steady_clock::now() +
+                   std::chrono::duration<double>(CallSeconds);
+      while (std::chrono::steady_clock::now() < Until) {
+      }
+      return Inner(Acc, V);
+    };
+  // Every core cell enters each reduction's fold once per step.
+  const double FoldSeconds = static_cast<double>(Steps) *
+                             static_cast<double>(Slow.size()) *
+                             static_cast<double>(Dom.coreBox().numPoints()) *
+                             CallSeconds;
+
+  for (bool Stealing : {false, true}) {
+    ExecutorOptions Opts;
+    Opts.Reductions = Slow;
+    Opts.Stealing = Stealing;
+    Opts.StealChunksPerThread = 1;
+    ProgramExecutor Exec(Spec.Program, Spec.Kernels(KernelVariant::Reference),
+                         Dom, Plan, Opts);
+    initWorkload(Spec, Exec, 7);
+    Exec.enableProfiling(true);
+    Exec.run(Steps);
+    const ExecStats &Stats = Exec.stats();
+    ASSERT_EQ(Exec.reductionHistory(0).size(), static_cast<size_t>(Steps));
+    EXPECT_GT(Stats.kernelSeconds(), 0.0);
+    EXPECT_LT(Stats.kernelSeconds(), 0.5 * FoldSeconds)
+        << "stealing=" << Stealing;
+    if (Stealing) {
+      EXPECT_LT(Stats.idleSeconds(), 0.5 * FoldSeconds);
+    }
+  }
 }

@@ -163,8 +163,7 @@ TEST_P(WorkloadConformance, ElisionBalanceAndStealingPreserveBitExactness) {
             makeTestPlan(Spec.Program, Dom, Strategy::IslandsOfCores,
                          /*TemporalDepth=*/2, /*ElideBarriers=*/true,
                          Sockets, Balance);
-        // Elision must never remove a barrier the race check (including
-        // its reduction rule) needs.
+        // Elision must never remove a barrier the race check needs.
         DiagnosticEngine Races;
         EXPECT_TRUE(checkPlanRaces(Spec.Program, Plan, Races))
             << Races.firstErrorMessage();

@@ -3,8 +3,9 @@
 // Misregistration is a diagnosable event, never a crash: every violation
 // of the WorkloadRegistry contract — duplicate names, halo declarations
 // inconsistent with the program's dependence cone, reductions without
-// combiners, bindings naming no declared reduction, missing or incomplete
-// kernel tables, missing seeded init — must surface as a structured
+// combiners or with combiners that break the combiner contract, bindings
+// naming no declared reduction, missing or incomplete kernel tables,
+// missing seeded init — must surface as a structured
 // `registry.*` finding in the caller's DiagnosticEngine, leave the
 // registry unchanged, and return false from add(). See DESIGN.md §15.
 //
@@ -75,6 +76,17 @@ bool hasFinding(const DiagnosticEngine &Diags, const std::string &Id) {
     if (F.Id == Id)
       return true;
   return false;
+}
+
+/// The `law` notes of every registry.reduction.contract finding.
+std::vector<std::string> contractLaws(const DiagnosticEngine &Diags) {
+  std::vector<std::string> Laws;
+  for (const Finding &F : Diags.findings())
+    if (F.Id == "registry.reduction.contract")
+      for (const auto &Note : F.Notes)
+        if (Note.first == "law")
+          Laws.push_back(Note.second);
+  return Laws;
 }
 
 } // namespace
@@ -150,6 +162,36 @@ TEST(WorkloadRegistryTest, NullCombinerCallbackIsAFinding) {
   DiagnosticEngine Diags;
   EXPECT_FALSE(R.add(Spec, Diags));
   EXPECT_TRUE(hasFinding(Diags, "registry.reduction.missing-combiner"));
+}
+
+TEST(WorkloadRegistryTest, PlainSumCombinerBreaksTheContract) {
+  // Floating-point + is neither duplicate tolerant nor associative, so
+  // per-worker partials would diverge from the serial scan; registration
+  // must refuse it with a structured finding instead.
+  WorkloadSpec Spec = makeTinySpec();
+  Spec.Program.addReduction({"sum", makeTinyApp().Out});
+  Spec.Reductions.push_back(
+      {"sum", [](double A, double B) { return A + B; }, 0.0});
+  WorkloadRegistry R;
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(R.add(Spec, Diags));
+  EXPECT_EQ(R.size(), 0u);
+  EXPECT_EQ(contractLaws(Diags),
+            std::vector<std::string>{"duplicate-tolerant"});
+}
+
+TEST(WorkloadRegistryTest, NonNeutralIdentityIsAContractFinding) {
+  // A worker with an empty sub-region contributes its untouched identity
+  // partial, so an identity the combiner does not absorb skews the result.
+  WorkloadSpec Spec = makeTinySpec();
+  Spec.Program.addReduction({"sum", makeTinyApp().Out});
+  Spec.Reductions.push_back(
+      {"sum", [](double A, double B) { return A + B; }, 1.0});
+  WorkloadRegistry R;
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(R.add(Spec, Diags));
+  EXPECT_EQ(contractLaws(Diags),
+            std::vector<std::string>{"identity-neutral"});
 }
 
 TEST(WorkloadRegistryTest, BindingForUndeclaredReductionIsAFinding) {
