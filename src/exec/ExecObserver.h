@@ -10,9 +10,10 @@
 /// happens-before model needs: every barrier crossing (arrive before the
 /// real rendezvous, depart after it), every pass a worker runs (with the
 /// store resolved for the current fused step, so temporal rebinds are
-/// visible as the actual Array3D instances touched), and every epoch
-/// import gather. The shadow race detector (verify/ShadowStore.h) is the
-/// canonical implementation; the executor itself has no verify dependency.
+/// visible as the actual Array3D instances touched), every epoch import
+/// gather, and every live-plane copy of a sliding intermediate. The shadow
+/// race detector (verify/ShadowStore.h) is the canonical implementation;
+/// the executor itself has no verify dependency.
 ///
 /// Hooks run on worker threads. Implementations must be thread-safe; the
 /// executor guarantees that for one barrier site every participant's
@@ -33,6 +34,19 @@
 #include <cstdint>
 
 namespace icores {
+
+/// One worker's part of one sliding intermediate's slide: for each p in
+/// [0, Count), rows [RowLo, RowHi) of buffer plane From + p (whole padded
+/// k-rows) are copied to the same rows of buffer plane To + p; the worker
+/// with Rebases set then rebases the array's index space.
+struct SlideShare {
+  int From = 0;
+  int To = 0;
+  int Count = 0;
+  int64_t RowLo = 0;
+  int64_t RowHi = 0;
+  bool Rebases = false;
+};
 
 /// Barrier-site keys the executor reports: site 0 is the run-global
 /// barrier, site Island + 1 is that island's team barrier (the same
@@ -60,6 +74,17 @@ public:
   /// (wrap extents NI x NJ x NK).
   virtual void onImport(int Worker, const Array3D &Src, const Array3D &Buf,
                         const Box3 &Sub, int NI, int NJ, int NK) = 0;
+
+  /// Worker \p Worker takes its part in a slide of the sliding
+  /// intermediate \p Buf (exec/IntermediateWindows.h): it copies \p Share's
+  /// rows of the live planes and, when Share.Rebases, then moves Buf's
+  /// index space. Reported before either happens, by every team worker for
+  /// every sliding array at every slide (and by thread 0 alone, rebasing
+  /// only, at each epoch start). Planes and rows count from the buffer
+  /// start: a teammate may be rebasing Buf concurrently, so implementations
+  /// must address the storage through data() and the strides only.
+  virtual void onSlide(int Worker, const Array3D &Buf,
+                       const SlideShare &Share) = 0;
 };
 
 } // namespace icores

@@ -5,6 +5,7 @@
 #include "core/BalanceModel.h"
 #include "exec/Affinity.h"
 #include "exec/ExecObserver.h"
+#include "exec/IntermediateWindows.h"
 #include "exec/RegionSplit.h"
 #include "fault/FaultInjector.h"
 #include "support/Error.h"
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -128,6 +130,11 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     NumWorkers += static_cast<size_t>(Island.NumThreads);
   Partials.resize(NumWorkers * static_cast<size_t>(Plan.TemporalDepth) *
                   Reductions.size());
+  // The intermediates' buffers and slide schedules, also sized before the
+  // large allocations for the same reason.
+  Windows.reserve(Plan.Islands.size());
+  for (const IslandPlan &Island : Plan.Islands)
+    Windows.push_back(planIslandWindows(Program, Island));
 
   // With a placement policy armed every allocation is left untouched so
   // the init epoch's pinned workers produce the first (page-homing) write;
@@ -150,27 +157,20 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     for (auto &[Id, Arr] : External)
       IS->Store.bindExternal(Id, &Arr);
 
-    // Allocate the island's private intermediates over the union of the
-    // regions its passes compute each stage on.
-    std::vector<Box3> StageUnion(Program.numStages());
-    for (const BlockTask &Block : Island.Blocks)
-      for (const StagePass &Pass : Block.Passes) {
-        Box3 &Un = StageUnion[static_cast<size_t>(Pass.Stage)];
-        Un = Un.unionWith(Pass.Region);
+    // Allocate the island's private intermediates: sliding ones over a
+    // few planes of dim 0, the rest over the union of the regions the
+    // island computes them on.
+    const std::vector<Box3> &Buffers = Windows[IslandStates.size()].Buffers;
+    for (unsigned S = 0; S != Program.numStages(); ++S)
+      for (ArrayId Out : Program.stage(static_cast<StageId>(S)).Outputs) {
+        const Box3 &Buf = Buffers[static_cast<size_t>(Out)];
+        if (Buf.empty() || IS->Store.isBound(Out))
+          continue;
+        if (Placing)
+          IS->Store.allocateOwnedUntouched(Out, Buf, Opts.PadKRows);
+        else
+          IS->Store.allocateOwned(Out, Buf, Opts.PadKRows);
       }
-    for (unsigned S = 0; S != Program.numStages(); ++S) {
-      if (StageUnion[S].empty())
-        continue;
-      for (ArrayId Out : Program.stage(static_cast<StageId>(S)).Outputs)
-        if (Program.array(Out).Role == ArrayRole::Intermediate &&
-            !IS->Store.isBound(Out)) {
-          if (Placing)
-            IS->Store.allocateOwnedUntouched(Out, StageUnion[S],
-                                             Opts.PadKRows);
-          else
-            IS->Store.allocateOwned(Out, StageUnion[S], Opts.PadKRows);
-        }
-    }
 
     // Shared-traffic footprints from the actual pass regions: the union
     // each step-input array is read over, and the union each step-output
@@ -439,6 +439,11 @@ const Array3D &ProgramExecutor::array(ArrayId Id) const {
   return It->second;
 }
 
+const FieldStore &ProgramExecutor::islandStore(size_t Island) const {
+  ICORES_CHECK(Island < IslandStates.size(), "island index out of range");
+  return IslandStates[Island]->Store;
+}
+
 void ProgramExecutor::prepareInputs() {
   for (ArrayId In : Program.stepInputs())
     Dom.fillHalo(array(In));
@@ -514,6 +519,42 @@ void ProgramExecutor::importEpochInputs(IslandState &IS, int Worker,
       }
     }
   }
+}
+
+/// One slide of the island's sliding intermediates: this thread copies
+/// its row share of every live plane to the plane's new buffer position,
+/// and thread 0 rebases the index spaces. The copy addresses storage
+/// through data() and the strides only, which the rebase never writes, so
+/// the two may overlap; callers bracket the whole slide with team
+/// barriers.
+void ProgramExecutor::slideWindows(IslandState &IS, const IslandWindows &Win,
+                                   size_t Slide, int Worker, int ThreadInTeam,
+                                   int NumThreads) {
+  for (size_t A = 0; A != Win.Sliding.size(); ++A) {
+    const SlideMove &M = Win.move(Slide, A);
+    Array3D &Buf = IS.Store.get(Win.Sliding[A]);
+    const int64_t Rows = Buf.strideI() / Buf.strideJ();
+    SlideShare Share{M.From,
+                     M.To,
+                     M.Count,
+                     chunkBegin(Rows, NumThreads, ThreadInTeam),
+                     chunkBegin(Rows, NumThreads, ThreadInTeam + 1),
+                     ThreadInTeam == 0};
+    if (Opts.Observer)
+      Opts.Observer->onSlide(Worker, Buf, Share);
+    double *Rows0 = Buf.data() + Share.RowLo * Buf.strideJ();
+    const size_t Bytes = static_cast<size_t>(
+                             (Share.RowHi - Share.RowLo) * Buf.strideJ()) *
+                         sizeof(double);
+    // Ascending planes: To < From, so no source plane is overwritten
+    // before it is copied.
+    for (int P = 0; P != M.Count && Bytes != 0; ++P)
+      std::memmove(Rows0 + (M.To + P) * Buf.strideI(),
+                   Rows0 + (M.From + P) * Buf.strideI(), Bytes);
+  }
+  if (ThreadInTeam == 0)
+    for (size_t A = 0; A != Win.Sliding.size(); ++A)
+      IS.Store.get(Win.Sliding[A]).rebasePlanes(Win.move(Slide, A).NewBase);
 }
 
 double &ProgramExecutor::partialAt(int Worker, int StepInEpoch, size_t R) {
@@ -614,6 +655,7 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
   const IslandPlan &IslandP =
       this->Plan.Islands[static_cast<size_t>(Island)];
   IslandState &IS = *IslandStates[static_cast<size_t>(Island)];
+  const IslandWindows &Win = Windows[static_cast<size_t>(Island)];
 
   const bool Prof = Profiling;
   ExecThreadAccum Accum(Prof ? Program.numStages() : 0,
@@ -670,6 +712,15 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
   const int Epochs = Steps / Depth; // run() checked divisibility.
   for (int Epoch = 0; Epoch != Epochs; ++Epoch) {
     globalBarrier();
+    // Every worker is quiesced: move the sliding intermediates back to
+    // where the epoch's first block finds its windows.
+    if (ThreadInTeam == 0)
+      for (ArrayId Id : Win.Sliding) {
+        Array3D &Buf = IS.Store.get(Id);
+        if (Obs)
+          Obs->onSlide(Worker, Buf, SlideShare{.Rebases = true});
+        Buf.rebasePlanes(Win.Buffers[static_cast<size_t>(Id)].Lo[0]);
+      }
     if (Island == 0 && ThreadInTeam == 0) {
       if (Epoch != 0) {
         // Every worker is quiesced between the two global barriers, so
@@ -703,17 +754,35 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
 
     int PassIndex = 0;
     int CurStep = 0;
+    size_t NextSlide = 0;
     // True when a real barrier separates the previous pass (or the epoch
     // prologue) from the next one — the steal-eligibility precondition.
     bool PrevBarrier = true;
-    for (const BlockTask &Block : IslandP.Blocks) {
+    for (size_t B = 0; B != IslandP.Blocks.size(); ++B) {
+      const BlockTask &Block = IslandP.Blocks[B];
+      const bool Slides = NextSlide != Win.SlideBlocks.size() &&
+                          Win.SlideBlocks[NextSlide] == static_cast<int>(B);
       if (Depth > 1 && Block.StepInEpoch != CurStep) {
         // Structural fused-step boundary: quiesce the team, swap the
-        // feedback bindings, and publish them before the next step.
+        // feedback bindings, and publish them before the next step. A
+        // slide here has no live planes to copy (windows never span
+        // steps), so it is a rebase that rides on the same barriers.
         teamBarrier();
         CurStep = Block.StepInEpoch;
         if (ThreadInTeam == 0)
           rebindForStep(IS, CurStep);
+        if (Slides)
+          slideWindows(IS, Win, NextSlide++, Worker, ThreadInTeam,
+                       IslandP.NumThreads);
+        teamBarrier();
+        PrevBarrier = true;
+      } else if (Slides) {
+        // The slide protocol: no pass may still touch the old addresses,
+        // and no pass may start before every live plane has moved.
+        if (!PrevBarrier)
+          teamBarrier();
+        slideWindows(IS, Win, NextSlide++, Worker, ThreadInTeam,
+                     IslandP.NumThreads);
         teamBarrier();
         PrevBarrier = true;
       }

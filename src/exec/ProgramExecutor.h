@@ -7,11 +7,14 @@
 /// \file
 /// The application-agnostic threaded runtime: executes any ExecutionPlan
 /// for any (StencilProgram, KernelTable) pair. Islands run concurrently
-/// with private intermediates; passes are split among team threads along
-/// their longest non-unit-stride dimension and followed by a team barrier
-/// when the pass's BarrierAfter bit is set (the barrier-elision optimizer,
-/// core/ScheduleOptimizer.h, clears redundant bits); the program's
-/// feedback pairs advance the state between steps. Both the per-pass team
+/// with private intermediates, each kept in a buffer a few planes deep
+/// that slides along the blocking dimension (exec/IntermediateWindows.h;
+/// plans with one block per step keep them part-sized); passes are split
+/// among team threads along their longest non-unit-stride dimension and
+/// followed by a team barrier when the pass's BarrierAfter bit is set (the
+/// barrier-elision optimizer, core/ScheduleOptimizer.h, clears redundant
+/// bits); the program's feedback pairs advance the state between steps.
+/// Both the per-pass team
 /// rendezvous and the step-boundary global rendezvous use the hybrid
 /// combining-tree TeamBarrier, tunable through ExecutorOptions.
 /// PlanExecutor (the MPDATA-flavoured API) is a thin wrapper over this
@@ -33,6 +36,7 @@
 #include "core/PlacementMap.h"
 #include "exec/Affinity.h"
 #include "exec/ExecStats.h"
+#include "exec/IntermediateWindows.h"
 #include "exec/TeamBarrier.h"
 #include "exec/WorkerPool.h"
 #include "grid/Array3D.h"
@@ -57,9 +61,10 @@ struct MachineModel;
 struct ExecutorOptions {
   TeamBarrier::WaitPolicy BarrierPolicy = TeamBarrier::WaitPolicy::Hybrid;
   int BarrierSpinLimit = TeamBarrier::DefaultSpinLimit;
-  /// k-row pad multiple for every array the executor allocates (externals
-  /// and per-island intermediates); rows start cache-line aligned at the
-  /// default. 0 disables padding. Layout only — results are identical.
+  /// k-row pad multiple for every array the executor allocates (externals,
+  /// per-island intermediate buffers and temporal buffers); rows start
+  /// cache-line aligned at the default. 0 disables padding. Layout only —
+  /// results are identical.
   int PadKRows = Array3D::VectorPadK;
   /// Chaos hook: when non-null, worker threads stall before passes and
   /// team/global barriers force spurious wakeups and detect stalled-team
@@ -68,9 +73,9 @@ struct ExecutorOptions {
   /// counters are mirrored into ExecStats (schema v3).
   FaultInjector *Chaos = nullptr;
   /// Observation hook: when non-null, worker threads report every barrier
-  /// crossing, pass, and epoch import (see exec/ExecObserver.h). The
-  /// shadow race detector rides on this. Results are bit-identical; only
-  /// timing changes.
+  /// crossing, pass, epoch import and intermediate slide (see
+  /// exec/ExecObserver.h). The shadow race detector rides on this. Results
+  /// are bit-identical; only timing changes.
   ExecObserver *Observer = nullptr;
   /// NUMA page placement for every array the executor allocates. None is
   /// the legacy behaviour: the constructing thread zero-fills serially,
@@ -192,6 +197,15 @@ public:
   /// The plan-derived page-ownership map the init epoch placed by.
   const PlacementMap &placementMap() const { return PMap; }
 
+  /// Island \p Island's field store: its owned intermediates and the
+  /// bindings of the current (or last) fused step.
+  const FieldStore &islandStore(size_t Island) const;
+
+  /// Island \p Island's intermediate buffers and slide schedule.
+  const IslandWindows &intermediateWindows(size_t Island) const {
+    return Windows[Island];
+  }
+
   /// Per-step global values of the program's \p R-th reduction, one entry
   /// per step run so far — bit-identical to the serial stepper's
   /// reductionHistory for every plan shape.
@@ -206,6 +220,8 @@ private:
   void importEpochInputs(IslandState &IS, int Worker, int ThreadInTeam,
                          int NumThreads);
   void runPlacementEpoch();
+  void slideWindows(IslandState &IS, const IslandWindows &Win, size_t Slide,
+                    int Worker, int ThreadInTeam, int NumThreads);
   double &partialAt(int Worker, int StepInEpoch, size_t R);
   void resetWorkerPartials(int Worker);
   void foldSubRegion(IslandState &IS, int Worker, int StepInEpoch,
@@ -249,6 +265,10 @@ private:
   std::vector<std::vector<size_t>> StageFolds;
   std::vector<double> Partials;
   std::vector<std::vector<double>> ReductionLog;
+
+  /// Per island: the intermediates' buffers and slide schedule
+  /// (exec/IntermediateWindows.h), fixed at construction.
+  std::vector<IslandWindows> Windows;
 
   bool Profiling = false;
   ExecStats Stats;

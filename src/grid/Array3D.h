@@ -103,15 +103,6 @@ public:
       std::fill(Data.begin(), Data.end(), 0.0);
   }
 
-  /// reset() without the zero-fill when shape and padding are unchanged:
-  /// repeated per-block scratch resets keep their (already initialized)
-  /// pages instead of re-touching every one. A shape change still
-  /// reallocates and zero-fills.
-  void resetNoClear(const Box3 &IndexSpace, int PadK = 0) {
-    if (resetShape(IndexSpace, PadK))
-      Data.assign(PhysicalElements, 0.0);
-  }
-
   /// Re-shapes to \p IndexSpace WITHOUT touching the new storage: the
   /// allocation is default-initialized, so no page of it is mapped until
   /// somebody writes it. This is the entry point for NUMA first-touch
@@ -131,6 +122,17 @@ public:
 
   const Box3 &indexSpace() const { return Space; }
   bool allocated() const { return !Data.empty(); }
+
+  /// Moves the index space along dim 0 so it starts at plane \p FirstPlane,
+  /// keeping its extents, strides and storage: the element at buffer plane
+  /// p becomes logical plane FirstPlane + p. Sliding intermediate buffers
+  /// (exec/IntermediateWindows.h) rebase with this after copying their
+  /// live planes to the front. Writes only indexSpace(), so threads that
+  /// address the storage through data() and the strides may run alongside.
+  void rebasePlanes(int FirstPlane) {
+    Space.Hi[0] = FirstPlane + Space.extent(0);
+    Space.Lo[0] = FirstPlane;
+  }
 
   /// Logical element count (pad elements excluded) — what the traffic
   /// model and cache simulator charge.
@@ -196,9 +198,9 @@ public:
 
   /// Whether this array's pages were distributed by a placement policy
   /// (recorded by markPlaced() after the first-touch init epoch) and the
-  /// allocation has not been dropped since. reset()/resetNoClear() with a
-  /// changed shape, and resetUntouched(), clear the flag — those are the
-  /// only paths that can lose page residency.
+  /// allocation has not been dropped since. reset() with a changed shape,
+  /// and resetUntouched(), clear the flag — those are the only paths that
+  /// can lose page residency.
   bool placed() const { return Placed; }
   void markPlaced() { Placed = true; }
 

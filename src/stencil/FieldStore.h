@@ -67,8 +67,11 @@ public:
   virtual Array3D &get(ArrayId Id);
   virtual const Array3D &get(ArrayId Id) const;
 
-  /// Total bytes of owned storage (the working set the (3+1)D block must
-  /// keep cache-resident).
+  /// Total logical bytes of owned storage. In an executor island these are
+  /// the intermediates' sliding buffers, twice each one's widest live
+  /// window deep (exec/IntermediateWindows.h): the working set a (3+1)D
+  /// block keeps cache-resident, independent of the part's length. Plans
+  /// with one block per step own full part-sized intermediates.
   int64_t ownedBytes() const;
 
 private:

@@ -9,31 +9,27 @@
 
 using namespace icores;
 
-/// Per-cell access metadata over one Array3D's index space. Reads keep a
-/// full per-worker map (a write must be ordered after *every* prior read,
-/// not just the latest), writes keep the FastTrack-style last-writer
-/// epoch: a new access is ordered after the last write iff the accessor's
-/// clock covers (writer, time).
+/// Per-slot access metadata over one Array3D's physical storage (k-row
+/// padding included). Cells are keyed by their offset from data(), not by
+/// logical coordinates: a sliding intermediate rebases its index space, so
+/// one logical cell lives at different slots over a step, and the slot is
+/// what two threads can actually race on. Reads keep a full per-worker map
+/// (a write must be ordered after *every* prior read, not just the
+/// latest), writes keep the FastTrack-style last-writer epoch: a new
+/// access is ordered after the last write iff the accessor's clock covers
+/// (writer, time).
 struct ShadowStore::ArrayShadow {
-  Box3 Space;
   std::string Name;
   std::vector<int32_t> Writer;
   std::vector<uint64_t> WriteTime;
   std::vector<std::map<int, uint64_t>> Reads;
 
-  explicit ArrayShadow(const Box3 &ASpace)
-      : Space(ASpace),
-        Writer(static_cast<size_t>(ASpace.numPoints()), -1),
-        WriteTime(static_cast<size_t>(ASpace.numPoints()), 0),
-        Reads(static_cast<size_t>(ASpace.numPoints())) {}
+  /// One slot per storage element plus a last one standing for the index
+  /// space: every pass access reads it, a rebase writes it.
+  explicit ArrayShadow(size_t Slots)
+      : Writer(Slots + 1, -1), WriteTime(Slots + 1, 0), Reads(Slots + 1) {}
 
-  size_t index(int I, int J, int K) const {
-    return (static_cast<size_t>(I - Space.Lo[0]) *
-                static_cast<size_t>(Space.extent(1)) +
-            static_cast<size_t>(J - Space.Lo[1])) *
-               static_cast<size_t>(Space.extent(2)) +
-           static_cast<size_t>(K - Space.Lo[2]);
-  }
+  size_t indexSlot() const { return Writer.size() - 1; }
 };
 
 /// One barrier site's rendezvous bookkeeping. Generations handle reuse:
@@ -67,7 +63,11 @@ ShadowStore::ArrayShadow &ShadowStore::shadowFor(const Array3D &Arr,
                                                  const std::string &Name) {
   auto It = Arrays.find(&Arr);
   if (It == Arrays.end())
-    It = Arrays.emplace(&Arr, ArrayShadow(Arr.indexSpace())).first;
+    It = Arrays
+             .emplace(&Arr, ArrayShadow(static_cast<size_t>(
+                                Arr.paddedBytes() /
+                                static_cast<int64_t>(sizeof(double)))))
+             .first;
   if (!Name.empty())
     It->second.Name = Name;
   return It->second;
@@ -89,48 +89,55 @@ void ShadowStore::noteRace(const char *Kind, const ArrayShadow &AS, int I,
   Races.push_back(std::move(R));
 }
 
-void ShadowStore::writeCells(int Worker, ArrayShadow &AS,
-                             const Box3 &Region) {
-  Box3 Clip = Region.intersect(AS.Space);
-  if (Clip.empty())
-    return;
+void ShadowStore::writeSlot(int Worker, ArrayShadow &AS, size_t Slot, int I,
+                            int J, int K) {
   const VectorClock &C = clock(Worker);
-  uint64_t Now = C.get(Worker);
-  for (int I = Clip.Lo[0]; I != Clip.Hi[0]; ++I)
-    for (int J = Clip.Lo[1]; J != Clip.Hi[1]; ++J)
-      for (int K = Clip.Lo[2]; K != Clip.Hi[2]; ++K) {
-        size_t Cell = AS.index(I, J, K);
-        ++Accesses;
-        int32_t W = AS.Writer[Cell];
-        if (W >= 0 && W != Worker && !C.covers(W, AS.WriteTime[Cell]))
-          noteRace("write-write", AS, I, J, K, W, Worker);
-        for (const auto &[Reader, Time] : AS.Reads[Cell])
-          if (Reader != Worker && !C.covers(Reader, Time))
-            noteRace("read-write", AS, I, J, K, Reader, Worker);
-        AS.Writer[Cell] = Worker;
-        AS.WriteTime[Cell] = Now;
-        // Unordered prior reads were reported above; ordered ones are
-        // subsumed by this write for every later access.
-        AS.Reads[Cell].clear();
-      }
+  const bool Index = Slot == AS.indexSlot();
+  ++Accesses;
+  int32_t W = AS.Writer[Slot];
+  if (W >= 0 && W != Worker && !C.covers(W, AS.WriteTime[Slot]))
+    noteRace(Index ? "rebase" : "write-write", AS, I, J, K, W, Worker);
+  for (const auto &[Reader, Time] : AS.Reads[Slot])
+    if (Reader != Worker && !C.covers(Reader, Time))
+      noteRace(Index ? "rebase" : "read-write", AS, I, J, K, Reader, Worker);
+  AS.Writer[Slot] = Worker;
+  AS.WriteTime[Slot] = C.get(Worker);
+  // Unordered prior reads were reported above; ordered ones are subsumed
+  // by this write for every later access.
+  AS.Reads[Slot].clear();
 }
 
-void ShadowStore::readCells(int Worker, ArrayShadow &AS, const Box3 &Region) {
-  Box3 Clip = Region.intersect(AS.Space);
+void ShadowStore::readSlot(int Worker, ArrayShadow &AS, size_t Slot, int I,
+                           int J, int K) {
+  const VectorClock &C = clock(Worker);
+  ++Accesses;
+  int32_t W = AS.Writer[Slot];
+  if (W >= 0 && W != Worker && !C.covers(W, AS.WriteTime[Slot]))
+    noteRace(Slot == AS.indexSlot() ? "rebase" : "read-write", AS, I, J, K, W,
+             Worker);
+  AS.Reads[Slot][Worker] = C.get(Worker);
+}
+
+void ShadowStore::accessCells(int Worker, const Array3D &Arr,
+                              const std::string &Name, const Box3 &Region,
+                              bool Write) {
+  ArrayShadow &AS = shadowFor(Arr, Name);
+  Box3 Clip = Region.intersect(Arr.indexSpace());
   if (Clip.empty())
     return;
-  const VectorClock &C = clock(Worker);
-  uint64_t Now = C.get(Worker);
+  // Addressing a logical cell reads the index space.
+  readSlot(Worker, AS, AS.indexSlot(), Clip.Lo[0], Clip.Lo[1], Clip.Lo[2]);
   for (int I = Clip.Lo[0]; I != Clip.Hi[0]; ++I)
-    for (int J = Clip.Lo[1]; J != Clip.Hi[1]; ++J)
-      for (int K = Clip.Lo[2]; K != Clip.Hi[2]; ++K) {
-        size_t Cell = AS.index(I, J, K);
-        ++Accesses;
-        int32_t W = AS.Writer[Cell];
-        if (W >= 0 && W != Worker && !C.covers(W, AS.WriteTime[Cell]))
-          noteRace("read-write", AS, I, J, K, W, Worker);
-        AS.Reads[Cell][Worker] = Now;
+    for (int J = Clip.Lo[1]; J != Clip.Hi[1]; ++J) {
+      size_t Slot = static_cast<size_t>(Arr.pointerTo(I, J, Clip.Lo[2]) -
+                                        Arr.data());
+      for (int K = Clip.Lo[2]; K != Clip.Hi[2]; ++K, ++Slot) {
+        if (Write)
+          writeSlot(Worker, AS, Slot, I, J, K);
+        else
+          readSlot(Worker, AS, Slot, I, J, K);
       }
+    }
 }
 
 void ShadowStore::onBarrierArrive(uint64_t Site, int Worker,
@@ -172,12 +179,11 @@ void ShadowStore::onPass(int Worker, const StencilProgram &Program,
   std::lock_guard<std::mutex> Lock(Mutex);
   const StageDef &SD = Program.stage(Stage);
   for (const StageInput &In : SD.Inputs)
-    readCells(Worker,
-              shadowFor(Store.get(In.Array), Program.array(In.Array).Name),
-              In.readRegion(Sub));
+    accessCells(Worker, Store.get(In.Array), Program.array(In.Array).Name,
+                In.readRegion(Sub), /*Write=*/false);
   for (ArrayId Out : SD.Outputs)
-    writeCells(Worker, shadowFor(Store.get(Out), Program.array(Out).Name),
-               Sub);
+    accessCells(Worker, Store.get(Out), Program.array(Out).Name, Sub,
+                /*Write=*/true);
 }
 
 void ShadowStore::onImport(int Worker, const Array3D &Src, const Array3D &Buf,
@@ -185,7 +191,6 @@ void ShadowStore::onImport(int Worker, const Array3D &Src, const Array3D &Buf,
   auto Wrap = [](int X, int N) { return ((X % N) + N) % N; };
   std::lock_guard<std::mutex> Lock(Mutex);
   ArrayShadow &SrcAS = shadowFor(Src, "");
-  const VectorClock &C = clock(Worker);
   // The gather reads periodically wrapped *core* positions of the shared
   // array; record each as an ordinary read.
   for (int I = Sub.Lo[0]; I != Sub.Hi[0]; ++I) {
@@ -194,28 +199,49 @@ void ShadowStore::onImport(int Worker, const Array3D &Src, const Array3D &Buf,
       int WJ = Wrap(J, NJ);
       for (int K = Sub.Lo[2]; K != Sub.Hi[2]; ++K) {
         int WK = Wrap(K, NK);
-        size_t Cell = SrcAS.index(WI, WJ, WK);
-        ++Accesses;
-        int32_t W = SrcAS.Writer[Cell];
-        if (W >= 0 && W != Worker && !C.covers(W, SrcAS.WriteTime[Cell]))
-          noteRace("read-write", SrcAS, WI, WJ, WK, W, Worker);
-        SrcAS.Reads[Cell][Worker] = C.get(Worker);
+        readSlot(Worker, SrcAS,
+                 static_cast<size_t>(Src.pointerTo(WI, WJ, WK) - Src.data()),
+                 WI, WJ, WK);
       }
     }
   }
-  writeCells(Worker, shadowFor(Buf, ""), Sub);
+  accessCells(Worker, Buf, "", Sub, /*Write=*/true);
+}
+
+void ShadowStore::onSlide(int Worker, const Array3D &Buf,
+                          const SlideShare &Share) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  ArrayShadow &AS = shadowFor(Buf, "");
+  // Witnesses name buffer coordinates (plane, row, column from the buffer
+  // start): the logical index space is being rebased meanwhile.
+  for (int P = 0; P != Share.Count; ++P)
+    for (int64_t Row = Share.RowLo; Row != Share.RowHi; ++Row)
+      for (int64_t Col = 0; Col != Buf.strideJ(); ++Col) {
+        const int64_t InPlane = Row * Buf.strideJ() + Col;
+        const int J = static_cast<int>(Row), K = static_cast<int>(Col);
+        readSlot(Worker, AS,
+                 static_cast<size_t>((Share.From + P) * Buf.strideI() +
+                                     InPlane),
+                 Share.From + P, J, K);
+        writeSlot(Worker, AS,
+                  static_cast<size_t>((Share.To + P) * Buf.strideI() +
+                                      InPlane),
+                  Share.To + P, J, K);
+      }
+  if (Share.Rebases)
+    writeSlot(Worker, AS, AS.indexSlot(), 0, 0, 0);
 }
 
 void ShadowStore::recordWrite(int Worker, const Array3D &Arr,
                               const Box3 &Region, const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  writeCells(Worker, shadowFor(Arr, Name), Region);
+  accessCells(Worker, Arr, Name, Region, /*Write=*/true);
 }
 
 void ShadowStore::recordRead(int Worker, const Array3D &Arr,
                              const Box3 &Region, const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  readCells(Worker, shadowFor(Arr, Name), Region);
+  accessCells(Worker, Arr, Name, Region, /*Write=*/false);
 }
 
 size_t ShadowStore::raceCount() const {

@@ -10,11 +10,18 @@
 /// metadata and per-worker vector clocks advanced at each barrier
 /// crossing. Two accesses to the same cell race exactly when neither's
 /// clock covers the other — i.e. no chain of TeamBarrier or global-barrier
-/// crossings separates them. Because cells are keyed by the *actual*
-/// Array3D instance resolved through the island's FieldStore at pass time,
-/// temporal rebinding (imports, scratch, final-step shared writes) is
-/// tracked for free: step t's scratch writes and step t+1's reads land on
-/// the same buffer, while two islands' private cones never collide.
+/// crossings separates them. Cells are keyed by the *actual* Array3D
+/// instance resolved through the island's FieldStore at pass time and by
+/// their physical slot in its storage. Temporal rebinding (imports,
+/// scratch, final-step shared writes) is therefore tracked for free: step
+/// t's scratch writes and step t+1's reads land on the same buffer, while
+/// two islands' private cones never collide. Slot keys also follow sliding
+/// intermediates (exec/IntermediateWindows.h): after a rebase a logical
+/// cell maps to a new slot, and the slide copy itself is recorded as reads
+/// of its source slots and writes of its destination slots. Each array's
+/// index space is one more shadowed slot: every pass access reads it and
+/// every rebase writes it, so a pass unordered with a rebase is reported
+/// as shadow.race.rebase.
 ///
 /// This is the dynamic cross-check of the static ScheduleCheck pass: every
 /// schedule the static analysis certifies race-free must execute clean
@@ -62,6 +69,8 @@ public:
               StageId Stage, const Box3 &Sub) override;
   void onImport(int Worker, const Array3D &Src, const Array3D &Buf,
                 const Box3 &Sub, int NI, int NJ, int NK) override;
+  void onSlide(int Worker, const Array3D &Buf,
+               const SlideShare &Share) override;
 
   // Direct-drive interface for unit tests and hand-built interleavings.
   void recordWrite(int Worker, const Array3D &Arr, const Box3 &Region,
@@ -77,8 +86,9 @@ public:
 
   bool clean() const { return raceCount() == 0; }
 
-  /// Emits one error finding per stored witness: shadow.race.write-write
-  /// or shadow.race.read-write, with array/cell/worker notes.
+  /// Emits one error finding per stored witness: shadow.race.write-write,
+  /// shadow.race.read-write or shadow.race.rebase, with array/cell/worker
+  /// notes.
   void reportFindings(DiagnosticEngine &Diags) const;
 
   /// Forgets all shadow state (clocks, cells, races).
@@ -90,8 +100,12 @@ private:
 
   VectorClock &clock(int Worker);
   ArrayShadow &shadowFor(const Array3D &Arr, const std::string &Name);
-  void writeCells(int Worker, ArrayShadow &AS, const Box3 &Region);
-  void readCells(int Worker, ArrayShadow &AS, const Box3 &Region);
+  void writeSlot(int Worker, ArrayShadow &AS, size_t Slot, int I, int J,
+                 int K);
+  void readSlot(int Worker, ArrayShadow &AS, size_t Slot, int I, int J,
+                int K);
+  void accessCells(int Worker, const Array3D &Arr, const std::string &Name,
+                   const Box3 &Region, bool Write);
   void noteRace(const char *Kind, const ArrayShadow &AS, int I, int J, int K,
                 int Prev, int Cur);
 
@@ -102,7 +116,7 @@ private:
   std::map<uint64_t, BarrierSite> Sites;
 
   struct Race {
-    std::string Kind; ///< "write-write" or "read-write"
+    std::string Kind; ///< "write-write", "read-write" or "rebase"
     std::string Array;
     int Cell[3];
     int PrevWorker;

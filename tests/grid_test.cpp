@@ -178,19 +178,16 @@ TEST(Array3DTest, ResetReusesAllocationAndZeroes) {
   EXPECT_EQ(A.numElements(), 8);
 }
 
-TEST(Array3DTest, ResetNoClearKeepsValuesWhenShapeUnchanged) {
-  Box3 Space = Box3::fromExtents(3, 3, 3);
-  Array3D A(Space, Array3D::VectorPadK);
-  A.fill(5.0);
-  A.resetNoClear(Space, Array3D::VectorPadK);
-  EXPECT_EQ(A.at(2, 2, 2), 5.0); // No redundant zero-assign.
-  // Changing shape or padding still reallocates zeroed storage.
-  A.resetNoClear(Space, 0);
-  EXPECT_EQ(A.padK(), 0);
-  EXPECT_EQ(A.at(2, 2, 2), 0.0);
-  A.fill(3.0);
-  A.resetNoClear(Box3::fromExtents(5, 3, 3), 0);
-  EXPECT_EQ(A.at(4, 2, 2), 0.0);
+TEST(Array3DTest, RebasePlanesMovesTheIndexSpaceNotTheStorage) {
+  Array3D A(Box3(2, -1, 0, 5, 3, 3), Array3D::VectorPadK);
+  A.at(3, 1, 2) = 7.0;
+  const double *Before = A.data();
+  const int64_t StrideI = A.strideI();
+  A.rebasePlanes(10);
+  EXPECT_EQ(A.indexSpace(), Box3(10, -1, 0, 13, 3, 3));
+  EXPECT_EQ(A.data(), Before);
+  EXPECT_EQ(A.strideI(), StrideI);
+  EXPECT_EQ(A.at(11, 1, 2), 7.0); // Buffer plane 1 is now logical plane 11.
 }
 
 TEST(Array3DTest, FillRegionWritesOnlyTheRegion) {

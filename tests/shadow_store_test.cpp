@@ -154,6 +154,35 @@ TEST(ShadowStoreTest, WitnessStorageIsCappedButCountingIsNot) {
   EXPECT_TRUE(Diags.hasFinding("shadow.race.truncated"));
 }
 
+TEST(ShadowStoreTest, SlideCopyWithoutItsTrailingBarrierIsARace) {
+  // Two workers slide a 4-plane buffer by two planes, each copying its
+  // half of the rows of planes 2..3 to planes 0..1; worker 0 then rebases
+  // the index space and worker 1 reads the moved planes. Only the barrier
+  // after the slide orders that read after worker 0's half of the copy
+  // and after the rebase.
+  auto replay = [](bool TrailingBarrier) {
+    Array3D A(Box3::fromExtents(4, 4, 2), Array3D::VectorPadK);
+    ShadowStore Shadow;
+    Shadow.recordWrite(0, A, Box3::fromExtents(4, 4, 2), "a");
+    crossBarrier(Shadow, 1, 2);
+    Shadow.onSlide(0, A, SlideShare{2, 0, 2, 0, 2, /*Rebases=*/true});
+    Shadow.onSlide(1, A, SlideShare{2, 0, 2, 2, 4, /*Rebases=*/false});
+    A.rebasePlanes(2);
+    if (TrailingBarrier)
+      crossBarrier(Shadow, 1, 2);
+    Shadow.recordRead(1, A, Box3(2, 0, 0, 4, 4, 2), "a");
+    DiagnosticEngine Diags;
+    Shadow.reportFindings(Diags);
+    EXPECT_EQ(Diags.hasFinding("shadow.race.read-write"), !TrailingBarrier);
+    EXPECT_EQ(Diags.hasFinding("shadow.race.rebase"), !TrailingBarrier);
+    return Shadow.raceCount();
+  };
+  EXPECT_EQ(replay(true), 0u);
+  // Worker 0 copied rows 0..1 of planes 0..1 (2 planes x 2 rows x 2
+  // cells), plus the unordered rebase.
+  EXPECT_EQ(replay(false), 2u * 2 * 2 + 1);
+}
+
 //===----------------------------------------------------------------------===//
 // Mutated schedules replayed through the shadow store (still one thread)
 //===----------------------------------------------------------------------===//
