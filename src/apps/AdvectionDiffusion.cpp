@@ -5,6 +5,7 @@
 #include "stencil/FieldStore.h"
 #include "stencil/HaloAnalysis.h"
 #include "support/Error.h"
+#include "support/SimdLoop.h"
 
 #include <algorithm>
 #include <memory>
@@ -78,36 +79,58 @@ AdvDiffProgram icores::buildAdvDiffProgram() {
 
 namespace {
 
+// The kernels walk (i, j) rows: every operand's row pointer is hoisted
+// once per row, the neighbour along Dim is a fixed offset taken from that
+// operand's own stride, and the unit-stride k-loop evaluates the same
+// floating-point expression per point as an at()-indexed loop would.
+
 /// Computes one flux stage over \p Region.
 void kernelFlux(const Array3D &State, const Array3D &U, const Array3D &Kappa,
                 Array3D &F, int Dim, const Box3 &Region) {
+  const int NK = Region.extent(2), K0 = Region.Lo[2];
+  const int64_t SBack = State.stride(Dim), KBack = Kappa.stride(Dim);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
-    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J)
-      for (int K = Region.Lo[2]; K != Region.Hi[2]; ++K) {
-        int IL = Dim == 0 ? I - 1 : I;
-        int JL = Dim == 1 ? J - 1 : J;
-        int KL = Dim == 2 ? K - 1 : K;
-        double L = State.at(IL, JL, KL);
-        double R = State.at(I, J, K);
-        double Vel = U.at(I, J, K);
-        double KFace = 0.5 * (Kappa.at(IL, JL, KL) + Kappa.at(I, J, K));
-        F.at(I, J, K) = std::max(Vel, 0.0) * L + std::min(Vel, 0.0) * R -
-                        KFace * (R - L);
+    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
+      const double *SP = State.pointerTo(I, J, K0);
+      const double *SL = SP - SBack;
+      const double *UP = U.pointerTo(I, J, K0);
+      const double *KP = Kappa.pointerTo(I, J, K0);
+      const double *KL = KP - KBack;
+      double *__restrict FP = F.pointerTo(I, J, K0);
+      ICORES_SIMD_LOOP
+      for (int K = 0; K != NK; ++K) {
+        double L = SL[K];
+        double R = SP[K];
+        double Vel = UP[K];
+        double KFace = 0.5 * (KL[K] + KP[K]);
+        FP[K] = std::max(Vel, 0.0) * L + std::min(Vel, 0.0) * R -
+                KFace * (R - L);
       }
+    }
 }
 
 /// Computes one divergence update over \p Region.
 void kernelUpdate(const Array3D &Phi, const Array3D &F1, const Array3D &F2,
                   const Array3D &F3, double Scale, Array3D &Out,
                   const Box3 &Region) {
+  const int NK = Region.extent(2), K0 = Region.Lo[2];
+  const int64_t F1Fwd = F1.stride(0), F2Fwd = F2.stride(1);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
-    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J)
-      for (int K = Region.Lo[2]; K != Region.Hi[2]; ++K) {
-        double Div = F1.at(I + 1, J, K) - F1.at(I, J, K) +
-                     F2.at(I, J + 1, K) - F2.at(I, J, K) +
-                     F3.at(I, J, K + 1) - F3.at(I, J, K);
-        Out.at(I, J, K) = Phi.at(I, J, K) - Scale * Div;
+    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
+      const double *PhiP = Phi.pointerTo(I, J, K0);
+      const double *F1P = F1.pointerTo(I, J, K0);
+      const double *F1N = F1P + F1Fwd;
+      const double *F2P = F2.pointerTo(I, J, K0);
+      const double *F2N = F2P + F2Fwd;
+      const double *F3P = F3.pointerTo(I, J, K0);
+      double *__restrict OutP = Out.pointerTo(I, J, K0);
+      ICORES_SIMD_LOOP
+      for (int K = 0; K != NK; ++K) {
+        double Div =
+            F1N[K] - F1P[K] + F2N[K] - F2P[K] + F3P[K + 1] - F3P[K];
+        OutP[K] = PhiP[K] - Scale * Div;
       }
+    }
 }
 
 } // namespace

@@ -55,9 +55,10 @@ struct AdvDiffProgram {
 /// Builds and validates the 8-stage program.
 AdvDiffProgram buildAdvDiffProgram();
 
-/// Builds the kernel table for the program (reference scalar kernels;
-/// pointwise with fixed evaluation order, so bit-stable under any
-/// partitioning).
+/// Builds the kernel table for the program: row kernels with hoisted
+/// per-row pointers and unit-stride k-loops, pointwise with a fixed
+/// evaluation order, so bit-stable under any partitioning. The workload's
+/// registry entry serves it as its only (Reference) variant.
 KernelTable buildAdvDiffKernels();
 
 /// Input-array halo depth required by the program's dependence cone.

@@ -5,6 +5,7 @@
 #include "stencil/FieldStore.h"
 #include "stencil/HaloAnalysis.h"
 #include "support/Error.h"
+#include "support/SimdLoop.h"
 
 #include <algorithm>
 #include <cmath>
@@ -83,42 +84,67 @@ CflAdvectionProgram icores::buildCflAdvectionProgram() {
 
 namespace {
 
+// Row kernels: per (i, j) row hoisted operand pointers, the neighbour
+// along Dim as a fixed offset from the operand's own stride, and a
+// unit-stride k-loop with the same per-point expression as an
+// at()-indexed loop.
+
 /// Donor-cell flux through the lower face along \p Dim over \p Region.
 void kernelFlux(const Array3D &Q, const Array3D &U, Array3D &F, int Dim,
                 const Box3 &Region) {
+  const int NK = Region.extent(2), K0 = Region.Lo[2];
+  const int64_t Back = Q.stride(Dim);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
-    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J)
-      for (int K = Region.Lo[2]; K != Region.Hi[2]; ++K) {
-        int IL = Dim == 0 ? I - 1 : I;
-        int JL = Dim == 1 ? J - 1 : J;
-        int KL = Dim == 2 ? K - 1 : K;
-        double Vel = U.at(I, J, K);
-        F.at(I, J, K) = std::max(Vel, 0.0) * Q.at(IL, JL, KL) +
-                        std::min(Vel, 0.0) * Q.at(I, J, K);
+    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
+      const double *QP = Q.pointerTo(I, J, K0);
+      const double *QL = QP - Back;
+      const double *UP = U.pointerTo(I, J, K0);
+      double *__restrict FP = F.pointerTo(I, J, K0);
+      ICORES_SIMD_LOOP
+      for (int K = 0; K != NK; ++K) {
+        double Vel = UP[K];
+        FP[K] = std::max(Vel, 0.0) * QL[K] + std::min(Vel, 0.0) * QP[K];
       }
+    }
 }
 
 /// Per-cell Courant sum over \p Region.
 void kernelCourant(const Array3D &U1, const Array3D &U2, const Array3D &U3,
                    Array3D &C, const Box3 &Region) {
+  const int NK = Region.extent(2), K0 = Region.Lo[2];
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
-    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J)
-      for (int K = Region.Lo[2]; K != Region.Hi[2]; ++K)
-        C.at(I, J, K) = std::fabs(U1.at(I, J, K)) + std::fabs(U2.at(I, J, K)) +
-                        std::fabs(U3.at(I, J, K));
+    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
+      const double *U1P = U1.pointerTo(I, J, K0);
+      const double *U2P = U2.pointerTo(I, J, K0);
+      const double *U3P = U3.pointerTo(I, J, K0);
+      double *__restrict CP = C.pointerTo(I, J, K0);
+      ICORES_SIMD_LOOP
+      for (int K = 0; K != NK; ++K)
+        CP[K] = std::fabs(U1P[K]) + std::fabs(U2P[K]) + std::fabs(U3P[K]);
+    }
 }
 
 /// Divergence update over \p Region.
 void kernelUpdate(const Array3D &Q, const Array3D &F1, const Array3D &F2,
                   const Array3D &F3, Array3D &Out, const Box3 &Region) {
+  const int NK = Region.extent(2), K0 = Region.Lo[2];
+  const int64_t F1Fwd = F1.stride(0), F2Fwd = F2.stride(1);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
-    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J)
-      for (int K = Region.Lo[2]; K != Region.Hi[2]; ++K) {
-        double Div = F1.at(I + 1, J, K) - F1.at(I, J, K) +
-                     F2.at(I, J + 1, K) - F2.at(I, J, K) +
-                     F3.at(I, J, K + 1) - F3.at(I, J, K);
-        Out.at(I, J, K) = Q.at(I, J, K) - Div;
+    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
+      const double *QP = Q.pointerTo(I, J, K0);
+      const double *F1P = F1.pointerTo(I, J, K0);
+      const double *F1N = F1P + F1Fwd;
+      const double *F2P = F2.pointerTo(I, J, K0);
+      const double *F2N = F2P + F2Fwd;
+      const double *F3P = F3.pointerTo(I, J, K0);
+      double *__restrict OutP = Out.pointerTo(I, J, K0);
+      ICORES_SIMD_LOOP
+      for (int K = 0; K != NK; ++K) {
+        double Div =
+            F1N[K] - F1P[K] + F2N[K] - F2P[K] + F3P[K + 1] - F3P[K];
+        OutP[K] = QP[K] - Div;
       }
+    }
 }
 
 } // namespace

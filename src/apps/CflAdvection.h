@@ -63,8 +63,10 @@ struct CflAdvectionProgram {
 /// Builds and validates the 5-stage program with its two reductions.
 CflAdvectionProgram buildCflAdvectionProgram();
 
-/// Builds the kernel table (reference scalar kernels; pointwise with
-/// fixed evaluation order, so bit-stable under any partitioning).
+/// Builds the kernel table: row kernels with hoisted per-row pointers and
+/// unit-stride k-loops, pointwise with a fixed evaluation order, so
+/// bit-stable under any partitioning. The workload's registry entry
+/// serves it as its only (Reference) variant.
 KernelTable buildCflAdvectionKernels();
 
 /// Combiner bindings for the program's `cfl` and `maxnorm` reductions

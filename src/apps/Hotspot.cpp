@@ -5,6 +5,7 @@
 #include "stencil/FieldStore.h"
 #include "stencil/HaloAnalysis.h"
 #include "support/Error.h"
+#include "support/SimdLoop.h"
 
 #include <algorithm>
 #include <memory>
@@ -62,32 +63,50 @@ HotspotProgram icores::buildHotspotProgram() {
 
 namespace {
 
+// Row kernels: per (i, j) row hoisted operand pointers, the neighbour
+// along Dim as a fixed offset from the operand's own stride, and a
+// unit-stride k-loop with the same per-point expression as an
+// at()-indexed loop.
+
 /// Lower-face temperature difference along \p Dim over \p Region.
 void kernelGrad(const Array3D &T, Array3D &G, int Dim, const Box3 &Region) {
+  const int NK = Region.extent(2), K0 = Region.Lo[2];
+  const int64_t Back = T.stride(Dim);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
-    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J)
-      for (int K = Region.Lo[2]; K != Region.Hi[2]; ++K) {
-        int IL = Dim == 0 ? I - 1 : I;
-        int JL = Dim == 1 ? J - 1 : J;
-        int KL = Dim == 2 ? K - 1 : K;
-        G.at(I, J, K) = T.at(I, J, K) - T.at(IL, JL, KL);
-      }
+    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
+      const double *TP = T.pointerTo(I, J, K0);
+      const double *TL = TP - Back;
+      double *__restrict GP = G.pointerTo(I, J, K0);
+      ICORES_SIMD_LOOP
+      for (int K = 0; K != NK; ++K)
+        GP[K] = TP[K] - TL[K];
+    }
 }
 
 /// Thermal update over \p Region.
 void kernelUpdate(const Array3D &T, const Array3D &Power, const Array3D &G1,
                   const Array3D &G2, const Array3D &G3, Array3D &Out,
                   const Box3 &Region) {
+  const int NK = Region.extent(2), K0 = Region.Lo[2];
+  const int64_t G1Fwd = G1.stride(0), G2Fwd = G2.stride(1);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
-    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J)
-      for (int K = Region.Lo[2]; K != Region.Hi[2]; ++K) {
-        double Div = G1.at(I + 1, J, K) - G1.at(I, J, K) +
-                     G2.at(I, J + 1, K) - G2.at(I, J, K) +
-                     G3.at(I, J, K + 1) - G3.at(I, J, K);
-        Out.at(I, J, K) = T.at(I, J, K) + HotspotCd * Div +
-                          HotspotCp * Power.at(I, J, K) +
-                          HotspotCr * (HotspotTamb - T.at(I, J, K));
+    for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
+      const double *TP = T.pointerTo(I, J, K0);
+      const double *PP = Power.pointerTo(I, J, K0);
+      const double *G1P = G1.pointerTo(I, J, K0);
+      const double *G1N = G1P + G1Fwd;
+      const double *G2P = G2.pointerTo(I, J, K0);
+      const double *G2N = G2P + G2Fwd;
+      const double *G3P = G3.pointerTo(I, J, K0);
+      double *__restrict OutP = Out.pointerTo(I, J, K0);
+      ICORES_SIMD_LOOP
+      for (int K = 0; K != NK; ++K) {
+        double Div =
+            G1N[K] - G1P[K] + G2N[K] - G2P[K] + G3P[K + 1] - G3P[K];
+        OutP[K] = TP[K] + HotspotCd * Div + HotspotCp * PP[K] +
+                  HotspotCr * (HotspotTamb - TP[K]);
       }
+    }
 }
 
 } // namespace

@@ -59,8 +59,10 @@ constexpr double HotspotTamb = 25.0; ///< Ambient temperature.
 /// Builds and validates the 4-stage program.
 HotspotProgram buildHotspotProgram();
 
-/// Builds the kernel table (reference scalar kernels; pointwise with
-/// fixed evaluation order, so bit-stable under any partitioning).
+/// Builds the kernel table: row kernels with hoisted per-row pointers and
+/// unit-stride k-loops, pointwise with a fixed evaluation order, so
+/// bit-stable under any partitioning. The workload's registry entry
+/// serves it as its only (Reference) variant.
 KernelTable buildHotspotKernels();
 
 /// Input-array halo depth required by the program's dependence cone.

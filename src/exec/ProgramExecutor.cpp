@@ -501,21 +501,34 @@ void ProgramExecutor::rebindForStep(IslandState &IS, int StepInEpoch) {
 /// Epoch import: fills this thread's share of every import buffer with
 /// periodically wrapped copies of the shared arrays' core cells. The
 /// widened cones only ever read wrapped *core* positions, so the shared
-/// halos (stale after the epoch feedback swap) are never consulted.
+/// halos (stale after the epoch feedback swap) are never consulted. Each
+/// (i, j) row is copied as contiguous k-runs: a run ends where the
+/// wrapped source index reaches nk and starts over at 0, so a row whose
+/// k-extent exceeds nk takes several runs.
 void ProgramExecutor::importEpochInputs(IslandState &IS, int Worker,
                                         int ThreadInTeam, int NumThreads) {
+  const int NK = Dom.nk();
   for (auto &[Id, Buf] : IS.Imports) {
     const Array3D &Src = array(Id);
     Box3 Sub = teamSubRegion(Buf.indexSpace(), ThreadInTeam, NumThreads);
-    if (Opts.Observer && !Sub.empty())
-      Opts.Observer->onImport(Worker, Src, Buf, Sub, Dom.ni(), Dom.nj(),
-                              Dom.nk());
+    if (Sub.empty())
+      continue;
+    if (Opts.Observer)
+      Opts.Observer->onImport(Worker, Src, Buf, Sub, Dom.ni(), Dom.nj(), NK);
     for (int I = Sub.Lo[0]; I != Sub.Hi[0]; ++I) {
       int WI = Domain::wrapIndex(I, Dom.ni());
       for (int J = Sub.Lo[1]; J != Sub.Hi[1]; ++J) {
-        int WJ = Domain::wrapIndex(J, Dom.nj());
-        for (int K = Sub.Lo[2]; K != Sub.Hi[2]; ++K)
-          Buf.at(I, J, K) = Src.at(WI, WJ, Domain::wrapIndex(K, Dom.nk()));
+        const double *SrcRow =
+            Src.pointerTo(WI, Domain::wrapIndex(J, Dom.nj()), 0);
+        double *Dst = Buf.pointerTo(I, J, Sub.Lo[2]);
+        for (int K = Sub.Lo[2]; K != Sub.Hi[2];) {
+          int WK = Domain::wrapIndex(K, NK);
+          int Run = std::min(Sub.Hi[2] - K, NK - WK);
+          std::memcpy(Dst, SrcRow + WK,
+                      static_cast<size_t>(Run) * sizeof(double));
+          Dst += Run;
+          K += Run;
+        }
       }
     }
   }

@@ -165,6 +165,14 @@ public:
   /// Distance in elements between (i, j, k) and (i, j+1, k). With k-row
   /// padding this exceeds extent(2); k stays unit-stride within a row.
   int64_t strideJ() const { return StrideJ; }
+  /// Distance in elements of a +1 step along \p Dim: strideI(), strideJ()
+  /// or 1. Each array has its own strides (padding, sliding buffers and
+  /// imports differ), so row kernels take neighbour offsets from the
+  /// operand they read.
+  int64_t stride(int Dim) const {
+    assert(Dim >= 0 && Dim < 3 && "bad dimension");
+    return Dim == 0 ? StrideI : (Dim == 1 ? StrideJ : 1);
+  }
 
   /// Unchecked raw pointer to element (I, J, K); the coordinates must lie
   /// in the index space. For strided inner loops (see mpdata/Kernels).

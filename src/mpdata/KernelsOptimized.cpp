@@ -19,19 +19,6 @@ using namespace icores;
 
 namespace {
 
-/// Element stride of a +1 step along \p Dim in array \p A.
-int64_t strideOf(const Array3D &A, int Dim) {
-  switch (Dim) {
-  case 0:
-    return A.strideI();
-  case 1:
-    return A.strideJ();
-  case 2:
-    return 1;
-  }
-  ICORES_UNREACHABLE("bad dimension");
-}
-
 /// Runs \p Body(I, J) for every (i, j) row of \p Region; the body handles
 /// the contiguous k-extent itself.
 template <typename Fn> void forRows(const Box3 &Region, Fn &&Body) {
@@ -43,7 +30,7 @@ template <typename Fn> void forRows(const Box3 &Region, Fn &&Body) {
 /// S1..S3 and S14..S16: donor-cell flux along Dim.
 void fluxOpt(const Array3D &X, const Array3D &U, Array3D &F, int Dim,
              const Box3 &Region) {
-  int64_t Back = strideOf(X, Dim);
+  int64_t Back = X.stride(Dim);
   int NK = Region.extent(2);
   forRows(Region, [&](int I, int J) {
     const double *XP = X.pointerTo(I, J, Region.Lo[2]);
@@ -110,13 +97,13 @@ void pseudoVelocityOpt(const Array3D &Act, const Array3D &UD,
                        const Array3D &UT1, int DimT1, const Array3D &UT2,
                        int DimT2, Array3D &V, int Dim, const Box3 &Region) {
   int NK = Region.extent(2);
-  int64_t ABack = strideOf(Act, Dim);
-  int64_t AT1 = strideOf(Act, DimT1);
-  int64_t AT2 = strideOf(Act, DimT2);
-  int64_t U1Back = strideOf(UT1, Dim);
-  int64_t U1Fwd = strideOf(UT1, DimT1);
-  int64_t U2Back = strideOf(UT2, Dim);
-  int64_t U2Fwd = strideOf(UT2, DimT2);
+  int64_t ABack = Act.stride(Dim);
+  int64_t AT1 = Act.stride(DimT1);
+  int64_t AT2 = Act.stride(DimT2);
+  int64_t U1Back = UT1.stride(Dim);
+  int64_t U1Fwd = UT1.stride(DimT1);
+  int64_t U2Back = UT2.stride(Dim);
+  int64_t U2Fwd = UT2.stride(DimT2);
   forRows(Region, [&](int I, int J) {
     const double *AP = Act.pointerTo(I, J, Region.Lo[2]);
     const double *CP = UD.pointerTo(I, J, Region.Lo[2]);
@@ -165,7 +152,7 @@ void cpOpt(const Array3D &Mx, const Array3D &Act, const Array3D &H,
     int64_t VFwd[3];
     for (int D = 0; D != 3; ++D) {
       VP[D] = V[D]->pointerTo(I, J, Region.Lo[2]);
-      VFwd[D] = strideOf(*V[D], D);
+      VFwd[D] = V[D]->stride(D);
     }
     for (int K = 0; K != NK; ++K) {
       double In = 0.0;
@@ -193,7 +180,7 @@ void cnOpt(const Array3D &Mn, const Array3D &Act, const Array3D &H,
     int64_t VFwd[3];
     for (int D = 0; D != 3; ++D) {
       VP[D] = V[D]->pointerTo(I, J, Region.Lo[2]);
-      VFwd[D] = strideOf(*V[D], D);
+      VFwd[D] = V[D]->stride(D);
     }
     double *CnP = Cn.pointerTo(I, J, Region.Lo[2]);
     for (int K = 0; K != NK; ++K) {
@@ -212,8 +199,8 @@ void cnOpt(const Array3D &Mn, const Array3D &Act, const Array3D &H,
 void limitOpt(const Array3D &Cp, const Array3D &Cn, const Array3D &V,
               Array3D &Vm, int Dim, const Box3 &Region) {
   int NK = Region.extent(2);
-  int64_t CpBack = strideOf(Cp, Dim);
-  int64_t CnBack = strideOf(Cn, Dim);
+  int64_t CpBack = Cp.stride(Dim);
+  int64_t CnBack = Cn.stride(Dim);
   forRows(Region, [&](int I, int J) {
     const double *CpP = Cp.pointerTo(I, J, Region.Lo[2]);
     const double *CnP = Cn.pointerTo(I, J, Region.Lo[2]);

@@ -26,44 +26,19 @@
 #include "mpdata/Kernels.h"
 #include "stencil/FieldStore.h"
 #include "support/Error.h"
+#include "support/SimdLoop.h"
 
 #include <algorithm>
 #include <cmath>
-
-// Marks a k-inner loop that must vectorize. On clang the pragma makes the
-// loop report through -Rpass=loop-vectorize (and fail the build under
-// -Werror=pass-failed when it does not vectorize); GCC gets the
-// equivalent no-loop-carried-dependence assertion. Both are semantically
-// safe here: outputs never alias inputs (see file header).
-#if defined(__clang__)
-#define ICORES_SIMD_LOOP _Pragma("clang loop vectorize(enable)")
-#elif defined(__GNUC__)
-#define ICORES_SIMD_LOOP _Pragma("GCC ivdep")
-#else
-#define ICORES_SIMD_LOOP
-#endif
 
 using namespace icores;
 
 namespace {
 
-/// Element stride of a +1 step along \p Dim in array \p A.
-int64_t strideOf(const Array3D &A, int Dim) {
-  switch (Dim) {
-  case 0:
-    return A.strideI();
-  case 1:
-    return A.strideJ();
-  case 2:
-    return 1;
-  }
-  ICORES_UNREACHABLE("bad dimension");
-}
-
 /// S1..S3 and S14..S16: donor-cell flux along Dim.
 void fluxSimd(const Array3D &X, const Array3D &U, Array3D &F, int Dim,
               const Box3 &Region) {
-  const int64_t Back = strideOf(X, Dim);
+  const int64_t Back = X.stride(Dim);
   const int NK = Region.extent(2);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
     for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
@@ -142,13 +117,13 @@ void pseudoVelocitySimd(const Array3D &Act, const Array3D &UD,
                         const Array3D &UT1, int DimT1, const Array3D &UT2,
                         int DimT2, Array3D &V, int Dim, const Box3 &Region) {
   const int NK = Region.extent(2);
-  const int64_t ABack = strideOf(Act, Dim);
-  const int64_t AT1 = strideOf(Act, DimT1);
-  const int64_t AT2 = strideOf(Act, DimT2);
-  const int64_t U1Back = strideOf(UT1, Dim);
-  const int64_t U1Fwd = strideOf(UT1, DimT1);
-  const int64_t U2Back = strideOf(UT2, Dim);
-  const int64_t U2Fwd = strideOf(UT2, DimT2);
+  const int64_t ABack = Act.stride(Dim);
+  const int64_t AT1 = Act.stride(DimT1);
+  const int64_t AT2 = Act.stride(DimT2);
+  const int64_t U1Back = UT1.stride(Dim);
+  const int64_t U1Fwd = UT1.stride(DimT1);
+  const int64_t U2Back = UT2.stride(Dim);
+  const int64_t U2Fwd = UT2.stride(DimT2);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
     for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
       const double *AP = Act.pointerTo(I, J, Region.Lo[2]);
@@ -251,8 +226,8 @@ void cnSimd(const Array3D &Mn, const Array3D &Act, const Array3D &H,
 void limitSimd(const Array3D &Cp, const Array3D &Cn, const Array3D &V,
                Array3D &Vm, int Dim, const Box3 &Region) {
   const int NK = Region.extent(2);
-  const int64_t CpBack = strideOf(Cp, Dim);
-  const int64_t CnBack = strideOf(Cn, Dim);
+  const int64_t CpBack = Cp.stride(Dim);
+  const int64_t CnBack = Cn.stride(Dim);
   for (int I = Region.Lo[0]; I != Region.Hi[0]; ++I)
     for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J) {
       const double *CpP = Cp.pointerTo(I, J, Region.Lo[2]);

@@ -38,7 +38,9 @@ class FieldStore;
 /// Lives in the stencil layer so backend-agnostic consumers (simulator,
 /// planners, CLIs) can name a variant without linking the kernels.
 enum class KernelVariant {
-  Reference, ///< Index-checked scalar loops (the readable spec).
+  Reference, ///< MPDATA: index-checked scalar loops (its readable spec).
+             ///< Single-table workloads (advdiff, hotspot, cfl-advect)
+             ///< register their row kernels under this name.
   Optimized, ///< Strided-pointer loops (the portable production path).
   Simd,      ///< Contiguous __restrict k-loops shaped for vectorization.
 };
