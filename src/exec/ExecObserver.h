@@ -11,9 +11,10 @@
 /// real rendezvous, depart after it), every pass a worker runs (with the
 /// store resolved for the current fused step, so temporal rebinds are
 /// visible as the actual Array3D instances touched), every epoch import
-/// gather, and every live-plane copy of a sliding intermediate. The shadow
-/// race detector (verify/ShadowStore.h) is the canonical implementation;
-/// the executor itself has no verify dependency.
+/// gather, every live-plane copy of a sliding intermediate, and every
+/// worker's slab of the T = 1 feedback halo refresh. The shadow race
+/// detector (verify/ShadowStore.h) is the canonical implementation; the
+/// executor itself has no verify dependency.
 ///
 /// Hooks run on worker threads. Implementations must be thread-safe; the
 /// executor guarantees that for one barrier site every participant's
@@ -34,6 +35,8 @@
 #include <cstdint>
 
 namespace icores {
+
+class Domain;
 
 /// One worker's part of one sliding intermediate's slide: for each p in
 /// [0, Count), rows [RowLo, RowHi) of buffer plane From + p (whole padded
@@ -85,6 +88,13 @@ public:
   /// must address the storage through data() and the strides only.
   virtual void onSlide(int Worker, const Array3D &Buf,
                        const SlideShare &Share) = 0;
+
+  /// Worker \p Worker refreshes the halo cells of the shared array \p A on
+  /// dim-0 planes [PlaneLo, PlaneHi) (Domain::fillHaloPlanes): each halo
+  /// cell is written from the core cell Dom.boundarySource() maps it to.
+  /// Reported before each non-empty slab fill, at T = 1 epoch starts.
+  virtual void onHaloFill(int Worker, const Domain &Dom, const Array3D &A,
+                          int PlaneLo, int PlaneHi) = 0;
 };
 
 } // namespace icores

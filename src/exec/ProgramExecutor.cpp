@@ -723,6 +723,19 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
 
   const int Depth = this->Plan.TemporalDepth;
   const int Epochs = Steps / Depth; // run() checked divisibility.
+  // T == 1 reads the shared inputs in place, so every epoch start refreshes
+  // the feedback targets' halos, each worker of the run filling its own
+  // slab of alloc-box planes. Temporal epochs instead wrap-gather imports
+  // from the core cells and never read the shared halos.
+  const bool RefreshHalos = Depth == 1 && !Program.feedbacks().empty();
+  const Box3 Alloc = Dom.allocBox();
+  const int64_t NumWorkers = static_cast<int64_t>(WorkerCoords.size());
+  const int SlabLo =
+      Alloc.Lo[0] +
+      static_cast<int>(chunkBegin(Alloc.extent(0), NumWorkers, Worker));
+  const int SlabHi =
+      Alloc.Lo[0] +
+      static_cast<int>(chunkBegin(Alloc.extent(0), NumWorkers, Worker + 1));
   for (int Epoch = 0; Epoch != Epochs; ++Epoch) {
     globalBarrier();
     // Every worker is quiesced: move the sliding intermediates back to
@@ -734,24 +747,29 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           Obs->onSlide(Worker, Buf, SlideShare{.Rebases = true});
         Buf.rebasePlanes(Win.Buffers[static_cast<size_t>(Id)].Lo[0]);
       }
-    if (Island == 0 && ThreadInTeam == 0) {
-      if (Epoch != 0) {
-        // Every worker is quiesced between the two global barriers, so
-        // the previous epoch's reduction partials are complete — combine
-        // them across workers before anyone resets them for this epoch.
-        if (!Reductions.empty())
-          appendEpochReductions();
-        for (const FeedbackPair &FB : Program.feedbacks())
-          std::swap(array(FB.Source), array(FB.Target));
-      }
-      // T == 1 reads the shared inputs in place, so the feedback halos
-      // must be refreshed; temporal epochs instead wrap-gather imports
-      // from the core cells and never read the shared halos.
-      if (Depth == 1)
-        for (const FeedbackPair &FB : Program.feedbacks())
-          Dom.fillHalo(array(FB.Target));
+    if (Island == 0 && ThreadInTeam == 0 && Epoch != 0) {
+      // Every worker is quiesced between the two global barriers, so the
+      // previous epoch's reduction partials are complete — combine them
+      // across workers before anyone resets them for this epoch.
+      if (!Reductions.empty())
+        appendEpochReductions();
+      for (const FeedbackPair &FB : Program.feedbacks())
+        std::swap(array(FB.Source), array(FB.Target));
     }
     globalBarrier();
+    if (RefreshHalos) {
+      // The swap is published; each slab writes only halo cells of its
+      // own planes and reads only core cells, and the barrier publishes
+      // every slab before any pass reads a halo.
+      if (SlabLo != SlabHi)
+        for (const FeedbackPair &FB : Program.feedbacks()) {
+          Array3D &Target = array(FB.Target);
+          if (Obs)
+            Obs->onHaloFill(Worker, Dom, Target, SlabLo, SlabHi);
+          Dom.fillHaloPlanes(Target, SlabLo, SlabHi);
+        }
+      globalBarrier();
+    }
     if (!Reductions.empty())
       resetWorkerPartials(Worker);
 

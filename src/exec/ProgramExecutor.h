@@ -73,8 +73,8 @@ struct ExecutorOptions {
   /// counters are mirrored into ExecStats (schema v3).
   FaultInjector *Chaos = nullptr;
   /// Observation hook: when non-null, worker threads report every barrier
-  /// crossing, pass, epoch import and intermediate slide (see
-  /// exec/ExecObserver.h). The shadow race detector rides on this. Results
+  /// crossing, pass, epoch import, intermediate slide and halo-refresh
+  /// slab (see exec/ExecObserver.h). The shadow race detector rides on this. Results
   /// are bit-identical; only timing changes.
   ExecObserver *Observer = nullptr;
   /// NUMA page placement for every array the executor allocates. None is

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Domain describes the physical MPDATA grid (NI x NJ x NK cells) plus the
-/// halo depth carried by every allocated array. Boundary conditions are
-/// periodic: before each time step the halo shell of every *input* array is
-/// filled with wrapped copies, which makes redundant recomputation of
-/// intermediate stages near the physical boundary exact (see DESIGN.md §5).
+/// halo depth carried by every allocated array. Before each time step the
+/// halo shell of every *input* array is filled from the core: with wrapped
+/// copies under periodic boundaries, which makes redundant recomputation of
+/// intermediate stages near the physical boundary exact (see DESIGN.md §5),
+/// or with clamped copies under zero-gradient (open) boundaries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,16 +68,25 @@ public:
     return Index >= Extent ? Extent - 1 : Index;
   }
 
+  /// The core index that index \p Index of an axis of \p Extent cells
+  /// mirrors under the domain's boundary mode: wrapped when periodic,
+  /// clamped when zero-gradient. The identity on core indices.
+  int boundarySource(int Index, int Extent) const {
+    return Boundary == BoundaryMode::Periodic ? wrapIndex(Index, Extent)
+                                              : clampIndex(Index, Extent);
+  }
+
   /// Fills every halo cell of \p A (cells of allocBox() outside coreBox())
-  /// according to the domain's boundary mode. The array must cover
-  /// allocBox().
+  /// according to the domain's boundary mode: fillHaloPlanes() over every
+  /// plane of the alloc box. The array must cover allocBox().
   void fillHalo(Array3D &A) const;
 
-  /// Periodic variant of fillHalo(), regardless of the domain's mode.
-  void fillHaloPeriodic(Array3D &A) const;
-
-  /// Zero-gradient variant of fillHalo(), regardless of the domain's mode.
-  void fillHaloZeroGradient(Array3D &A) const;
+  /// Fills the halo cells of \p A on the dim-0 planes [PlaneLo, PlaneHi)
+  /// (clipped to allocBox()) with their boundarySource() core cells. Every
+  /// write lands in a halo cell and every read comes from a core cell, so
+  /// disjoint plane ranges may be filled concurrently, and any split of
+  /// the planes yields the same bits as fillHalo().
+  void fillHaloPlanes(Array3D &A, int PlaneLo, int PlaneHi) const;
 
 private:
   int NI;

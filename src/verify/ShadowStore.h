@@ -18,7 +18,9 @@
 /// two islands' private cones never collide. Slot keys also follow sliding
 /// intermediates (exec/IntermediateWindows.h): after a rebase a logical
 /// cell maps to a new slot, and the slide copy itself is recorded as reads
-/// of its source slots and writes of its destination slots. Each array's
+/// of its source slots and writes of its destination slots. A halo refresh
+/// slab is recorded per halo cell as a read of the core cell the domain's
+/// boundary map copies plus a write of the halo cell. Each array's
 /// index space is one more shadowed slot: every pass access reads it and
 /// every rebase writes it, so a pass unordered with a rebase is reported
 /// as shadow.race.rebase.
@@ -71,6 +73,8 @@ public:
                 const Box3 &Sub, int NI, int NJ, int NK) override;
   void onSlide(int Worker, const Array3D &Buf,
                const SlideShare &Share) override;
+  void onHaloFill(int Worker, const Domain &Dom, const Array3D &A,
+                  int PlaneLo, int PlaneHi) override;
 
   // Direct-drive interface for unit tests and hand-built interleavings.
   void recordWrite(int Worker, const Array3D &Arr, const Box3 &Region,

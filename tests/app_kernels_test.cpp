@@ -373,6 +373,7 @@ public:
   void onPass(int, const StencilProgram &, FieldStore &, StageId,
               const Box3 &) override {}
   void onSlide(int, const Array3D &, const SlideShare &) override {}
+  void onHaloFill(int, const Domain &, const Array3D &, int, int) override {}
   void onImport(int, const Array3D &, const Array3D &, const Box3 &Sub, int,
                 int, int NK) override {
     int Runs = 1;

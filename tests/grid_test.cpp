@@ -3,8 +3,15 @@
 #include "grid/Array3D.h"
 #include "grid/Box3.h"
 #include "grid/Domain.h"
+#include "support/MathUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
 using namespace icores;
 
@@ -241,7 +248,7 @@ TEST(DomainTest, PeriodicHaloFill) {
     for (int J = 0; J != 4; ++J)
       for (int K = 0; K != 4; ++K)
         A.at(I, J, K) = I * 100 + J * 10 + K;
-  D.fillHaloPeriodic(A);
+  D.fillHalo(A);
   // Every alloc-box cell equals its wrapped core cell.
   Box3 Alloc = D.allocBox();
   for (int I = Alloc.Lo[0]; I != Alloc.Hi[0]; ++I)
@@ -262,6 +269,112 @@ TEST(DomainTest, HaloFillPreservesCore) {
         A.at(I, J, K) = 1.0 + I + J + K;
   Array3D Before(D.allocBox());
   Before.copyRegionFrom(A, D.coreBox());
-  D.fillHaloPeriodic(A);
+  D.fillHalo(A);
   EXPECT_DOUBLE_EQ(A.maxAbsDiff(Before, D.coreBox()), 0.0);
+}
+
+namespace {
+
+/// One slab-fill sweep case: a domain whose core cells hold distinct
+/// values and whose halo cells (pads untouched) all hold a NaN poison.
+struct SlabCase {
+  Domain Dom;
+  Array3D Start;
+  Array3D Full; ///< Start after one full fillHalo().
+
+  explicit SlabCase(const Domain &D)
+      : Dom(D), Start(D.allocBox(), Array3D::VectorPadK) {
+    const double Poison = std::numeric_limits<double>::quiet_NaN();
+    Box3 Alloc = D.allocBox();
+    for (int I = Alloc.Lo[0]; I != Alloc.Hi[0]; ++I)
+      for (int J = Alloc.Lo[1]; J != Alloc.Hi[1]; ++J)
+        for (int K = Alloc.Lo[2]; K != Alloc.Hi[2]; ++K)
+          Start.at(I, J, K) = D.coreBox().contains(I, J, K)
+                                  ? 1.0 + I * 10000 + J * 100 + K
+                                  : Poison;
+    Full = Start;
+    D.fillHalo(Full);
+  }
+
+  int planes() const { return Dom.allocBox().extent(0); }
+  /// First alloc plane of slab \p S of \p Slabs.
+  int slabLo(int Slabs, int S) const {
+    return Dom.allocBox().Lo[0] +
+           static_cast<int>(chunkBegin(planes(), Slabs, S));
+  }
+
+  std::string name(int Slabs) const {
+    return (Dom.boundaryMode() == BoundaryMode::Periodic ? "periodic "
+                                                         : "zero-gradient ") +
+           std::to_string(Dom.ni()) + "x" + std::to_string(Dom.nj()) + "x" +
+           std::to_string(Dom.nk()) + " halo " +
+           std::to_string(Dom.haloDepth()) + ", " + std::to_string(Slabs) +
+           " slabs";
+  }
+};
+
+/// Both boundary modes x halo depths 1-3 x odd extents, each axis once
+/// equal to the halo depth.
+std::vector<Domain> slabDomains() {
+  std::vector<Domain> Out;
+  for (BoundaryMode Mode :
+       {BoundaryMode::Periodic, BoundaryMode::ZeroGradient})
+    for (int H = 1; H <= 3; ++H) {
+      Out.emplace_back(H, 5, 7, H, Mode);
+      Out.emplace_back(7, H, 5, H, Mode);
+      Out.emplace_back(5, 7, H, H, Mode);
+      Out.emplace_back(9, 3, 5, H, Mode);
+    }
+  return Out;
+}
+
+std::vector<int> slabCounts(const SlabCase &C) {
+  return {1, 2, 3, 4, 7, C.planes() + 3};
+}
+
+} // namespace
+
+TEST(DomainTest, HaloSlabFillsUnionToTheFullFillBitForBit) {
+  // Every slab runs on its own thread, as the executor's workers do.
+  for (const Domain &D : slabDomains()) {
+    SlabCase C(D);
+    for (int Slabs : slabCounts(C)) {
+      Array3D Union = C.Start;
+      std::vector<std::thread> Workers;
+      for (int S = 0; S != Slabs; ++S)
+        Workers.emplace_back([&C, &Union, Slabs, S] {
+          C.Dom.fillHaloPlanes(Union, C.slabLo(Slabs, S),
+                               C.slabLo(Slabs, S + 1));
+        });
+      for (std::thread &W : Workers)
+        W.join();
+      EXPECT_EQ(std::memcmp(Union.data(), C.Full.data(),
+                            static_cast<size_t>(C.Full.paddedBytes())),
+                0)
+          << C.name(Slabs);
+    }
+  }
+}
+
+TEST(DomainTest, HaloSlabFillWritesOnlyItsOwnPlanes) {
+  for (const Domain &D : slabDomains()) {
+    SlabCase C(D);
+    const Box3 Alloc = D.allocBox();
+    const size_t PlaneBytes =
+        static_cast<size_t>(C.Start.strideI()) * sizeof(double);
+    for (int Slabs : slabCounts(C))
+      for (int S = 0; S != Slabs; ++S) {
+        const int Lo = C.slabLo(Slabs, S), Hi = C.slabLo(Slabs, S + 1);
+        Array3D One = C.Start;
+        D.fillHaloPlanes(One, Lo, Hi);
+        for (int I = Alloc.Lo[0]; I != Alloc.Hi[0]; ++I) {
+          const Array3D &Want = I >= Lo && I < Hi ? C.Full : C.Start;
+          EXPECT_EQ(std::memcmp(One.pointerTo(I, Alloc.Lo[1], Alloc.Lo[2]),
+                                Want.pointerTo(I, Alloc.Lo[1], Alloc.Lo[2]),
+                                PlaneBytes),
+                    0)
+              << C.name(Slabs) << ", slab " << S << ", plane " << I;
+        }
+      }
+  }
 }

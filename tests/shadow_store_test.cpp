@@ -183,6 +183,47 @@ TEST(ShadowStoreTest, SlideCopyWithoutItsTrailingBarrierIsARace) {
   EXPECT_EQ(replay(false), 2u * 2 * 2 + 1);
 }
 
+TEST(ShadowStoreTest, HaloFillWithoutItsTrailingBarrierIsARace) {
+  // Worker 0 refreshes the halo slab of planes [-1, 1); worker 1 then runs
+  // a pass reading plane -1, whose every cell is a halo cell worker 0
+  // wrote. Only a global barrier crossing after the fill orders the read.
+  auto replay = [](bool TrailingBarrier) {
+    Domain Dom(4, 3, 2, 1);
+    Array3D A(Dom.allocBox(), Array3D::VectorPadK);
+    ShadowStore Shadow;
+    Shadow.onHaloFill(0, Dom, A, -1, 1);
+    if (TrailingBarrier)
+      crossBarrier(Shadow, 0, 2);
+    Shadow.recordRead(1, A, Box3(-1, 0, 0, 0, 3, 2), "a");
+    DiagnosticEngine Diags;
+    Shadow.reportFindings(Diags);
+    EXPECT_EQ(Diags.hasFinding("shadow.race.read-write"), !TrailingBarrier);
+    return Shadow.raceCount();
+  };
+  EXPECT_EQ(replay(true), 0u);
+  EXPECT_EQ(replay(false), 3u * 2);
+}
+
+TEST(ShadowStoreTest, HaloFillReadsTheCoreCellOfTheDomainsBoundaryMap) {
+  // Plane -1's halo copies plane NI - 1 under periodic boundaries and
+  // plane 0 under zero-gradient ones: an unordered write of the copied
+  // core plane races with the fill, a write of the other one does not.
+  for (BoundaryMode Mode :
+       {BoundaryMode::Periodic, BoundaryMode::ZeroGradient}) {
+    const bool Periodic = Mode == BoundaryMode::Periodic;
+    for (int Plane : {0, 3}) {
+      Domain Dom(4, 3, 2, 1, Mode);
+      Array3D A(Dom.allocBox());
+      ShadowStore Shadow;
+      Shadow.onHaloFill(0, Dom, A, -1, 0);
+      Shadow.recordWrite(1, A, Box3(Plane, 0, 0, Plane + 1, 3, 2), "a");
+      EXPECT_EQ(Shadow.clean(), (Plane == 3) != Periodic)
+          << (Periodic ? "periodic" : "zero-gradient") << " plane "
+          << Plane;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Mutated schedules replayed through the shadow store (still one thread)
 //===----------------------------------------------------------------------===//

@@ -6,7 +6,8 @@
 // balance policies x stealing — and must
 //
 //  - reproduce the serial stepper bit-exactly (newest state AND every
-//    per-step reduction value),
+//    per-step reduction value), under periodic and, at T = 1,
+//    zero-gradient boundaries,
 //  - carry IR access windows the kernel audit finds exactly tight
 //    (no under-declared reads, no slack),
 //  - pass the lint suite (program validation, audit, plan dataflow
@@ -149,6 +150,33 @@ TEST_P(WorkloadConformance, ThreadedPlansAreBitExactAcrossTheMatrix) {
             << strategyName(Strat) << " T=" << T << " variant="
             << kernelVariantName(V);
       }
+}
+
+TEST_P(WorkloadConformance, ZeroGradientPlansAreBitExactAtDepthOne) {
+  // Open boundaries clamp the halos instead of wrapping them, so the
+  // executor's per-worker halo slabs run their clamp path here. Temporal
+  // blocking requires periodic boundaries, so only T = 1 is swept.
+  const WorkloadSpec &Spec = spec();
+  Domain Dom =
+      workloadDomain(Spec, NI, NJ, NK, BoundaryMode::ZeroGradient);
+  auto Oracle = serialOracle(Spec, Dom, Steps, Seed);
+  // The clamped halos must move the state, or this is the periodic case.
+  auto Periodic = serialOracle(Spec, domain(), Steps, Seed);
+  EXPECT_GT(
+      maxNewestStateDiff(Spec.Program, *Oracle, *Periodic, Dom.coreBox()),
+      0.0);
+  for (Strategy Strat : allStrategies())
+    for (KernelVariant V : sweepVariants()) {
+      auto Exec = makeWorkloadExecutor(
+          Spec, Dom, makeTestPlan(Spec.Program, Dom, Strat), V, {}, Seed);
+      Exec->run(Steps);
+      EXPECT_EQ(
+          maxNewestStateDiff(Spec.Program, *Exec, *Oracle, Dom.coreBox()),
+          0.0)
+          << strategyName(Strat) << " variant=" << kernelVariantName(V);
+      EXPECT_TRUE(reductionHistoriesMatch(Spec.Program, *Exec, *Oracle))
+          << strategyName(Strat) << " variant=" << kernelVariantName(V);
+    }
 }
 
 TEST_P(WorkloadConformance, ElisionBalanceAndStealingPreserveBitExactness) {
