@@ -13,10 +13,10 @@
 /// them), so the executor must be able to answer that question directly
 /// and let benches print predicted-vs-measured barrier shares.
 ///
-/// Collection protocol: each worker thread accumulates into a private
-/// ExecThreadAccum on its own stack (no shared cache lines on the hot
-/// path) and merges it into the ExecStats under a mutex once per run().
-/// With profiling disabled the executor takes no timestamps at all.
+/// Collection protocol: every booking goes through the executor's one
+/// per-worker seam into a private ExecThreadAccum on the worker's stack (no
+/// shared cache lines on the hot path), merged into the ExecStats under a
+/// mutex once per run(). Unprofiled, the executor takes no timestamps.
 ///
 /// Since the barrier-elision optimizer (core/ScheduleOptimizer.h) landed,
 /// the stats also count how many pass barriers were *not* crossed

@@ -3,7 +3,6 @@
 #include "exec/ProgramExecutor.h"
 
 #include "core/BalanceModel.h"
-#include "exec/Affinity.h"
 #include "exec/ExecObserver.h"
 #include "exec/IntermediateWindows.h"
 #include "exec/RegionSplit.h"
@@ -53,6 +52,30 @@ uint32_t rangeEnd(uint64_t Word) {
   return static_cast<uint32_t>(Word);
 }
 
+/// Chunks per team thread of a stealing pass; more chunks balance finer
+/// at slightly higher claim overhead.
+constexpr uint32_t StealChunksPerThread = 4;
+
+/// Claims one chunk of \p Deque into \p Chunk: the front for its
+/// \p Owner, the back for a thief. Returns false once the range is empty.
+/// Every lost CAS race is counted into \p Failures when it is non-null.
+bool claimChunk(std::atomic<uint64_t> &Deque, bool Owner, uint32_t &Chunk,
+                int64_t *Failures) {
+  uint64_t W = Deque.load(std::memory_order_acquire);
+  while (rangeBegin(W) < rangeEnd(W)) {
+    const uint64_t Rest = Owner ? packRange(rangeBegin(W) + 1, rangeEnd(W))
+                                : packRange(rangeBegin(W), rangeEnd(W) - 1);
+    if (Deque.compare_exchange_weak(W, Rest, std::memory_order_acq_rel,
+                                    std::memory_order_relaxed)) {
+      Chunk = Owner ? rangeBegin(W) : rangeEnd(W) - 1;
+      return true;
+    }
+    if (Failures)
+      ++*Failures;
+  }
+  return false;
+}
+
 } // namespace
 
 /// Island-private execution state: the field store (intermediates owned,
@@ -78,18 +101,118 @@ struct ProgramExecutor::IslandState {
         Deques(static_cast<size_t>(TeamSize)) {}
 };
 
-namespace {
+/// The one per-worker instrumentation seam of threadMain: every pass
+/// share, reduction fold, barrier crossing and chaos stall goes through
+/// it, and it is the only code on that path that branches on profiling,
+/// the observer or the chaos injector. Unprofiled, it takes no timestamps.
+class ProgramExecutor::WorkerSeam {
+public:
+  WorkerSeam(ProgramExecutor &E, IslandState &IS, int Worker, int Island,
+             int ThreadInTeam, int TeamSize)
+      : Accum(E.Profiling ? E.Program.numStages() : 0,
+              static_cast<unsigned>(E.Plan.TemporalDepth)),
+        E(E), IS(IS), Obs(E.Opts.Observer), Prof(E.Profiling), Worker(Worker),
+        Island(Island), ThreadInTeam(ThreadInTeam), TeamSize(TeamSize) {}
 
-/// Shared state of one run() invocation.
-struct RunControl {
-  TeamBarrier GlobalBarrier;
+  ExecThreadAccum Accum; ///< Merged into the stats only when profiled.
 
-  RunControl(int TotalThreads, const ExecutorOptions &Opts)
-      : GlobalBarrier(TotalThreads, Opts.BarrierPolicy,
-                      Opts.BarrierSpinLimit) {}
+  /// The seeded chaos stall before pass \p PassIndex (counted within the
+  /// epoch) of epoch \p Epoch; profiled, the pass's work starts after it.
+  void beforePass(int Epoch, int PassIndex) {
+    if (E.Opts.Chaos) {
+      double Stall =
+          E.Opts.Chaos->onWorkerPass(Island, ThreadInTeam, Epoch, PassIndex);
+      if (Stall > 0)
+        std::this_thread::sleep_for(std::chrono::duration<double>(Stall));
+    }
+    if (Prof)
+      LastWork = ProfileClock::now();
+  }
+
+  /// \p Stage's kernel over the non-empty \p Sub, booked as stage and
+  /// fused-step kernel time.
+  void kernel(StageId Stage, int StepInEpoch, const Box3 &Sub) {
+    if (Obs)
+      Obs->onPass(Worker, E.Program, IS.Store, Stage, Sub);
+    const auto T0 = Prof ? ProfileClock::now() : ProfileClock::time_point();
+    E.Kernels.run(IS.Store, Stage, Sub);
+    if (!Prof)
+      return;
+    LastWork = ProfileClock::now();
+    double Sec = secondsSince(T0, LastWork);
+    Accum.StageKernelSeconds[static_cast<size_t>(Stage)] += Sec;
+    Accum.StepKernelSeconds[static_cast<size_t>(StepInEpoch)] += Sec;
+  }
+
+  /// The reduction fold over \p Sub: work (it ends the idle span) but
+  /// never kernel time.
+  void fold(StageId Stage, int StepInEpoch, const Box3 &Sub) {
+    if (E.StageFolds[static_cast<size_t>(Stage)].empty())
+      return;
+    E.foldSubRegion(IS, Worker, StepInEpoch, Stage, Sub);
+    if (Prof)
+      LastWork = ProfileClock::now();
+  }
+
+  /// Crosses \p Barrier in \p Slot, adding the wait to \p Wait unless it
+  /// is null (always, unprofiled). The observer sees the arrive before the
+  /// rendezvous and the depart after it, so it can merge happens-before
+  /// clocks at the exact points the hardware orders the workers.
+  void cross(TeamBarrier &Barrier, uint64_t Site, int Slot,
+             int Participants, double *Wait) {
+    if (Obs)
+      Obs->onBarrierArrive(Site, Worker, Participants);
+    const auto T0 = Wait ? ProfileClock::now() : ProfileClock::time_point();
+    if (Barrier.arriveAndWait(Slot) == TeamBarrier::Wake::Sleep)
+      ++Accum.SleepWakes;
+    else
+      ++Accum.SpinWakes;
+    if (Wait)
+      *Wait += secondsSince(T0, ProfileClock::now());
+    if (Obs)
+      Obs->onBarrierDepart(Site, Worker);
+  }
+  void globalBarrier(TeamBarrier &Global) {
+    cross(Global, /*Site=*/0, Worker,
+          static_cast<int>(E.WorkerCoords.size()),
+          Prof ? &Accum.GlobalBarrierWaitSeconds : nullptr);
+  }
+  void teamBarrier(double *Wait = nullptr) {
+    cross(IS.Team, static_cast<uint64_t>(Island) + 1, ThreadInTeam,
+          TeamSize, Wait);
+  }
+
+  /// Books a pass of \p Stage (elided without \p BarrierAfter; a
+  /// \p Stealing pass's time since the worker's last work is idle), then
+  /// crosses its barrier, timed as the stage's.
+  void endPass(StageId Stage, bool BarrierAfter, bool Stealing) {
+    const size_t S = static_cast<size_t>(Stage);
+    if (Prof) {
+      ++Accum.StagePasses[S];
+      Accum.StageBarriersElided[S] += !BarrierAfter;
+      if (Stealing)
+        Accum.IdleSeconds += secondsSince(LastWork, ProfileClock::now());
+    }
+    if (BarrierAfter)
+      teamBarrier(Prof ? &Accum.StageBarrierWaitSeconds[S] : nullptr);
+  }
+
+  void merge() {
+    if (!Prof)
+      return;
+    std::lock_guard<std::mutex> Lock(E.StatsMutex);
+    E.Stats.mergeThread(Island, ThreadInTeam, Accum);
+  }
+
+private:
+  ProgramExecutor &E;
+  IslandState &IS;
+  ExecObserver *const Obs;
+  const bool Prof;
+  const int Worker, Island, ThreadInTeam, TeamSize;
+  /// End of the worker's last kernel or fold, or the pass start.
+  ProfileClock::time_point LastWork;
 };
-
-} // namespace
 
 ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
                                  KernelTable AKernels, const Domain &ADom,
@@ -589,9 +712,9 @@ void ProgramExecutor::resetWorkerPartials(int Worker) {
 }
 
 /// Folds \p Sub of each reduced array \p Stage produces into the worker's
-/// partial for fused step \p StepInEpoch. Sub is the region the worker's
-/// own kernel call just computed (its static teamSubRegion share or a
-/// stolen chunk), so the fold reads only cells this thread wrote, still
+/// partial for fused step \p StepInEpoch. Sub is the non-empty region the
+/// worker's own kernel call just computed (its static share or a stolen
+/// chunk), so the fold reads only cells this thread wrote, still
 /// in its cache, and orders against no teammate. The store still holds
 /// the step's bindings (scratch buffers at intermediate fused steps, the
 /// shared arrays at the final one). Cells may enter more than one partial
@@ -607,8 +730,6 @@ void ProgramExecutor::resetWorkerPartials(int Worker) {
 void ProgramExecutor::foldSubRegion(IslandState &IS, int Worker,
                                     int StepInEpoch, StageId Stage,
                                     const Box3 &Sub) {
-  if (Sub.empty())
-    return;
   const int RowLen = Sub.extent(2);
   for (size_t R : StageFolds[static_cast<size_t>(Stage)]) {
     const Array3D &Arr = IS.Store.get(Program.reductions()[R].Array);
@@ -662,66 +783,71 @@ void ProgramExecutor::setThreadPinning(
   Pool->setPinning(std::move(Cores));
 }
 
+/// One share of a pass: \p Stage's kernel over \p Sub, then the worker's
+/// fold of the reduced arrays over exactly the cells it just computed.
+/// The static split and every stolen chunk run through here.
+void ProgramExecutor::runShare(WorkerSeam &Seam, StageId Stage,
+                               int StepInEpoch, const Box3 &Sub) {
+  if (Sub.empty())
+    return;
+  Seam.kernel(Stage, StepInEpoch, Sub);
+  Seam.fold(Stage, StepInEpoch, Sub);
+}
+
+/// One pass's work-stealing schedule: the region is diced into
+/// StealChunksPerThread chunks per team thread along the team split
+/// dimension (a pure function of the region and the team size, so every
+/// thread derives the same chunks); the worker drains its own deque
+/// front-first, then steals teammates' backs until a sweep claims nothing.
+void ProgramExecutor::runStealingPass(IslandState &IS, WorkerSeam &Seam,
+                                      int ThreadInTeam, int NumThreads,
+                                      const StagePass &Pass,
+                                      int StepInEpoch) {
+  const int Chunks = NumThreads * static_cast<int>(StealChunksPerThread);
+  const int Dim = teamSplitDim(Pass.Region);
+  const int Extent = Pass.Region.extent(Dim);
+  auto runChunk = [&](uint32_t C) {
+    Box3 Sub = Pass.Region;
+    Sub.Lo[Dim] = Pass.Region.Lo[Dim] +
+                  static_cast<int>(chunkBegin(Extent, Chunks, C));
+    Sub.Hi[Dim] = Pass.Region.Lo[Dim] +
+                  static_cast<int>(chunkBegin(Extent, Chunks, C + 1));
+    runShare(Seam, Pass.Stage, StepInEpoch, Sub);
+  };
+
+  std::atomic<uint64_t> &Mine = IS.Deques[static_cast<size_t>(ThreadInTeam)];
+  const uint32_t Own =
+      static_cast<uint32_t>(ThreadInTeam) * StealChunksPerThread;
+  Mine.store(packRange(Own, Own + StealChunksPerThread),
+             std::memory_order_release);
+  uint32_t C;
+  while (claimChunk(Mine, /*Owner=*/true, C, /*Failures=*/nullptr))
+    runChunk(C);
+  for (bool Claimed = NumThreads > 1; Claimed;) {
+    Claimed = false;
+    for (int Off = 1; Off != NumThreads; ++Off) {
+      std::atomic<uint64_t> &Victim =
+          IS.Deques[static_cast<size_t>((ThreadInTeam + Off) % NumThreads)];
+      if (claimChunk(Victim, /*Owner=*/false, C,
+                     &Seam.Accum.StealFailures)) {
+        ++Seam.Accum.Steals;
+        runChunk(C);
+        Claimed = true;
+      }
+    }
+  }
+}
+
 void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
-                                 int Steps, void *ControlPtr) {
-  RunControl &Control = *static_cast<RunControl *>(ControlPtr);
-  const IslandPlan &IslandP =
-      this->Plan.Islands[static_cast<size_t>(Island)];
+                                 int Steps, TeamBarrier &Global) {
+  const IslandPlan &IslandP = Plan.Islands[static_cast<size_t>(Island)];
+  const int NumThreads = IslandP.NumThreads;
   IslandState &IS = *IslandStates[static_cast<size_t>(Island)];
   const IslandWindows &Win = Windows[static_cast<size_t>(Island)];
-
-  const bool Prof = Profiling;
-  ExecThreadAccum Accum(Prof ? Program.numStages() : 0,
-                        static_cast<unsigned>(this->Plan.TemporalDepth));
-  auto countWake = [&Accum](TeamBarrier::Wake W) {
-    if (W == TeamBarrier::Wake::Sleep)
-      ++Accum.SleepWakes;
-    else
-      ++Accum.SpinWakes;
-  };
-
-  // Observation hooks: arrive is reported before the real rendezvous and
-  // depart after it, so an observer can merge happens-before clocks at
-  // the exact points the hardware orders the workers.
+  WorkerSeam Seam(*this, IS, Worker, Island, ThreadInTeam, NumThreads);
   ExecObserver *const Obs = Opts.Observer;
-  const uint64_t TeamSite = static_cast<uint64_t>(Island) + 1;
-  auto globalBarrier = [&] {
-    if (Obs)
-      Obs->onBarrierArrive(/*Site=*/0, Worker,
-                           static_cast<int>(WorkerCoords.size()));
-    if (Prof) {
-      ProfileClock::time_point T0 = ProfileClock::now();
-      countWake(Control.GlobalBarrier.arriveAndWait(Worker));
-      Accum.GlobalBarrierWaitSeconds +=
-          secondsSince(T0, ProfileClock::now());
-    } else {
-      Control.GlobalBarrier.arriveAndWait(Worker);
-    }
-    if (Obs)
-      Obs->onBarrierDepart(/*Site=*/0, Worker);
-  };
-  auto teamBarrier = [&] {
-    if (Obs)
-      Obs->onBarrierArrive(TeamSite, Worker, IslandP.NumThreads);
-    countWake(IS.Team.arriveAndWait(ThreadInTeam));
-    if (Obs)
-      Obs->onBarrierDepart(TeamSite, Worker);
-  };
 
-  // Work-stealing scheduler state. A pass is steal-eligible only when it
-  // is bracketed by real barriers on *both* sides: the preceding barrier
-  // means no earlier pass of the barrier-free group is still in flight
-  // (the barrier-elision proof of core/ScheduleOptimizer assumes the
-  // static teamSubRegion split within a group), and the trailing barrier
-  // publishes the stolen chunks' writes exactly as it publishes the
-  // static split's. Chunk geometry is a pure function of the pass region
-  // and the team size, so every thread derives the same chunks.
-  const bool Steal = Opts.Stealing;
-  const int StealChunks =
-      IslandP.NumThreads * std::max(1, Opts.StealChunksPerThread);
-  const int OwnChunks = StealChunks / IslandP.NumThreads;
-
-  const int Depth = this->Plan.TemporalDepth;
+  const int Depth = Plan.TemporalDepth;
   const int Epochs = Steps / Depth; // run() checked divisibility.
   // T == 1 reads the shared inputs in place, so every epoch start refreshes
   // the feedback targets' halos, each worker of the run filling its own
@@ -737,7 +863,7 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
       Alloc.Lo[0] +
       static_cast<int>(chunkBegin(Alloc.extent(0), NumWorkers, Worker + 1));
   for (int Epoch = 0; Epoch != Epochs; ++Epoch) {
-    globalBarrier();
+    Seam.globalBarrier(Global);
     // Every worker is quiesced: move the sliding intermediates back to
     // where the epoch's first block finds its windows.
     if (ThreadInTeam == 0)
@@ -756,7 +882,7 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
       for (const FeedbackPair &FB : Program.feedbacks())
         std::swap(array(FB.Source), array(FB.Target));
     }
-    globalBarrier();
+    Seam.globalBarrier(Global);
     if (RefreshHalos) {
       // The swap is published; each slab writes only halo cells of its
       // own planes and reads only core cells, and the barrier publishes
@@ -768,7 +894,7 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
             Obs->onHaloFill(Worker, Dom, Target, SlabLo, SlabHi);
           Dom.fillHaloPlanes(Target, SlabLo, SlabHi);
         }
-      globalBarrier();
+      Seam.globalBarrier(Global);
     }
     if (!Reductions.empty())
       resetWorkerPartials(Worker);
@@ -779,15 +905,15 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
       // state; the team barrier publishes both before any pass runs.
       if (ThreadInTeam == 0)
         rebindForStep(IS, 0);
-      importEpochInputs(IS, Worker, ThreadInTeam, IslandP.NumThreads);
-      teamBarrier();
+      importEpochInputs(IS, Worker, ThreadInTeam, NumThreads);
+      Seam.teamBarrier();
     }
 
     int PassIndex = 0;
     int CurStep = 0;
     size_t NextSlide = 0;
     // True when a real barrier separates the previous pass (or the epoch
-    // prologue) from the next one — the steal-eligibility precondition.
+    // prologue) from the next one.
     bool PrevBarrier = true;
     for (size_t B = 0; B != IslandP.Blocks.size(); ++B) {
       const BlockTask &Block = IslandP.Blocks[B];
@@ -798,175 +924,46 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
         // feedback bindings, and publish them before the next step. A
         // slide here has no live planes to copy (windows never span
         // steps), so it is a rebase that rides on the same barriers.
-        teamBarrier();
+        Seam.teamBarrier();
         CurStep = Block.StepInEpoch;
         if (ThreadInTeam == 0)
           rebindForStep(IS, CurStep);
         if (Slides)
           slideWindows(IS, Win, NextSlide++, Worker, ThreadInTeam,
-                       IslandP.NumThreads);
-        teamBarrier();
+                       NumThreads);
+        Seam.teamBarrier();
         PrevBarrier = true;
       } else if (Slides) {
         // The slide protocol: no pass may still touch the old addresses,
         // and no pass may start before every live plane has moved.
         if (!PrevBarrier)
-          teamBarrier();
+          Seam.teamBarrier();
         slideWindows(IS, Win, NextSlide++, Worker, ThreadInTeam,
-                     IslandP.NumThreads);
-        teamBarrier();
+                     NumThreads);
+        Seam.teamBarrier();
         PrevBarrier = true;
       }
       for (const StagePass &Pass : Block.Passes) {
-        if (Opts.Chaos) {
-          double Stall = Opts.Chaos->onWorkerPass(Island, ThreadInTeam,
-                                                  Epoch, PassIndex);
-          if (Stall > 0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(Stall));
-        }
-        ++PassIndex;
-        const size_t Stage = static_cast<size_t>(Pass.Stage);
-        // Reduced arrays are folded by each worker over exactly the cells
-        // it just computed, outside the kernel timer.
-        const bool Folds = !StageFolds[Stage].empty();
-        if (Steal && PrevBarrier && Pass.BarrierAfter &&
-            !Pass.Region.empty()) {
-          // Work-stealing path: dice the pass region into StealChunks
-          // chunks along the team split dimension, drain the own deque
-          // front-first, then steal teammates' backs until a full sweep
-          // claims nothing, and cross the pass-end barrier.
-          const int Dim = teamSplitDim(Pass.Region);
-          const int Extent = Pass.Region.extent(Dim);
-          auto runChunk = [&](uint32_t C,
-                             ProfileClock::time_point &LastWork) {
-            Box3 Sub = Pass.Region;
-            Sub.Lo[Dim] =
-                Pass.Region.Lo[Dim] +
-                static_cast<int>(chunkBegin(Extent, StealChunks, C));
-            Sub.Hi[Dim] =
-                Pass.Region.Lo[Dim] +
-                static_cast<int>(chunkBegin(Extent, StealChunks, C + 1));
-            if (Sub.empty())
-              return;
-            if (Obs)
-              Obs->onPass(Worker, Program, IS.Store, Pass.Stage, Sub);
-            if (Prof) {
-              ProfileClock::time_point T0 = ProfileClock::now();
-              Kernels.run(IS.Store, Pass.Stage, Sub);
-              LastWork = ProfileClock::now();
-              double Sec = secondsSince(T0, LastWork);
-              Accum.StageKernelSeconds[Stage] += Sec;
-              Accum.StepKernelSeconds[static_cast<size_t>(CurStep)] += Sec;
-              if (Folds) {
-                // The chunk's fold is work too, not idle time.
-                foldSubRegion(IS, Worker, CurStep, Pass.Stage, Sub);
-                LastWork = ProfileClock::now();
-              }
-            } else {
-              Kernels.run(IS.Store, Pass.Stage, Sub);
-              foldSubRegion(IS, Worker, CurStep, Pass.Stage, Sub);
-            }
-          };
-
-          ProfileClock::time_point LastWork;
-          if (Prof)
-            LastWork = ProfileClock::now();
-          std::atomic<uint64_t> &Mine =
-              IS.Deques[static_cast<size_t>(ThreadInTeam)];
-          Mine.store(
-              packRange(static_cast<uint32_t>(ThreadInTeam * OwnChunks),
-                        static_cast<uint32_t>((ThreadInTeam + 1) *
-                                              OwnChunks)),
-              std::memory_order_release);
-          uint64_t W = Mine.load(std::memory_order_relaxed);
-          while (rangeBegin(W) < rangeEnd(W)) {
-            if (Mine.compare_exchange_weak(
-                    W, packRange(rangeBegin(W) + 1, rangeEnd(W)),
-                    std::memory_order_acq_rel, std::memory_order_relaxed)) {
-              runChunk(rangeBegin(W), LastWork);
-              W = Mine.load(std::memory_order_relaxed);
-            }
-          }
-          bool Claimed = IslandP.NumThreads > 1;
-          while (Claimed) {
-            Claimed = false;
-            for (int Off = 1; Off != IslandP.NumThreads; ++Off) {
-              std::atomic<uint64_t> &Victim =
-                  IS.Deques[static_cast<size_t>(
-                      (ThreadInTeam + Off) % IslandP.NumThreads)];
-              uint64_t V = Victim.load(std::memory_order_acquire);
-              while (rangeBegin(V) < rangeEnd(V)) {
-                if (Victim.compare_exchange_weak(
-                        V, packRange(rangeBegin(V), rangeEnd(V) - 1),
-                        std::memory_order_acq_rel,
-                        std::memory_order_relaxed)) {
-                  ++Accum.Steals;
-                  runChunk(rangeEnd(V) - 1, LastWork);
-                  Claimed = true;
-                  break;
-                }
-                ++Accum.StealFailures;
-              }
-            }
-          }
-          if (Prof) {
-            ProfileClock::time_point T1 = ProfileClock::now();
-            Accum.IdleSeconds += secondsSince(LastWork, T1);
-            if (Obs)
-              Obs->onBarrierArrive(TeamSite, Worker, IslandP.NumThreads);
-            countWake(IS.Team.arriveAndWait(ThreadInTeam));
-            Accum.StageBarrierWaitSeconds[Stage] +=
-                secondsSince(T1, ProfileClock::now());
-            if (Obs)
-              Obs->onBarrierDepart(TeamSite, Worker);
-            ++Accum.StagePasses[Stage];
-          } else {
-            teamBarrier();
-          }
-          PrevBarrier = true;
-          continue;
-        }
-        Box3 Sub =
-            teamSubRegion(Pass.Region, ThreadInTeam, IslandP.NumThreads);
-        if (Obs && !Sub.empty())
-          Obs->onPass(Worker, Program, IS.Store, Pass.Stage, Sub);
-        if (Prof) {
-          ProfileClock::time_point T0 = ProfileClock::now();
-          Kernels.run(IS.Store, Pass.Stage, Sub);
-          ProfileClock::time_point T1 = ProfileClock::now();
-          foldSubRegion(IS, Worker, CurStep, Pass.Stage, Sub);
-          if (Pass.BarrierAfter) {
-            ProfileClock::time_point TB = Folds ? ProfileClock::now() : T1;
-            if (Obs)
-              Obs->onBarrierArrive(TeamSite, Worker, IslandP.NumThreads);
-            countWake(IS.Team.arriveAndWait(ThreadInTeam));
-            Accum.StageBarrierWaitSeconds[Stage] +=
-                secondsSince(TB, ProfileClock::now());
-            if (Obs)
-              Obs->onBarrierDepart(TeamSite, Worker);
-          } else {
-            ++Accum.StageBarriersElided[Stage];
-          }
-          double Sec = secondsSince(T0, T1);
-          Accum.StageKernelSeconds[Stage] += Sec;
-          Accum.StepKernelSeconds[static_cast<size_t>(CurStep)] += Sec;
-          ++Accum.StagePasses[Stage];
-        } else {
-          Kernels.run(IS.Store, Pass.Stage, Sub);
-          foldSubRegion(IS, Worker, CurStep, Pass.Stage, Sub);
-          if (Pass.BarrierAfter)
-            teamBarrier();
-        }
+        Seam.beforePass(Epoch, PassIndex++);
+        // A pass is steal-eligible only when real barriers bracket it on
+        // *both* sides: the preceding one means no earlier pass of a
+        // barrier-free group is still in flight (the barrier-elision proof
+        // of core/ScheduleOptimizer assumes the static teamSubRegion split
+        // within a group), and the trailing one publishes the stolen
+        // chunks' writes exactly as it publishes the static split's.
+        const bool Steals = Opts.Stealing && PrevBarrier &&
+                            Pass.BarrierAfter && !Pass.Region.empty();
+        if (Steals)
+          runStealingPass(IS, Seam, ThreadInTeam, NumThreads, Pass, CurStep);
+        else
+          runShare(Seam, Pass.Stage, CurStep,
+                   teamSubRegion(Pass.Region, ThreadInTeam, NumThreads));
+        Seam.endPass(Pass.Stage, Pass.BarrierAfter, Steals);
         PrevBarrier = Pass.BarrierAfter;
       }
     }
   }
-
-  if (Prof) {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    Stats.mergeThread(Island, ThreadInTeam, Accum);
-  }
+  Seam.merge();
 }
 
 void ProgramExecutor::run(int Steps) {
@@ -985,15 +982,16 @@ void ProgramExecutor::run(int Steps) {
                    "shared array lost its NUMA placement (reallocated "
                    "after the init epoch)");
 
-  RunControl Control(static_cast<int>(WorkerCoords.size()), Opts);
+  TeamBarrier Global(static_cast<int>(WorkerCoords.size()),
+                     Opts.BarrierPolicy, Opts.BarrierSpinLimit);
   if (Opts.Chaos)
-    Control.GlobalBarrier.armChaos(Opts.Chaos, /*Site=*/0);
+    Global.armChaos(Opts.Chaos, /*Site=*/0);
   ProfileClock::time_point Start;
   if (Profiling)
     Start = ProfileClock::now();
   Pool->runOnAll([&](int Worker) {
     auto [Island, ThreadInTeam] = WorkerCoords[static_cast<size_t>(Worker)];
-    threadMain(Worker, Island, ThreadInTeam, Steps, &Control);
+    threadMain(Worker, Island, ThreadInTeam, Steps, Global);
   });
   if (Profiling) {
     Stats.WallSeconds += secondsSince(Start, ProfileClock::now());

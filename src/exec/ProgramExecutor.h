@@ -95,20 +95,15 @@ struct ExecutorOptions {
   /// its socket. With Placement == None, setThreadPinning() before the
   /// first run() remains equivalent.
   std::vector<ThreadPlacement> Pinning;
-  /// Work-stealing block scheduler: within an island, passes that are
-  /// bracketed by real barriers on both sides are diced into
-  /// NumThreads * StealChunksPerThread chunks along the team split
-  /// dimension; each thread drains its own chunk deque front-first
-  /// (LIFO-local order preserves streaming locality) and then steals from
-  /// teammates' backs. Stealing never crosses an island (sockets keep
-  /// their NUMA locality), stolen chunks run under the same pass-end
-  /// barrier, and barrier-elided pass groups keep the static split (the
-  /// race-freedom proof of core/ScheduleCheck assumes it), so results are
-  /// bit-identical with stealing on or off.
+  /// Work-stealing block scheduler: within an island, passes bracketed by
+  /// real barriers on both sides are diced into four chunks per team
+  /// thread along the team split dimension; each thread drains its own
+  /// chunk deque front-first, then steals from teammates' backs, and runs
+  /// every chunk like a static share. Stealing never crosses an island,
+  /// stolen chunks run under the same pass-end barrier, and barrier-elided
+  /// pass groups keep the static split (the race-freedom proof of
+  /// core/ScheduleCheck assumes it), so results are bit-identical.
   bool Stealing = false;
-  /// Chunks per team thread for the stealing scheduler (>= 1); more
-  /// chunks balance finer at slightly higher claim overhead.
-  int StealChunksPerThread = 4;
   /// Optional machine model used to price the executed plan's predicted
   /// island skew (core/BalanceModel.h) into ExecStats — the SAME function
   /// the simulator reports, so predicted-vs-predicted parity is exact.
@@ -213,9 +208,15 @@ public:
 
 private:
   struct IslandState;
+  class WorkerSeam;
 
   void threadMain(int Worker, int Island, int ThreadInTeam, int Steps,
-                  void *Control);
+                  TeamBarrier &Global);
+  void runShare(WorkerSeam &Seam, StageId Stage, int StepInEpoch,
+                const Box3 &Sub);
+  void runStealingPass(IslandState &IS, WorkerSeam &Seam, int ThreadInTeam,
+                       int NumThreads, const StagePass &Pass,
+                       int StepInEpoch);
   void rebindForStep(IslandState &IS, int StepInEpoch);
   void importEpochInputs(IslandState &IS, int Worker, int ThreadInTeam,
                          int NumThreads);

@@ -35,14 +35,14 @@ MessageFaultDecision FaultInjector::onMessage(int Src, int Dst, int Tag,
   return D;
 }
 
-double FaultInjector::onWorkerPass(int Island, int Thread, int Step,
+double FaultInjector::onWorkerPass(int Island, int Thread, int Epoch,
                                    int PassIndex) {
-  double Stall = Plan.workerStall(Island, Thread, Step, PassIndex);
+  double Stall = Plan.workerStall(Island, Thread, Epoch, PassIndex);
   if (Stall <= 0.0)
     return 0.0;
   Injected.fetch_add(1, std::memory_order_relaxed);
-  record(formatString("stall island=%d thread=%d step=%d pass=%d: %.0fus",
-                      Island, Thread, Step, PassIndex, Stall * 1e6));
+  record(formatString("stall island=%d thread=%d epoch=%d pass=%d: %.0fus",
+                      Island, Thread, Epoch, PassIndex, Stall * 1e6));
   return Stall;
 }
 

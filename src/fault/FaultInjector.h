@@ -58,7 +58,7 @@ public:
                                  size_t CountDoubles);
 
   /// Stall decision for one worker pass; counts and traces when nonzero.
-  double onWorkerPass(int Island, int Thread, int Step, int PassIndex);
+  double onWorkerPass(int Island, int Thread, int Epoch, int PassIndex);
 
   /// Spurious-wakeup decision for one barrier crossing; counts and
   /// traces when true.

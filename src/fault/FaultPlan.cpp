@@ -94,14 +94,14 @@ MessageFaultDecision FaultPlan::messageFaults(int Src, int Dst, int Tag,
   return D;
 }
 
-double FaultPlan::workerStall(int Island, int Thread, int Step,
+double FaultPlan::workerStall(int Island, int Thread, int Epoch,
                               int PassIndex) const {
   if (StallRate <= 0)
     return 0.0;
   uint64_t H = mix(Seed, SaltStall);
   H = mix(H, static_cast<uint64_t>(Island));
   H = mix(H, static_cast<uint64_t>(Thread));
-  H = mix(H, static_cast<uint64_t>(Step));
+  H = mix(H, static_cast<uint64_t>(Epoch));
   H = mix(H, static_cast<uint64_t>(PassIndex));
   if (unit(H) >= StallRate)
     return 0.0;

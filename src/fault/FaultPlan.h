@@ -9,7 +9,7 @@
 /// seed plus per-fault-class rates, from which every injection decision is
 /// derived as a pure hash of (seed, injection site). A site is the stable
 /// coordinate of the hook point — (src, dst, tag, seq) for a message,
-/// (island, thread, step, pass) for a worker stall, (barrier, thread,
+/// (island, thread, epoch, pass) for a worker stall, (barrier, thread,
 /// crossing) for a spurious wakeup — so the same seed replays the
 /// identical fault *set* no matter how the OS interleaves threads. That
 /// determinism is what makes the chaos/property harness
@@ -80,9 +80,9 @@ struct FaultPlan {
                                      uint64_t Seq,
                                      size_t CountDoubles) const;
 
-  /// Seconds worker (\p Island, \p Thread) must stall before pass
-  /// \p PassIndex of step \p Step; 0 means no stall.
-  double workerStall(int Island, int Thread, int Step, int PassIndex) const;
+  /// Seconds worker (\p Island, \p Thread) must stall before in-epoch
+  /// pass \p PassIndex of temporal epoch \p Epoch; 0 means no stall.
+  double workerStall(int Island, int Thread, int Epoch, int PassIndex) const;
 
   /// Whether to force a spurious wakeup when \p Thread makes its
   /// \p Crossing-th crossing of barrier \p Site.

@@ -2,11 +2,14 @@
 //
 // Tests of the executor observability layer: the persistent WorkerPool
 // (threads spawn once and are reused by every run()), and ExecStats
-// (pass/barrier counts match the plan, profiling never perturbs the
-// numerics, reduction folds are booked as neither kernel nor idle time,
-// the JSON/CSV reports are well formed).
+// (pass/barrier counts match the plan with and without stealing, elision
+// and an armed observer, profiling never perturbs the numerics, reduction
+// folds are booked as neither kernel nor idle time, the JSON/CSV reports
+// are well formed).
 //
 //===----------------------------------------------------------------------===//
+
+#include "TestMatrix.h"
 
 #include "apps/Workloads.h"
 #include "core/PlanBuilder.h"
@@ -19,6 +22,7 @@
 #include "mpdata/Solver.h"
 #include "stencil/WorkloadRegistry.h"
 #include "support/OStream.h"
+#include "verify/ShadowStore.h"
 
 #include <gtest/gtest.h>
 
@@ -56,19 +60,15 @@ std::unique_ptr<PlanExecutor> makeExecutor(const MpdataProgram &M,
   return Exec;
 }
 
-/// Passes in one island's schedule, total and per stage.
-int64_t planPasses(const IslandPlan &Island) {
-  int64_t N = 0;
-  for (const BlockTask &Block : Island.Blocks)
-    N += static_cast<int64_t>(Block.Passes.size());
-  return N;
-}
-
-int64_t planPassesOfStage(const IslandPlan &Island, size_t Stage) {
+/// Passes of \p Stage in one island's schedule; with \p ElidedOnly, only
+/// those the plan runs without a trailing barrier.
+int64_t planPassesOfStage(const IslandPlan &Island, size_t Stage,
+                          bool ElidedOnly = false) {
   int64_t N = 0;
   for (const BlockTask &Block : Island.Blocks)
     for (const StagePass &Pass : Block.Passes)
-      if (static_cast<size_t>(Pass.Stage) == Stage)
+      if (static_cast<size_t>(Pass.Stage) == Stage &&
+          !(ElidedOnly && Pass.BarrierAfter))
         ++N;
   return N;
 }
@@ -90,38 +90,78 @@ TEST(WorkerPoolTest, RunsTheJobOnEveryWorkerAndReusesThreads) {
 }
 
 TEST(ExecStatsTest, PassAndBarrierCountsMatchThePlan) {
-  constexpr int Steps = 3;
-  MpdataProgram M = buildMpdataProgram();
-  auto Exec = makeExecutor(M, 2);
-  Exec->enableProfiling(true);
-  Exec->run(Steps);
+  // The executor books every pass, elided barrier and barrier wait through
+  // one per-worker seam, whichever scheduler ran the pass and whether an
+  // observer is armed: the counts must match the plan in every
+  // combination, and the results must stay bit-exact.
+  constexpr int Steps = 4, Depth = 2, Epochs = Steps / Depth;
+  constexpr uint64_t Seed = 5;
+  const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  Domain Dom = workloadDomain(Spec, GridNI, GridNJ, GridNK);
+  auto Oracle = serialOracle(Spec, Dom, Steps, Seed);
+  for (bool Elide : {false, true})
+    for (bool Stealing : {false, true})
+      for (bool Observed : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "elide=" << Elide << " stealing="
+                                        << Stealing << " observed="
+                                        << Observed);
+        ExecutionPlan Plan = makeTestPlan(
+            Spec.Program, Dom, Strategy::IslandsOfCores, Depth, Elide);
+        ShadowStore Shadow;
+        ExecutorOptions Opts;
+        Opts.Stealing = Stealing;
+        Opts.Observer = Observed ? &Shadow : nullptr;
+        auto Exec = makeWorkloadExecutor(Spec, Dom, Plan,
+                                         KernelVariant::Reference, Opts, Seed);
+        Exec->enableProfiling(true);
+        Exec->run(Steps);
 
-  const ExecutionPlan &Plan = Exec->plan();
-  const ExecStats &Stats = Exec->stats();
-  ASSERT_EQ(Stats.Islands.size(), Plan.Islands.size());
-  EXPECT_EQ(Stats.StepsRun, Steps);
+        const ExecStats &Stats = Exec->stats();
+        ASSERT_EQ(Stats.Islands.size(), Plan.Islands.size());
+        EXPECT_EQ(Stats.StepsRun, Steps);
+        int64_t Elided = 0;
+        for (size_t I = 0; I != Plan.Islands.size(); ++I) {
+          const IslandPlan &IslandP = Plan.Islands[I];
+          const IslandStat &IslandS = Stats.Islands[I];
+          int64_t Passes = 0, IslandElided = 0;
+          for (size_t S = 0; S != IslandS.Stages.size(); ++S) {
+            const int64_t StagePasses = Epochs * planPassesOfStage(IslandP, S);
+            const int64_t StageElided =
+                Epochs * planPassesOfStage(IslandP, S, /*ElidedOnly=*/true);
+            EXPECT_EQ(IslandS.Stages[S].Passes, StagePasses)
+                << "island " << I << " stage " << S;
+            EXPECT_EQ(IslandS.Stages[S].BarriersElided, StageElided)
+                << "island " << I << " stage " << S;
+            Passes += StagePasses;
+            IslandElided += StageElided;
+          }
+          EXPECT_EQ(IslandS.teamPasses(), Passes);
+          // Every thread visits every pass and crosses each surviving pass
+          // barrier — the executor's lockstep invariant.
+          ASSERT_EQ(IslandS.Threads.size(),
+                    static_cast<size_t>(IslandP.NumThreads));
+          for (const ThreadStat &T : IslandS.Threads) {
+            EXPECT_EQ(T.Passes, Passes);
+            EXPECT_EQ(T.BarriersElided, IslandElided);
+            EXPECT_EQ(T.BarrierWaits, Passes - IslandElided);
+          }
+          Elided += IslandElided;
+        }
+        EXPECT_EQ(Stats.barriersElided(), Elided);
+        EXPECT_EQ(Elided > 0, Elide); // The sweep covers both plan shapes.
+        if (!Stealing) {
+          EXPECT_EQ(Stats.idleSeconds(), 0.0);
+        }
 
-  for (size_t I = 0; I != Plan.Islands.size(); ++I) {
-    const IslandPlan &IslandP = Plan.Islands[I];
-    const IslandStat &IslandS = Stats.Islands[I];
-    int64_t Expected = Steps * planPasses(IslandP);
-
-    // Team-level pass executions match the schedule, stage by stage.
-    EXPECT_EQ(IslandS.teamPasses(), Expected);
-    for (size_t S = 0; S != IslandS.Stages.size(); ++S)
-      EXPECT_EQ(IslandS.Stages[S].Passes,
-                Steps * planPassesOfStage(IslandP, S))
-          << "island " << I << " stage " << S;
-
-    // Every thread visits every pass and crosses one team barrier per
-    // pass — the executor's lockstep invariant.
-    ASSERT_EQ(IslandS.Threads.size(),
-              static_cast<size_t>(IslandP.NumThreads));
-    for (const ThreadStat &T : IslandS.Threads) {
-      EXPECT_EQ(T.Passes, Expected);
-      EXPECT_EQ(T.BarrierWaits, Expected);
-    }
-  }
+        EXPECT_EQ(
+            maxNewestStateDiff(Spec.Program, *Exec, *Oracle, Dom.coreBox()),
+            0.0);
+        EXPECT_TRUE(reductionHistoriesMatch(Spec.Program, *Exec, *Oracle));
+        if (Observed) {
+          EXPECT_GT(Shadow.accessCount(), 0u);
+          EXPECT_TRUE(Shadow.clean()) << Shadow.raceCount() << " races";
+        }
+      }
 }
 
 TEST(ExecStatsTest, PoolSpawnsThreadsOnlyOnceAcrossRuns) {
@@ -295,8 +335,8 @@ TEST(ExecStatsTest, ReductionFoldsAreNeitherKernelNorIdleTime) {
   // cfl-advect on one team of 4 with combiners slowed to >= 2 us a call,
   // so the per-worker folds dwarf the kernels. kernel.* must still mean
   // kernels, and a stealing worker's last fold before the pass barrier
-  // is work, not idle time. With one chunk per thread, booking the folds
-  // wrongly would put all of their time in one of the two counters.
+  // is work, not idle time. Booking the folds wrongly would put all of
+  // their time in one of the two counters.
   constexpr int Steps = 4;
   constexpr double CallSeconds = 2e-6;
   const WorkloadSpec &Spec = *builtinWorkloads().find("cfl-advect");
@@ -326,7 +366,6 @@ TEST(ExecStatsTest, ReductionFoldsAreNeitherKernelNorIdleTime) {
     ExecutorOptions Opts;
     Opts.Reductions = Slow;
     Opts.Stealing = Stealing;
-    Opts.StealChunksPerThread = 1;
     ProgramExecutor Exec(Spec.Program, Spec.Kernels(KernelVariant::Reference),
                          Dom, Plan, Opts);
     initWorkload(Spec, Exec, 7);
