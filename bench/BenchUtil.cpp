@@ -2,9 +2,9 @@
 
 #include "BenchUtil.h"
 
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
 #include "support/Format.h"
 #include "support/OStream.h"
 
@@ -273,11 +273,9 @@ MeasuredProfile icores::bench::measureHostRun(const MpdataProgram &M,
   ExecutionPlan Plan = hostCheckPlan(M, Strat, Islands, Dom.coreBox());
   if (Optimize)
     optimizeBarriers(M.Program, Plan);
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Dom, 42, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Dom, 0.25, -0.2, 0.15);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan));
+  seedMpdata(Exec, M, 42, 0.1, 2.0, 0.25, -0.2, 0.15);
   Exec.enableProfiling(true);
   Exec.run(Steps);
 

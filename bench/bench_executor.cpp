@@ -1,17 +1,19 @@
 //===- bench/bench_executor.cpp - Host timings of the real executors ------===//
 //
-// google-benchmark timings of the threaded PlanExecutor on this host for
-// the three strategies. On a small host these numbers demonstrate the real
-// code path end-to-end (the paper-scale numbers come from the simulator);
-// on a genuine multi-socket machine they become direct measurements.
+// google-benchmark timings of the threaded ProgramExecutor running MPDATA
+// on this host for the three strategies, and of the serial oracle. On a
+// small host these numbers demonstrate the real code path end-to-end (the
+// paper-scale numbers come from the simulator); on a genuine multi-socket
+// machine they become direct measurements.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/PlanBuilder.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "stencil/SerialStepper.h"
 
 #include <benchmark/benchmark.h>
 
@@ -40,11 +42,9 @@ void runStrategy(benchmark::State &BState, Strategy Strat, int Sockets) {
   Config.Strat = Strat;
   Config.Sockets = Sockets;
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Dom, 5, 0.1, 1.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Dom, 0.25, -0.2, 0.15);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan));
+  seedMpdata(Exec, M, 5, 0.1, 1.0, 0.25, -0.2, 0.15);
 
   for (auto _ : BState)
     Exec.run(1);
@@ -64,12 +64,11 @@ void BM_ExecIslands2(benchmark::State &S) {
   runStrategy(S, Strategy::IslandsOfCores, 2);
 }
 
-void BM_ReferenceSolver(benchmark::State &BState) {
-  ReferenceSolver Solver(32, 24, 16);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 5, 0.1, 1.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.25, -0.2, 0.15);
-  Solver.prepareCoefficients();
+void BM_SerialStepper(benchmark::State &BState) {
+  MpdataProgram M = buildMpdataProgram();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(32, 24, 16, mpdataHaloDepth()));
+  seedMpdata(Solver, M, 5, 0.1, 1.0, 0.25, -0.2, 0.15);
   for (auto _ : BState)
     Solver.run(1);
   BState.SetItemsProcessed(BState.iterations() *
@@ -78,7 +77,7 @@ void BM_ReferenceSolver(benchmark::State &BState) {
 
 } // namespace
 
-BENCHMARK(BM_ReferenceSolver)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SerialStepper)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExecOriginal)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExecBlock31D)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExecIslands1)->Unit(benchmark::kMillisecond);

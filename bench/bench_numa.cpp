@@ -33,9 +33,9 @@
 #include "BenchUtil.h"
 
 #include "exec/Affinity.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
 #include "support/Format.h"
 #include "support/OStream.h"
 #include "support/Table.h"
@@ -89,18 +89,16 @@ RunResult runOnce(const MpdataProgram &M, Strategy Strat, int Depth,
   Opts.Placement = Place;
   if (Place != PlacementPolicy::None)
     Opts.Pinning = computeThreadPlacement(Plan, Host);
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Dom, 42, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Dom, 0.25, -0.2, 0.15);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
+  seedMpdata(Exec, M, 42, 0.1, 2.0, 0.25, -0.2, 0.15);
   auto Begin = std::chrono::steady_clock::now();
   Exec.run(Steps);
   auto End = std::chrono::steady_clock::now();
 
   RunResult R;
-  R.State = Exec.state();
-  R.RemoteBytesPerStep = Exec.executor().remoteBytesPerStep();
+  R.State = Exec.array(M.XIn);
+  R.RemoteBytesPerStep = Exec.remoteBytesPerStep();
   R.PagesFirstTouched = Exec.stats().PagesFirstTouched;
   R.PinFailures = Exec.stats().PinFailures;
   R.Seconds = std::chrono::duration<double>(End - Begin).count();

@@ -20,9 +20,9 @@
 
 #include "BenchUtil.h"
 
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
 #include "support/Format.h"
 #include "support/OStream.h"
 #include "support/Table.h"
@@ -60,18 +60,16 @@ RunResult runOnce(const MpdataProgram &M, Strategy Strat, int Depth) {
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Host, Config);
   optimizeBarriers(M.Program, Plan);
 
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Dom, 42, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Dom, 0.25, -0.2, 0.15);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan));
+  seedMpdata(Exec, M, 42, 0.1, 2.0, 0.25, -0.2, 0.15);
   auto Begin = std::chrono::steady_clock::now();
   Exec.run(Steps);
   auto End = std::chrono::steady_clock::now();
 
   RunResult R;
-  R.State = Exec.state();
-  R.MeasuredBytesPerStep = Exec.executor().sharedBytesPerStep();
+  R.State = Exec.array(M.XIn);
+  R.MeasuredBytesPerStep = Exec.sharedBytesPerStep();
   R.Seconds = std::chrono::duration<double>(End - Begin).count();
   return R;
 }

@@ -1,25 +1,25 @@
 //===- examples/distributed_ranks.cpp - MPI-style distributed MPDATA ------===//
 //
-// Demonstrates the future-work distributed extension: the domain is slab-
-// decomposed across ranks (threads standing in for MPI processes), input
-// halos travel by explicit messages once per step, and each rank
-// recomputes its inter-rank dependence cones — the islands-of-cores idea
-// at cluster granularity. Verifies against the serial reference and prints
-// the stage dependence graph that drives the cone analysis.
+// Demonstrates the future-work distributed extension on the registered
+// MPDATA workload: the domain is slab-decomposed across ranks (threads
+// standing in for MPI processes), input halos travel by explicit messages
+// once per step, and each rank recomputes its inter-rank dependence cones
+// — the islands-of-cores idea at cluster granularity. Verifies against the
+// serial oracle and prints the stage dependence graph that drives the
+// cone analysis.
 //
 // Run:  ./distributed_ranks [--ranks=4 --ni=32 --nj=16 --nk=8 --steps=10]
 //                           [--dot]   (print the DOT stage graph instead)
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Workloads.h"
 #include "dist/DistributedSolver.h"
-#include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
 #include "stencil/GraphExport.h"
+#include "stencil/SerialStepper.h"
 #include "support/CommandLine.h"
 #include "support/OStream.h"
 
-#include <cmath>
 #include <cstdio>
 
 using namespace icores;
@@ -38,9 +38,9 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
   if (CL.hasOption("dot")) {
-    MpdataProgram M = buildMpdataProgram();
-    exportProgramDot(M.Program, outs());
+    exportProgramDot(Spec.Program, outs());
     return 0;
   }
 
@@ -55,49 +55,33 @@ int main(int Argc, char **Argv) {
               Ranks, NI, NJ, NK, Steps);
 
   std::printf("the 17-stage program each rank executes:\n");
-  {
-    MpdataProgram M = buildMpdataProgram();
-    exportProgramText(M.Program, outs());
-  }
+  exportProgramText(Spec.Program, outs());
   std::printf("\n");
 
-  // A smooth tracer bump plus diagonal wind, expressible pointwise so each
-  // rank initializes its slab locally.
-  DistributedInit Init;
-  Init.State = [NI, NJ, NK](int I, int J, int K) {
-    double DI = (I - NI / 2.0) / (NI / 6.0);
-    double DJ = (J - NJ / 2.0) / (NJ / 6.0);
-    double DK = (K - NK / 2.0) / (NK / 6.0);
-    return 0.1 + std::exp(-(DI * DI + DJ * DJ + DK * DK));
-  };
-  Init.U1 = [](int, int, int) { return 0.3; };
-  Init.U2 = [](int, int, int) { return 0.2; };
-  Init.U3 = [](int, int, int) { return -0.1; };
-  Init.H = [](int, int, int) { return 1.0; };
+  // Every rank evaluates the workload's seeded init over the global grid
+  // and keeps its own slab; nothing is broadcast.
+  const uint64_t Seed = 1;
+  DistributedResult R = runDistributed(Spec, KernelVariant::Reference, Ranks,
+                                       1, NI, NJ, NK, Steps, Seed);
+  if (!R.Ok) {
+    std::fprintf(stderr, "error: %s\n", R.RankErrors.front().c_str());
+    return 1;
+  }
 
-  Array3D Distributed =
-      runDistributedMpdata(Ranks, NI, NJ, NK, Steps, Init);
-
-  // Serial reference for comparison.
-  ReferenceSolver Solver(NI, NJ, NK);
-  for (int I = 0; I != NI; ++I)
-    for (int J = 0; J != NJ; ++J)
-      for (int K = 0; K != NK; ++K) {
-        Solver.stateIn().at(I, J, K) = Init.State(I, J, K);
-        Solver.velocity(0).at(I, J, K) = Init.U1(I, J, K);
-        Solver.velocity(1).at(I, J, K) = Init.U2(I, J, K);
-        Solver.velocity(2).at(I, J, K) = Init.U3(I, J, K);
-      }
-  Solver.prepareCoefficients();
+  // Serial oracle for comparison.
+  SerialStepper Solver(Spec.Program, Spec.Kernels(KernelVariant::Reference),
+                       workloadDomain(Spec, NI, NJ, NK));
+  initWorkload(Spec, Solver, Seed);
   Solver.run(Steps);
 
-  double MaxDiff =
-      Distributed.maxAbsDiff(Solver.state(), Box3::fromExtents(NI, NJ, NK));
-  std::printf("max |distributed - serial reference| = %.3e %s\n", MaxDiff,
+  ArrayId State = Spec.Program.feedbacks().front().Target;
+  double MaxDiff = R.array(State).maxAbsDiff(Solver.array(State),
+                                             Box3::fromExtents(NI, NJ, NK));
+  std::printf("max |distributed - serial oracle| = %.3e %s\n", MaxDiff,
               MaxDiff == 0.0 ? "(bit-exact)" : "");
   std::printf("per step, each rank sent 2 halo messages of %d planes and "
               "recomputed its neighbour cones locally — no other "
               "communication.\n",
-              mpdataHaloDepth());
+              Spec.HaloDepth);
   return MaxDiff == 0.0 ? 0 : 1;
 }

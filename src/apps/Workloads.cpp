@@ -8,7 +8,7 @@
 #include "grid/Array3D.h"
 #include "mpdata/InitialConditions.h"
 #include "mpdata/Kernels.h"
-#include "mpdata/Solver.h"
+#include "mpdata/MpdataProgram.h"
 #include "support/Diagnostics.h"
 #include "support/Error.h"
 #include "support/Random.h"

@@ -2,9 +2,10 @@
 
 #include "dist/CommSchedule.h"
 
-#include "mpdata/MpdataProgram.h"
-#include "stencil/HaloAnalysis.h"
+#include "stencil/WorkloadRegistry.h"
 #include "support/MathUtil.h"
+
+#include <algorithm>
 
 using namespace icores;
 
@@ -18,9 +19,10 @@ Box3 icores::rankOwnedBox(int Rank, int PI, int PJ, int NI, int NJ,
               static_cast<int>(chunkBegin(NJ, PJ, Pj + 1)), NK);
 }
 
-DimExchange icores::planDimExchange(int Rank, int PI, int PJ,
-                                    const Box3 &Owned, int Halo, int Dim,
-                                    const Box3 &Slab) {
+namespace {
+
+DimExchange planDimExchange(int Rank, int PI, int PJ, const Box3 &Owned,
+                            int Halo, int Dim, const Box3 &Slab) {
   int Pi = Rank / PJ;
   int Pj = Rank % PJ;
   int Parts = Dim == 0 ? PI : PJ;
@@ -45,55 +47,60 @@ DimExchange icores::planDimExchange(int Rank, int PI, int PJ,
   return Ex;
 }
 
-int icores::mpdataCommHaloDepth() {
-  MpdataProgram M = buildMpdataProgram();
-  return inputHaloDepth(M.Program, Box3::fromExtents(64, 64, 64))[0];
-}
-
-namespace {
-
-/// Appends one dimension's exchange in DistributedRank::exchangeAlongDim
-/// order: both sends first (buffered), then both recvs.
-void appendDimExchange(std::vector<CommOp> &Ops, const DimExchange &Ex,
-                       int TagBase) {
-  Ops.push_back(CommOp::send(Ex.Minus, TagBase + 0, Ex.SendLow.numPoints()));
-  Ops.push_back(CommOp::send(Ex.Plus, TagBase + 1, Ex.SendHigh.numPoints()));
-  Ops.push_back(CommOp::recv(Ex.Minus, TagBase + 1, Ex.RecvLow.numPoints()));
-  Ops.push_back(CommOp::recv(Ex.Plus, TagBase + 0, Ex.RecvHigh.numPoints()));
-}
-
-/// One full exchangeHalo: dimension 0 over the owned slab, then dimension
-/// 1 over the i-extended slab (corner forwarding). The local k wrap has
-/// no communication.
+/// Appends one halo exchange in DistributedRank::exchangeHalo order: per
+/// dimension both sends first (buffered), then both recvs.
 void appendHaloExchange(std::vector<CommOp> &Ops, int Rank, int PI, int PJ,
                         const Box3 &Owned, int Halo, int TagBase) {
-  appendDimExchange(Ops, planDimExchange(Rank, PI, PJ, Owned, Halo, 0, Owned),
-                    TagBase);
-  Box3 Slab1 = Owned;
-  Slab1.Lo[0] -= Halo;
-  Slab1.Hi[0] += Halo;
-  appendDimExchange(Ops, planDimExchange(Rank, PI, PJ, Owned, Halo, 1, Slab1),
-                    TagBase + 2);
+  for (const DimExchange &Ex : planHaloExchange(Rank, PI, PJ, Owned, Halo)) {
+    Ops.push_back(CommOp::send(Ex.Minus, TagBase + 0, Ex.SendLow.numPoints()));
+    Ops.push_back(CommOp::send(Ex.Plus, TagBase + 1, Ex.SendHigh.numPoints()));
+    Ops.push_back(CommOp::recv(Ex.Minus, TagBase + 1, Ex.RecvLow.numPoints()));
+    Ops.push_back(CommOp::recv(Ex.Plus, TagBase + 0, Ex.RecvHigh.numPoints()));
+    TagBase += 2;
+  }
 }
 
 } // namespace
 
-std::vector<RankCommSchedule> icores::buildMpdataCommSchedule(int PI, int PJ,
-                                                              int NI, int NJ,
-                                                              int NK,
-                                                              int Steps) {
-  int Halo = mpdataCommHaloDepth();
+std::array<DimExchange, 2> icores::planHaloExchange(int Rank, int PI, int PJ,
+                                                    const Box3 &Owned,
+                                                    int Halo) {
+  Box3 Slab1 = Owned;
+  Slab1.Lo[0] -= Halo;
+  Slab1.Hi[0] += Halo;
+  return {planDimExchange(Rank, PI, PJ, Owned, Halo, 0, Owned),
+          planDimExchange(Rank, PI, PJ, Owned, Halo, 1, Slab1)};
+}
+
+std::vector<ArrayId>
+icores::onceExchangedInputs(const StencilProgram &Program) {
+  std::vector<ArrayId> Ids;
+  for (ArrayId In : Program.stepInputs())
+    if (std::none_of(Program.feedbacks().begin(), Program.feedbacks().end(),
+                     [In](const FeedbackPair &FB) { return FB.Target == In; }))
+      Ids.push_back(In);
+  return Ids;
+}
+
+std::vector<RankCommSchedule>
+icores::buildCommSchedule(const WorkloadSpec &Spec, int PI, int PJ, int NI,
+                          int NJ, int NK, int Steps) {
+  const size_t OnceInputs = onceExchangedInputs(Spec.Program).size();
+  const size_t Feedbacks = Spec.Program.feedbacks().size();
   std::vector<RankCommSchedule> Schedules;
   Schedules.reserve(static_cast<size_t>(PI) * PJ);
   for (int R = 0; R != PI * PJ; ++R) {
     RankCommSchedule S;
     S.Rank = R;
     Box3 Owned = rankOwnedBox(R, PI, PJ, NI, NJ, NK);
-    // prepareCoefficients: U1, U2, U3, Dens in turn, all at tag base 100.
-    for (int Coeff = 0; Coeff != 4; ++Coeff)
-      appendHaloExchange(S.Ops, R, PI, PJ, Owned, Halo, /*TagBase=*/100);
+    auto exchange = [&](int TagBase) {
+      appendHaloExchange(S.Ops, R, PI, PJ, Owned, Spec.HaloDepth, TagBase);
+    };
+    for (size_t A = 0; A != OnceInputs; ++A)
+      exchange(InputTagBase);
     for (int Step = 0; Step != Steps; ++Step)
-      appendHaloExchange(S.Ops, R, PI, PJ, Owned, Halo, /*TagBase=*/0);
+      for (size_t F = 0; F != Feedbacks; ++F)
+        exchange(StepTagBase);
     S.Ops.push_back(CommOp::barrier());
     Schedules.push_back(std::move(S));
   }

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// The static side of the distributed halo protocol: the per-rank ordered
-/// send/recv/barrier schedules DistributedRank executes, extracted without
-/// running any rank. The peer, tag, and payload-shape computations here
-/// are the *same functions* DistributedSolver.cpp calls at runtime
-/// (rankOwnedBox, planDimExchange), so the extracted schedule cannot
-/// drift from the executed one. The protocol model checker
+/// send/recv/barrier schedules DistributedRank executes for any
+/// registered workload, extracted without running any rank. The peer,
+/// tag, payload-shape and exchanged-array computations here are the
+/// *same functions* DistributedSolver.cpp calls at runtime (rankOwnedBox,
+/// planHaloExchange, onceExchangedInputs), so the extracted schedule
+/// cannot drift from the executed one. The protocol model checker
 /// (verify/ProtocolCheck.h) consumes these schedules to prove the
 /// exchange deadlock- and orphan-free, including under rank-death
 /// poisoning.
@@ -21,11 +22,20 @@
 #define ICORES_DIST_COMMSCHEDULE_H
 
 #include "grid/Box3.h"
+#include "stencil/StencilIR.h"
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 namespace icores {
+
+struct WorkloadSpec;
+
+/// Tag bases of the two exchange kinds: the per-step feedback-target
+/// exchange and the once-only exchange of the other step inputs.
+inline constexpr int StepTagBase = 0;
+inline constexpr int InputTagBase = 100;
 
 /// One communication action of one rank, in program order. Sends are
 /// buffered (they complete immediately); recvs block until the matching
@@ -64,19 +74,26 @@ struct DimExchange {
   int Plus = -1;
   Box3 SendLow, SendHigh, RecvLow, RecvHigh;
 };
-DimExchange planDimExchange(int Rank, int PI, int PJ, const Box3 &Owned,
-                            int Halo, int Dim, const Box3 &Slab);
 
-/// The MPDATA halo depth the distributed solver exchanges (from the
-/// program's input dependence cones, as DistributedRank computes it).
-int mpdataCommHaloDepth();
+/// One full halo exchange of one array, in execution order: dimension 0
+/// over the owned slab at TagBase, then dimension 1 over the i-extended
+/// slab at TagBase + 2, which forwards the corners just received. k is
+/// not decomposed and wraps locally without messages.
+std::array<DimExchange, 2> planHaloExchange(int Rank, int PI, int PJ,
+                                            const Box3 &Owned, int Halo);
 
-/// The full communication schedule of runDistributedMpdata2D's rank loop:
-/// prepareCoefficients (four array exchanges at tag base 100), \p Steps
-/// state exchanges at tag base 0, and the closing barrier.
-std::vector<RankCommSchedule> buildMpdataCommSchedule(int PI, int PJ, int NI,
-                                                      int NJ, int NK,
-                                                      int Steps);
+/// The step inputs exchanged once, before the first step, at
+/// InputTagBase: every step input that is not a feedback target, in
+/// ArrayId order. Feedback targets are exchanged every step instead.
+std::vector<ArrayId> onceExchangedInputs(const StencilProgram &Program);
+
+/// The full communication schedule of runDistributed's rank loop for
+/// \p Spec: prepareInputs (one exchange per onceExchangedInputs entry),
+/// then per step one exchange per feedback target at StepTagBase, and
+/// the closing barrier.
+std::vector<RankCommSchedule> buildCommSchedule(const WorkloadSpec &Spec,
+                                                int PI, int PJ, int NI,
+                                                int NJ, int NK, int Steps);
 
 } // namespace icores
 

@@ -1,12 +1,10 @@
-//===- dist/DistributedSolver.cpp - MPI-style distributed MPDATA ----------===//
+//===- dist/DistributedSolver.cpp - MPI-style distributed runs ------------===//
 
 #include "dist/DistributedSolver.h"
 
 #include "dist/CommSchedule.h"
 #include "grid/Domain.h"
-#include "mpdata/Kernels.h"
 #include "support/Error.h"
-#include "support/MathUtil.h"
 
 #include <mutex>
 #include <thread>
@@ -40,17 +38,19 @@ void unpackBox(Array3D &A, const Box3 &Region,
 
 } // namespace
 
-DistributedRank::DistributedRank(RankComm &Comm, int NI, int NJ, int NK,
-                                 int PI, int PJ,
-                                 const DistributedInit &Init)
-    : Comm(Comm), M(buildMpdataProgram()), NI(NI), NJ(NJ), NK(NK), PI(PI),
-      PJ(PJ), Fields(0) {
+DistributedRank::DistributedRank(RankComm &Comm, const WorkloadSpec &Spec,
+                                 KernelVariant Variant, int NI, int NJ,
+                                 int NK, int PI, int PJ, uint64_t Seed)
+    : Comm(Comm), Program(Spec.Program), Kernels(Spec.Kernels(Variant)),
+      PI(PI), PJ(PJ), NK(NK), Halo(Spec.HaloDepth),
+      Fields(Spec.Program.numArrays()) {
+  if (!Program.reductions().empty())
+    throw Error(Error::Kind::Generic,
+                "workload '" + Spec.Name +
+                    "' declares reductions, which distributed runs do not "
+                    "support");
   ICORES_CHECK(PI >= 1 && PJ >= 1 && PI * PJ == Comm.numRanks(),
                "rank grid does not match the world size");
-  std::array<int, 3> Depth =
-      inputHaloDepth(M.Program, Box3::fromExtents(64, 64, 64));
-  Halo = Depth[0];
-
   Owned = rankOwnedBox(Comm.rank(), PI, PJ, NI, NJ, NK);
   ICORES_CHECK(Owned.extent(0) >= Halo && Owned.extent(1) >= Halo,
                "rank part thinner than the halo depth");
@@ -59,82 +59,54 @@ DistributedRank::DistributedRank(RankComm &Comm, int NI, int NJ, int NK,
   // Requirements: this rank's dependence cones, clipped to what the
   // single-machine original would compute (identical accounting to the
   // shared-memory islands).
-  Box3 GlobalCore = Box3::fromExtents(NI, NJ, NK);
-  RegionRequirements Local = computeRequirements(M.Program, Owned);
-  RegionRequirements Global = computeRequirements(M.Program, GlobalCore);
-  Req = Local;
-  for (unsigned S = 0; S != M.Program.numStages(); ++S)
-    Req.StageRegion[S] =
-        Local.StageRegion[S].intersect(Global.StageRegion[S]);
+  RegionRequirements Global =
+      computeRequirements(Program, Box3::fromExtents(NI, NJ, NK));
+  Req = computeRequirements(Program, Owned);
+  for (unsigned S = 0; S != Program.numStages(); ++S)
+    Req.StageRegion[S] = Req.StageRegion[S].intersect(Global.StageRegion[S]);
 
-  State.reset(LocalAlloc);
-  Next.reset(LocalAlloc);
-  Dens.reset(LocalAlloc);
-  for (Array3D &Vel : U)
-    Vel.reset(LocalAlloc);
+  for (unsigned A = 0; A != Program.numArrays(); ++A) {
+    ArrayId Id = static_cast<ArrayId>(A);
+    if (Program.array(Id).Role == ArrayRole::Intermediate) {
+      Fields.allocateOwned(Id, LocalAlloc);
+    } else {
+      External.emplace(Id, Array3D(LocalAlloc));
+      Fields.bindExternal(Id, &External.at(Id));
+    }
+  }
 
-  // Evaluate the initializers on the owned part only — the halos travel
-  // by message.
-  auto fillOwned = [&](Array3D &A,
-                       const std::function<double(int, int, int)> &Fn,
-                       double Default) {
-    for (int I = Owned.Lo[0]; I != Owned.Hi[0]; ++I)
-      for (int J = Owned.Lo[1]; J != Owned.Hi[1]; ++J)
-        for (int K = 0; K != NK; ++K)
-          A.at(I, J, K) = Fn ? Fn(I, J, K) : Default;
-  };
-  fillOwned(State, Init.State, 0.0);
-  fillOwned(U[0], Init.U1, 0.0);
-  fillOwned(U[1], Init.U2, 0.0);
-  fillOwned(U[2], Init.U3, 0.0);
-  fillOwned(Dens, Init.H, 1.0);
-
-  Fields = FieldStore(M.Program.numArrays());
-  Fields.bindExternal(M.XIn, &State);
-  Fields.bindExternal(M.U1, &U[0]);
-  Fields.bindExternal(M.U2, &U[1]);
-  Fields.bindExternal(M.U3, &U[2]);
-  Fields.bindExternal(M.H, &Dens);
-  Fields.bindExternal(M.XOut, &Next);
-  for (unsigned A = 0; A != M.Program.numArrays(); ++A)
-    if (M.Program.array(static_cast<ArrayId>(A)).Role ==
-        ArrayRole::Intermediate)
-      Fields.allocateOwned(static_cast<ArrayId>(A), LocalAlloc);
-}
-
-void DistributedRank::exchangeAlongDim(Array3D &A, int Dim,
-                                       const Box3 &Slab, int TagBase) {
-  // Peers, tags, and slab boxes come from the same planner the protocol
-  // model checker verifies (dist/CommSchedule.h), so the schedule proved
-  // deadlock-free is the schedule executed here.
-  DimExchange Ex =
-      planDimExchange(Comm.rank(), PI, PJ, Owned, Halo, Dim, Slab);
-
-  std::vector<double> Buf;
-  packBox(A, Ex.SendLow, Buf);
-  Comm.send(Ex.Minus, TagBase + 0, Buf.data(), Buf.size());
-  packBox(A, Ex.SendHigh, Buf);
-  Comm.send(Ex.Plus, TagBase + 1, Buf.data(), Buf.size());
-
-  Buf.resize(static_cast<size_t>(Ex.RecvLow.numPoints()));
-  Comm.recv(Ex.Minus, TagBase + 1, Buf.data(), Buf.size());
-  unpackBox(A, Ex.RecvLow, Buf);
-  Buf.resize(static_cast<size_t>(Ex.RecvHigh.numPoints()));
-  Comm.recv(Ex.Plus, TagBase + 0, Buf.data(), Buf.size());
-  unpackBox(A, Ex.RecvHigh, Buf);
+  // Evaluate the seeded init over the halo-free global domain and keep
+  // the owned part only.
+  Domain GlobalDom(NI, NJ, NK, /*HaloDepth=*/0);
+  std::map<ArrayId, Array3D> Init;
+  Spec.Init({GlobalDom, Seed, [&](ArrayId Id) -> Array3D & {
+               return Init.try_emplace(Id, GlobalDom.allocBox())
+                   .first->second;
+             }});
+  for (const auto &[Id, A] : Init)
+    External.at(Id).copyRegionFrom(A, Owned);
 }
 
 void DistributedRank::exchangeHalo(Array3D &A, int TagBase) {
-  // Phase 1: dimension 0, core j/k cross-section.
-  Box3 Slab0 = Owned;
-  exchangeAlongDim(A, 0, Slab0, TagBase);
-  // Phase 2: dimension 1 over the *extended* i-range — this forwards the
-  // freshly received corner values too.
-  Box3 Slab1 = Owned;
-  Slab1.Lo[0] -= Halo;
-  Slab1.Hi[0] += Halo;
-  exchangeAlongDim(A, 1, Slab1, TagBase + 2);
-  // Phase 3: k is not decomposed; wrap it locally everywhere.
+  // Peers, tags, and slab boxes come from the same planner the protocol
+  // model checker verifies (dist/CommSchedule.h), so the schedule proved
+  // deadlock-free is the schedule executed here.
+  std::vector<double> Buf;
+  for (const DimExchange &Ex :
+       planHaloExchange(Comm.rank(), PI, PJ, Owned, Halo)) {
+    packBox(A, Ex.SendLow, Buf);
+    Comm.send(Ex.Minus, TagBase + 0, Buf.data(), Buf.size());
+    packBox(A, Ex.SendHigh, Buf);
+    Comm.send(Ex.Plus, TagBase + 1, Buf.data(), Buf.size());
+
+    Buf.resize(static_cast<size_t>(Ex.RecvLow.numPoints()));
+    Comm.recv(Ex.Minus, TagBase + 1, Buf.data(), Buf.size());
+    unpackBox(A, Ex.RecvLow, Buf);
+    Buf.resize(static_cast<size_t>(Ex.RecvHigh.numPoints()));
+    Comm.recv(Ex.Plus, TagBase + 0, Buf.data(), Buf.size());
+    unpackBox(A, Ex.RecvHigh, Buf);
+    TagBase += 2;
+  }
   fillLocalKHalo(A);
 }
 
@@ -148,16 +120,18 @@ void DistributedRank::fillLocalKHalo(Array3D &A) {
       }
 }
 
-void DistributedRank::prepareCoefficients() {
-  for (Array3D *A : {&U[0], &U[1], &U[2], &Dens})
-    exchangeHalo(*A, /*TagBase=*/100);
+void DistributedRank::prepareInputs() {
+  for (ArrayId Id : onceExchangedInputs(Program))
+    exchangeHalo(External.at(Id), InputTagBase);
 }
 
 void DistributedRank::step() {
-  exchangeHalo(State, /*TagBase=*/0);
-  for (unsigned S = 0; S != M.Program.numStages(); ++S)
-    runMpdataStage(M, Fields, static_cast<StageId>(S), Req.StageRegion[S]);
-  std::swap(State, Next);
+  for (const FeedbackPair &FB : Program.feedbacks())
+    exchangeHalo(External.at(FB.Target), StepTagBase);
+  for (unsigned S = 0; S != Program.numStages(); ++S)
+    Kernels.run(Fields, static_cast<StageId>(S), Req.StageRegion[S]);
+  for (const FeedbackPair &FB : Program.feedbacks())
+    std::swap(External.at(FB.Source), External.at(FB.Target));
 }
 
 void DistributedRank::run(int Steps) {
@@ -166,29 +140,35 @@ void DistributedRank::run(int Steps) {
   Comm.barrier();
 }
 
-double DistributedRank::localMass() const {
-  double Mass = 0.0;
+double DistributedRank::localSum(ArrayId Id) const {
+  const Array3D &A = External.at(Id);
+  double Sum = 0.0;
   for (int I = Owned.Lo[0]; I != Owned.Hi[0]; ++I)
     for (int J = Owned.Lo[1]; J != Owned.Hi[1]; ++J)
-      for (int K = 0; K != NK; ++K)
-        Mass += Dens.at(I, J, K) * State.at(I, J, K);
-  return Mass;
+      for (int K = Owned.Lo[2]; K != Owned.Hi[2]; ++K)
+        Sum += A.at(I, J, K);
+  return Sum;
 }
 
-double DistributedRank::globalMass() const {
-  return Comm.allreduceSum(localMass());
+double DistributedRank::globalSum(ArrayId Id) const {
+  return Comm.allreduceSum(localSum(Id));
 }
 
-DistChaosResult icores::runDistributedMpdataChaos(
-    int PI, int PJ, int NI, int NJ, int NK, int Steps,
-    const DistributedInit &Init, FaultInjector *Injector,
-    const CommTimeouts &Timeouts) {
+DistributedResult icores::runDistributed(const WorkloadSpec &Spec,
+                                         KernelVariant Variant, int PI,
+                                         int PJ, int NI, int NJ, int NK,
+                                         int Steps, uint64_t Seed,
+                                         FaultInjector *Injector,
+                                         const CommTimeouts &Timeouts) {
   CommWorld World(PI * PJ);
   World.arm(Injector);
   World.setTimeouts(Timeouts);
 
-  DistChaosResult Result;
-  Result.State.reset(Box3::fromExtents(NI, NJ, NK));
+  DistributedResult Result;
+  for (ArrayId Id : Spec.Program.stepInputs())
+    Result.Arrays.emplace(Id, Array3D(Box3::fromExtents(NI, NJ, NK)));
+  for (ArrayId Id : Spec.Program.stepOutputs())
+    Result.Arrays.emplace(Id, Array3D(Box3::fromExtents(NI, NJ, NK)));
   std::mutex GatherMutex;
 
   std::vector<std::thread> Threads;
@@ -197,11 +177,12 @@ DistChaosResult icores::runDistributedMpdataChaos(
     Threads.emplace_back([&, R] {
       try {
         RankComm Comm(World, R);
-        DistributedRank Rank(Comm, NI, NJ, NK, PI, PJ, Init);
-        Rank.prepareCoefficients();
+        DistributedRank Rank(Comm, Spec, Variant, NI, NJ, NK, PI, PJ, Seed);
+        Rank.prepareInputs();
         Rank.run(Steps);
         std::lock_guard<std::mutex> Lock(GatherMutex);
-        Result.State.copyRegionFrom(Rank.state(), Rank.ownedBox());
+        for (const auto &[Id, A] : Rank.arrays())
+          Result.Arrays.at(Id).copyRegionFrom(A, Rank.ownedBox());
       } catch (const Error &E) {
         // Graceful degradation: poison the world *first* so peers
         // blocked on this rank's messages or in the barrier fail fast,
@@ -221,24 +202,4 @@ DistChaosResult icores::runDistributedMpdataChaos(
   if (Injector)
     Result.Faults = Injector->stats();
   return Result;
-}
-
-Array3D icores::runDistributedMpdata2D(int PI, int PJ, int NI, int NJ,
-                                       int NK, int Steps,
-                                       const DistributedInit &Init) {
-  DistChaosResult Result = runDistributedMpdataChaos(
-      PI, PJ, NI, NJ, NK, Steps, Init, /*Injector=*/nullptr,
-      CommTimeouts());
-  // No faults are injected here, so a failure means a genuinely dead
-  // peer or a protocol bug; surface it instead of returning garbage.
-  if (!Result.Ok)
-    reportFatalError(Result.RankErrors.front().c_str(), __FILE__,
-                     __LINE__);
-  return std::move(Result.State);
-}
-
-Array3D icores::runDistributedMpdata(int NumRanks, int NI, int NJ, int NK,
-                                     int Steps,
-                                     const DistributedInit &Init) {
-  return runDistributedMpdata2D(NumRanks, 1, NI, NJ, NK, Steps, Init);
 }

@@ -1,4 +1,4 @@
-//===- dist/DistributedSolver.h - MPI-style distributed MPDATA --*- C++ -*-===//
+//===- dist/DistributedSolver.h - MPI-style distributed runs ----*- C++ -*-===//
 //
 // Part of the icores project: islands-of-cores for heterogeneous stencils.
 //
@@ -8,15 +8,18 @@
 /// The paper's future work: "we plan to study the usage of MPI for
 /// extending the scalability of our approach for much larger system
 /// configurations". This module implements that extension over the
-/// RankComm substrate: the global domain is decomposed into a PI x PJ
-/// grid of rank parts (one rank = one SMP/NUMA machine). Ranks exchange
-/// input-array halos explicitly once per time step — a two-phase exchange
-/// (first dimension, then second dimension over the extended range, which
-/// carries the corners) — and then run the whole step *independently*,
-/// recomputing their inter-rank dependence cones: the islands-of-cores
-/// idea lifted to distributed memory. A 1D decomposition is the PJ = 1
-/// special case; the 2D grids are the paper's other future-work item and
-/// cure the sliver problem the cluster benchmark exposes at scale.
+/// RankComm substrate for any registered workload: the global domain is
+/// decomposed into a PI x PJ grid of rank parts (one rank = one SMP/NUMA
+/// machine). Ranks exchange input-array halos explicitly — the feedback
+/// targets once per time step, the other step inputs once before the
+/// first step — as a two-phase exchange (first dimension, then second
+/// dimension over the extended range, which carries the corners), and
+/// then run the whole step *independently*, recomputing their inter-rank
+/// dependence cones: the islands-of-cores idea lifted to distributed
+/// memory. A 1D decomposition is the PJ = 1 special case; the 2D grids
+/// are the paper's other future-work item and cure the sliver problem the
+/// cluster benchmark exposes at scale. Programs with per-step reductions
+/// are not supported yet (the rank constructor throws).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,91 +30,75 @@
 #include "fault/FaultInjector.h"
 #include "grid/Array3D.h"
 #include "grid/Box3.h"
-#include "mpdata/MpdataProgram.h"
 #include "stencil/FieldStore.h"
 #include "stencil/HaloAnalysis.h"
+#include "stencil/WorkloadRegistry.h"
 
-#include <functional>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 namespace icores {
 
-/// Global initial data supplied per rank as index-to-value callbacks (in
-/// a real MPI deployment each rank evaluates these locally; nothing is
-/// broadcast).
-struct DistributedInit {
-  std::function<double(int, int, int)> State;
-  std::function<double(int, int, int)> U1;
-  std::function<double(int, int, int)> U2;
-  std::function<double(int, int, int)> U3;
-  std::function<double(int, int, int)> H;
-};
-
-/// One rank of the distributed MPDATA run. Periodic global boundaries;
-/// PI x PJ grid decomposition over dimensions 0 and 1 (rank r sits at
-/// grid position (r / PJ, r % PJ)).
+/// One rank of a distributed run of a registered workload. Periodic
+/// global boundaries; PI x PJ grid decomposition over dimensions 0 and 1
+/// (rank r sits at grid position (r / PJ, r % PJ)).
 class DistributedRank {
 public:
-  DistributedRank(RankComm &Comm, int NI, int NJ, int NK, int PI, int PJ,
-                  const DistributedInit &Init);
+  /// Seeds the rank from \p Spec's Init evaluated over the global domain,
+  /// keeping the owned part only (the halos travel by message; nothing is
+  /// broadcast). Throws Error (Kind::Generic) when the program declares
+  /// reductions.
+  DistributedRank(RankComm &Comm, const WorkloadSpec &Spec,
+                  KernelVariant Variant, int NI, int NJ, int NK, int PI,
+                  int PJ, uint64_t Seed);
 
   /// Global index box owned by this rank.
   const Box3 &ownedBox() const { return Owned; }
 
-  /// Exchanges coefficient halos (velocities, density). Call once, before
-  /// the first step, collectively on every rank.
-  void prepareCoefficients();
+  /// Exchanges the halos of every onceExchangedInputs array
+  /// (dist/CommSchedule.h). Call once, before the first step,
+  /// collectively on every rank.
+  void prepareInputs();
 
-  /// Advances \p Steps time steps (collective).
+  /// Advances \p Steps time steps (collective). Afterwards each feedback
+  /// Target array holds the newest state.
   void run(int Steps);
 
-  /// Local view of the state; valid on ownedBox().
-  const Array3D &state() const { return State; }
+  /// This rank's step inputs and outputs; valid on ownedBox().
+  const std::map<ArrayId, Array3D> &arrays() const { return External; }
 
-  /// This rank's contribution to the global conserved sum of h * psi.
-  double localMass() const;
+  /// This rank's contribution to the global sum of array \p Id.
+  double localSum(ArrayId Id) const;
 
-  /// Global conserved mass via allreduceSum: deterministic, identical on
-  /// every rank. Collective.
-  double globalMass() const;
+  /// Global sum of array \p Id via allreduceSum: deterministic, identical
+  /// on every rank. Collective.
+  double globalSum(ArrayId Id) const;
 
 private:
   void exchangeHalo(Array3D &A, int TagBase);
-  void exchangeAlongDim(Array3D &A, int Dim, const Box3 &Slab, int TagBase);
   void fillLocalKHalo(Array3D &A);
   void step();
 
   RankComm &Comm;
-  MpdataProgram M;
-  int NI, NJ, NK;
+  StencilProgram Program;
+  KernelTable Kernels;
   int PI, PJ;
+  int NK;
   int Halo;
   Box3 Owned;
   Box3 LocalAlloc;
   RegionRequirements Req;
-
-  Array3D State;
-  Array3D Next;
-  Array3D U[3];
-  Array3D Dens;
+  std::map<ArrayId, Array3D> External; ///< Step inputs and outputs.
   FieldStore Fields;
 };
 
-/// Convenience driver: runs a PI x PJ rank grid on threads for \p Steps
-/// steps and gathers the global state into the returned array (covering
-/// the full core box). Intended for tests and examples.
-Array3D runDistributedMpdata2D(int PI, int PJ, int NI, int NJ, int NK,
-                               int Steps, const DistributedInit &Init);
-
-/// 1D (slab) decomposition: runDistributedMpdata2D with PJ = 1.
-Array3D runDistributedMpdata(int NumRanks, int NI, int NJ, int NK, int Steps,
-                             const DistributedInit &Init);
-
-/// Outcome of a distributed run under (optional) fault injection.
-struct DistChaosResult {
-  /// Gathered global state; meaningful only when Ok.
-  Array3D State;
+/// Outcome of a distributed run.
+struct DistributedResult {
+  /// Every step input and output gathered over the global core box; each
+  /// feedback Target holds the newest state. Meaningful only when Ok.
+  std::map<ArrayId, Array3D> Arrays;
   bool Ok = false;
   /// One "rank R: <message>" entry per failing rank, in completion order.
   std::vector<std::string> RankErrors;
@@ -119,19 +106,22 @@ struct DistChaosResult {
   std::vector<std::string> ErrorTrace;
   /// Injector counters after the run (zero when unarmed).
   FaultStats Faults;
+
+  const Array3D &array(ArrayId Id) const { return Arrays.at(Id); }
 };
 
-/// Like runDistributedMpdata2D, but degrades gracefully instead of
-/// deadlocking: the world is armed with \p Injector (may be null) and
-/// \p Timeouts, a rank whose transport raises a structured icores::Error
-/// poisons the world so its peers fail fast, and every per-rank error is
-/// collected into the result rather than propagated. The driver for the
-/// chaos harness (tests/fault_injection_test.cpp, tools/chaos_runner).
-DistChaosResult runDistributedMpdataChaos(int PI, int PJ, int NI, int NJ,
-                                          int NK, int Steps,
-                                          const DistributedInit &Init,
-                                          FaultInjector *Injector,
-                                          const CommTimeouts &Timeouts);
+/// Runs \p Spec on a PI x PJ rank grid of threads for \p Steps steps and
+/// gathers the global state. Degrades gracefully instead of deadlocking:
+/// the world is armed with \p Injector (may be null) and \p Timeouts, a
+/// rank raising a structured icores::Error poisons the world so its peers
+/// fail fast, and every per-rank error is collected into the result
+/// rather than propagated.
+DistributedResult runDistributed(const WorkloadSpec &Spec,
+                                 KernelVariant Variant, int PI, int PJ,
+                                 int NI, int NJ, int NK, int Steps,
+                                 uint64_t Seed,
+                                 FaultInjector *Injector = nullptr,
+                                 const CommTimeouts &Timeouts = {});
 
 } // namespace icores
 

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A small message-passing substrate emulating the MPI subset the
-/// distributed MPDATA driver needs: point-to-point tagged sends/receives
+/// distributed driver needs: point-to-point tagged sends/receives
 /// of double buffers, an allreduce-sum and a world barrier, between ranks
 /// running as threads of one process. The paper's future work plans an MPI
 /// extension of the islands-of-cores approach; this substrate lets the

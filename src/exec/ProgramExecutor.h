@@ -16,9 +16,9 @@
 /// bits); the program's feedback pairs advance the state between steps.
 /// Both the per-pass team
 /// rendezvous and the step-boundary global rendezvous use the hybrid
-/// combining-tree TeamBarrier, tunable through ExecutorOptions.
-/// PlanExecutor (the MPDATA-flavoured API) is a thin wrapper over this
-/// class.
+/// combining-tree TeamBarrier, tunable through ExecutorOptions. Every
+/// workload, MPDATA included, runs through this class directly: callers
+/// pass its program and kernel table and seed its external arrays.
 ///
 /// The plan's threads live in a persistent WorkerPool: they are spawned
 /// (and optionally pinned) once, on the first run(), and reused by every

@@ -7,8 +7,9 @@
 /// \file
 /// Initial scalar fields and velocity configurations for MPDATA runs:
 /// Gaussian tracer blobs, random positive fields, constant-Courant and
-/// discretely divergence-free rotational velocity fields, plus error norms
-/// against analytic solutions.
+/// discretely divergence-free rotational velocity fields, the seeding of
+/// a whole MPDATA runner from them, plus error norms against analytic
+/// solutions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 
 #include "grid/Array3D.h"
 #include "grid/Domain.h"
+#include "mpdata/MpdataProgram.h"
 
 #include <cstdint>
 
@@ -58,6 +60,20 @@ void setConstantVelocity(Array3D &U1, Array3D &U2, Array3D &U3,
 void setRotationalVelocity(Array3D &U1, Array3D &U2, Array3D &U3,
                            const Domain &D, double Omega, double CenterI,
                            double CenterJ);
+
+/// Seeds an MPDATA runner (SerialStepper, ProgramExecutor, or anything
+/// exposing domain()/array()/prepareInputs()): psi random in [Lo, Hi)
+/// from \p Seed, constant Courant numbers (C1, C2, C3) and h = 1; then
+/// refreshes the input halos.
+template <typename Runner>
+void seedMpdata(Runner &R, const MpdataProgram &M, uint64_t Seed, double Lo,
+                double Hi, double C1, double C2, double C3) {
+  fillRandomPositive(R.array(M.XIn), R.domain(), Seed, Lo, Hi);
+  setConstantVelocity(R.array(M.U1), R.array(M.U2), R.array(M.U3),
+                      R.domain(), C1, C2, C3);
+  R.array(M.H).fill(1.0);
+  R.prepareInputs();
+}
 
 /// L2 norm of (A - Blob) over the core region, normalized by cell count.
 double l2ErrorVsBlob(const Array3D &A, const Domain &D,

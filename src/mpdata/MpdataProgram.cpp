@@ -2,6 +2,7 @@
 
 #include "mpdata/MpdataProgram.h"
 
+#include "stencil/HaloAnalysis.h"
 #include "support/Error.h"
 
 #include <string>
@@ -190,4 +191,14 @@ MpdataProgram icores::buildMpdataProgram() {
   ICORES_CHECK(P.validate(Error), "MPDATA program failed validation");
   ICORES_CHECK(P.numStages() == 17, "MPDATA must have exactly 17 stages");
   return M;
+}
+
+int icores::mpdataHaloDepth() {
+  MpdataProgram M = buildMpdataProgram();
+  // The cone margins are offset sums, independent of the probe's size.
+  std::array<int, 3> Depth =
+      inputHaloDepth(M.Program, Box3::fromExtents(64, 64, 64));
+  ICORES_CHECK(Depth[0] == Depth[1] && Depth[1] == Depth[2],
+               "MPDATA halo depth expected to be isotropic");
+  return Depth[0];
 }

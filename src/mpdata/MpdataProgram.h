@@ -70,6 +70,10 @@ struct MpdataProgram {
 /// Builds and validates the 17-stage program.
 MpdataProgram buildMpdataProgram();
 
+/// The halo depth the program's dependence cone requires of the step
+/// inputs (identical in every dimension).
+int mpdataHaloDepth();
+
 } // namespace icores
 
 #endif // ICORES_MPDATA_MPDATAPROGRAM_H

@@ -9,8 +9,8 @@
 /// KernelTable) pair: every stage is evaluated over its exact global
 /// dependence-cone region, halos are refreshed per the domain's boundary
 /// mode, and the program's feedback pairs advance the state between steps.
-/// This is the generic counterpart of mpdata::ReferenceSolver and the
-/// correctness oracle for new applications built on the library.
+/// This is the correctness oracle for every workload, MPDATA included:
+/// every threaded and distributed runner must reproduce it bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 

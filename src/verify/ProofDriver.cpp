@@ -2,6 +2,7 @@
 
 #include "verify/ProofDriver.h"
 
+#include "apps/Workloads.h"
 #include "core/PlanVerifier.h"
 #include "exec/ScheduleCheck.h"
 #include "stencil/HaloAnalysis.h"
@@ -172,9 +173,10 @@ void runBarrierProofs(const ProofOptions &Opts, ProofReport &Report) {
 void runCommProofs(const ProofOptions &Opts, ProofReport &Report) {
   std::vector<RankCommSchedule> Largest;
   for (const std::pair<int, int> &G : Opts.CommGrids) {
-    std::vector<RankCommSchedule> Schedules = buildMpdataCommSchedule(
-        G.first, G.second, Opts.CommNI, Opts.CommNJ, Opts.CommNK,
-        Opts.CommSteps);
+    std::vector<RankCommSchedule> Schedules =
+        buildCommSchedule(*builtinWorkloads().find("mpdata"), G.first,
+                          G.second, Opts.CommNI, Opts.CommNJ, Opts.CommNK,
+                          Opts.CommSteps);
     if (Schedules.size() >= Largest.size())
       Largest = Schedules;
     {

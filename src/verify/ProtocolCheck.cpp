@@ -398,7 +398,7 @@ icores::checkCommSchedule(const std::vector<RankCommSchedule> &Schedules,
     Progress = false;
 
     // Rank death is itself a transition: at its death op the rank stops
-    // and poisons the world (runDistributedMpdataChaos poisons before
+    // and poisons the world (runDistributed poisons before
     // reporting), after which blocked peers fail fast.
     if (DeadRank >= 0 && !Dead[static_cast<size_t>(DeadRank)] &&
         Pos[static_cast<size_t>(DeadRank)] ==

@@ -17,10 +17,10 @@
 #include "core/Partition.h"
 #include "core/PlanVerifier.h"
 #include "exec/ExecStats.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "fault/FaultInjector.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
 #include "sim/PlanAdvisor.h"
 #include "sim/Simulator.h"
 #include "stencil/ExtraElements.h"
@@ -176,14 +176,13 @@ constexpr int GridNK = 8;
 constexpr int TimeSteps = 4;
 
 Array3D referenceResult() {
-  ReferenceSolver Solver(GridNI, GridNJ, GridNK);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 1234, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.25, 0.2);
-  Solver.prepareCoefficients();
+  const MpdataProgram M = buildMpdataProgram();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(GridNI, GridNJ, GridNK, mpdataHaloDepth()));
+  seedMpdata(Solver, M, 1234, 0.1, 2.0, 0.3, -0.25, 0.2);
   Solver.run(TimeSteps);
   Array3D Result(Solver.domain().allocBox());
-  Result.copyRegionFrom(Solver.state(), Solver.domain().coreBox());
+  Result.copyRegionFrom(Solver.array(M.XIn), Solver.domain().coreBox());
   return Result;
 }
 
@@ -201,14 +200,12 @@ Array3D stealingResult(Strategy Strat, int Sockets,
   ExecutorOptions Opts;
   Opts.Stealing = true;
   Opts.Chaos = Chaos;
-  PlanExecutor Exec(Dom, std::move(Plan), Kernels, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 1234, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
+                       std::move(Plan), Opts);
+  seedMpdata(Exec, M, 1234, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
   Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Exec.domain().coreBox());
   return Result;
 }
 
@@ -281,8 +278,8 @@ TEST(BalanceSkewParityTest, SimulatorAndExecutorAgreeExactly) {
     ExecutorOptions Opts;
     Opts.Machine = &Machine;
     ExecutionPlan ExecPlan = buildPlan(M.Program, Grid, Machine, Config);
-    PlanExecutor Exec(Dom, std::move(ExecPlan), KernelVariant::Reference,
-                      Opts);
+    ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                         std::move(ExecPlan), Opts);
     // Parity by construction: both sides called predictedIslandSkew() on
     // the same plan, so the values are identical, not merely close.
     EXPECT_EQ(Exec.stats().PredictedIslandSkew, Sim.PredictedIslandSkew)
@@ -357,12 +354,10 @@ TEST(BalanceStatsTest, StealCountersSurviveProfiledRuns) {
   Opts.Stealing = true;
   ExecutionPlan Plan =
       buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
   Exec.enableProfiling(true);
-  fillRandomPositive(Exec.stateIn(), Dom, 321, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Dom, 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  seedMpdata(Exec, M, 321, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(2);
   const ExecStats &Stats = Exec.stats();
   EXPECT_TRUE(Stats.Stealing);

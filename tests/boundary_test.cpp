@@ -1,14 +1,21 @@
 //===- tests/boundary_test.cpp - Open-boundary behaviour tests ------------===//
 
 #include "core/PlanBuilder.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "stencil/SerialStepper.h"
 
 #include <gtest/gtest.h>
 
 using namespace icores;
+
+namespace {
+
+const MpdataProgram M = buildMpdataProgram();
+
+} // namespace
 
 TEST(BoundaryTest, ZeroGradientFillClampsToEdge) {
   Domain D(4, 4, 4, 2, BoundaryMode::ZeroGradient);
@@ -39,85 +46,75 @@ TEST(BoundaryTest, ModeDispatch) {
 }
 
 TEST(BoundaryTest, OpenBoundaryUniformFieldIsFixedPoint) {
-  SolverOptions Opts;
-  Opts.Boundary = BoundaryMode::ZeroGradient;
-  ReferenceSolver Solver(12, 10, 8, Opts);
-  Solver.stateIn().fill(1.5);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, 0.2, 0.1);
-  Solver.prepareCoefficients();
+  Domain Dom(12, 10, 8, mpdataHaloDepth(), BoundaryMode::ZeroGradient);
+  SerialStepper Solver(M.Program, buildMpdataKernels(), Dom);
+  Solver.array(M.XIn).fill(1.5);
+  setConstantVelocity(Solver.array(M.U1), Solver.array(M.U2),
+                      Solver.array(M.U3), Solver.domain(), 0.3, 0.2, 0.1);
+  Solver.array(M.H).fill(1.0);
+  Solver.prepareInputs();
   Solver.run(6);
   Box3 Core = Solver.domain().coreBox();
   for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
     for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
       for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K)
-        EXPECT_NEAR(Solver.state().at(I, J, K), 1.5, 1e-13);
+        EXPECT_NEAR(Solver.array(M.XIn).at(I, J, K), 1.5, 1e-13);
 }
 
 TEST(BoundaryTest, OpenBoundaryStaysPositiveAndBounded) {
-  SolverOptions Opts;
-  Opts.Boundary = BoundaryMode::ZeroGradient;
-  ReferenceSolver Solver(16, 8, 8, Opts);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 19, 0.2, 1.8);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.2, 0.1);
-  Solver.prepareCoefficients();
+  Domain Dom(16, 8, 8, mpdataHaloDepth(), BoundaryMode::ZeroGradient);
+  SerialStepper Solver(M.Program, buildMpdataKernels(), Dom);
+  fillRandomPositive(Solver.array(M.XIn), Solver.domain(), 19, 0.2, 1.8);
+  setConstantVelocity(Solver.array(M.U1), Solver.array(M.U2),
+                      Solver.array(M.U3), Solver.domain(), 0.3, -0.2, 0.1);
+  Solver.array(M.H).fill(1.0);
+  Solver.prepareInputs();
   Solver.run(10);
   Box3 Core = Solver.domain().coreBox();
   for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
     for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
       for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K) {
-        EXPECT_GE(Solver.state().at(I, J, K), 0.2 - 1e-12);
-        EXPECT_LE(Solver.state().at(I, J, K), 1.8 + 1e-12);
+        EXPECT_GE(Solver.array(M.XIn).at(I, J, K), 0.2 - 1e-12);
+        EXPECT_LE(Solver.array(M.XIn).at(I, J, K), 1.8 + 1e-12);
       }
 }
 
 TEST(BoundaryTest, StrategiesAgreeUnderOpenBoundaries) {
   // The islands transformation is boundary-agnostic: strategies stay
   // bit-identical with zero-gradient halos too.
-  SolverOptions Opts;
-  Opts.Boundary = BoundaryMode::ZeroGradient;
-  ReferenceSolver Solver(20, 12, 8, Opts);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 23, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.25, -0.2, 0.15);
-  Solver.prepareCoefficients();
+  Domain Dom(20, 12, 8, mpdataHaloDepth(), BoundaryMode::ZeroGradient);
+  SerialStepper Solver(M.Program, buildMpdataKernels(), Dom);
+  seedMpdata(Solver, M, 23, 0.1, 2.0, 0.25, -0.2, 0.15);
   Solver.run(3);
 
   for (Strategy Strat : {Strategy::Original, Strategy::Block31D,
                          Strategy::IslandsOfCores}) {
     MachineModel Machine = makeToyMachine();
     Machine.NumSockets = 3;
-    MpdataProgram M = buildMpdataProgram();
-    Domain Dom(20, 12, 8, mpdataHaloDepth(), BoundaryMode::ZeroGradient);
     PlanConfig Config;
     Config.Strat = Strat;
     Config.Sockets = Strat == Strategy::IslandsOfCores ? 3 : 2;
     ExecutionPlan Plan =
         buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-    PlanExecutor Exec(Dom, std::move(Plan));
-    fillRandomPositive(Exec.stateIn(), Dom, 23, 0.1, 2.0);
-    setConstantVelocity(Exec.velocity(0), Exec.velocity(1),
-                        Exec.velocity(2), Dom, 0.25, -0.2, 0.15);
-    Exec.prepareCoefficients();
+    ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                         std::move(Plan));
+    seedMpdata(Exec, M, 23, 0.1, 2.0, 0.25, -0.2, 0.15);
     Exec.run(3);
-    EXPECT_EQ(Exec.state().maxAbsDiff(Solver.state(), Dom.coreBox()), 0.0)
+    EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Solver.array(M.XIn),
+                                           Dom.coreBox()),
+              0.0)
         << strategyName(Strat);
   }
 }
 
 TEST(BoundaryTest, SubSocketIslandsMatchReference) {
   // Islands-per-socket (future work) with periodic boundaries.
-  ReferenceSolver Solver(20, 12, 8);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 29, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.25, -0.2, 0.15);
-  Solver.prepareCoefficients();
+  Domain Dom(20, 12, 8, mpdataHaloDepth());
+  SerialStepper Solver(M.Program, buildMpdataKernels(), Dom);
+  seedMpdata(Solver, M, 29, 0.1, 2.0, 0.25, -0.2, 0.15);
   Solver.run(3);
 
   MachineModel Machine = makeToyMachine(); // 2 sockets x 2 cores.
-  MpdataProgram M = buildMpdataProgram();
-  Domain Dom(20, 12, 8, mpdataHaloDepth());
   PlanConfig Config;
   Config.Strat = Strategy::IslandsOfCores;
   Config.Sockets = 2;
@@ -127,11 +124,10 @@ TEST(BoundaryTest, SubSocketIslandsMatchReference) {
   EXPECT_EQ(Plan.Islands[0].NumThreads, 1);
   EXPECT_EQ(Plan.Islands[3].HomeSocket, 1);
 
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Dom, 29, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Dom, 0.25, -0.2, 0.15);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan));
+  seedMpdata(Exec, M, 29, 0.1, 2.0, 0.25, -0.2, 0.15);
   Exec.run(3);
-  EXPECT_EQ(Exec.state().maxAbsDiff(Solver.state(), Dom.coreBox()), 0.0);
+  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Solver.array(M.XIn), Dom.coreBox()),
+            0.0);
 }

@@ -15,14 +15,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Workloads.h"
 #include "core/PlanBuilder.h"
 #include "dist/DistributedSolver.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "fault/FaultInjector.h"
 #include "fault/Watchdog.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "stencil/SerialStepper.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -46,15 +48,13 @@ double soakBudgetSeconds() {
 constexpr int GridNI = 16, GridNJ = 12, GridNK = 6, TimeSteps = 2;
 
 Array3D referenceResult() {
-  ReferenceSolver Solver(GridNI, GridNJ, GridNK);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 555, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.25,
-                      0.2);
-  Solver.prepareCoefficients();
+  const MpdataProgram M = buildMpdataProgram();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(GridNI, GridNJ, GridNK, mpdataHaloDepth()));
+  seedMpdata(Solver, M, 555, 0.1, 2.0, 0.3, -0.25, 0.2);
   Solver.run(TimeSteps);
   Array3D Result(Solver.domain().allocBox());
-  Result.copyRegionFrom(Solver.state(), Solver.domain().coreBox());
+  Result.copyRegionFrom(Solver.array(M.XIn), Solver.domain().coreBox());
   return Result;
 }
 
@@ -74,14 +74,12 @@ Array3D chaoticExecutorRun(Strategy Strat, KernelVariant Kernels,
   Opts.BarrierPolicy = Policy;
   Opts.BarrierSpinLimit = 64; // Exercise the sleep path, not just spins.
   Opts.Chaos = &Injector;
-  PlanExecutor Exec(Dom, std::move(Plan), Kernels, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 555, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1),
-                      Exec.velocity(2), Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
+                       std::move(Plan), Opts);
+  seedMpdata(Exec, M, 555, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
   Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Exec.domain().coreBox());
   return Result;
 }
 
@@ -106,17 +104,13 @@ TEST(ChaosSoakTest, RandomizedSweepStaysBitExact) {
   Box3 Core = Box3::fromExtents(GridNI, GridNJ, GridNK);
 
   // Distributed slice shared state (fault-free baseline computed once).
-  DistributedInit Init;
-  Init.State = [](int I, int J, int K) {
-    SplitMix64 Rng(static_cast<uint64_t>(I * 7919 + J * 131 + K));
-    return Rng.nextInRange(0.2, 1.8);
+  const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  const ArrayId Psi = buildMpdataProgram().XIn;
+  auto distRun = [&](FaultInjector *Injector, const CommTimeouts &T) {
+    return runDistributed(Spec, KernelVariant::Reference, 2, 1, GridNI,
+                          GridNJ, GridNK, 1, /*Seed=*/9, Injector, T);
   };
-  Init.U1 = [](int, int, int) { return 0.3; };
-  Init.U2 = [](int, int, int) { return -0.2; };
-  Init.U3 = [](int, int, int) { return 0.15; };
-  Init.H = [](int, int, int) { return 1.0; };
-  DistChaosResult DistBaseline = runDistributedMpdataChaos(
-      2, 1, GridNI, GridNJ, GridNK, 1, Init, nullptr, CommTimeouts());
+  DistributedResult DistBaseline = distRun(nullptr, CommTimeouts());
   ASSERT_TRUE(DistBaseline.Ok);
   CommTimeouts Tight;
   Tight.InitialBackoffSeconds = 2e-4;
@@ -162,11 +156,10 @@ TEST(ChaosSoakTest, RandomizedSweepStaysBitExact) {
       DistPlan.CorruptRate = 0.1;
       DistPlan.MaxDelaySeconds = 5e-4;
       FaultInjector DistInjector(DistPlan);
-      DistChaosResult R = runDistributedMpdataChaos(
-          2, 1, GridNI, GridNJ, GridNK, 1, Init, &DistInjector, Tight);
+      DistributedResult R = distRun(&DistInjector, Tight);
       ASSERT_TRUE(R.Ok) << "seed " << Seed << ": "
                         << R.RankErrors.front();
-      ASSERT_EQ(R.State.maxAbsDiff(DistBaseline.State, Core), 0.0)
+      ASSERT_EQ(R.array(Psi).maxAbsDiff(DistBaseline.array(Psi), Core), 0.0)
           << "seed " << Seed;
       FaultsInjected += DistInjector.stats().Injected;
     }

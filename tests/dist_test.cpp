@@ -1,14 +1,15 @@
 //===- tests/dist_test.cpp - Distributed (MPI-style) extension tests ------===//
 
+#include "TestMatrix.h"
+
+#include "apps/Workloads.h"
 #include "dist/ClusterSim.h"
 #include "dist/DistributedSolver.h"
 #include "dist/RankComm.h"
 #include "fault/FaultInjector.h"
 #include "fault/Watchdog.h"
-#include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/MpdataProgram.h"
 #include "support/Error.h"
-#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -96,41 +97,28 @@ TEST(RankCommTest, BarrierSynchronizesAllRanks) {
 
 namespace {
 
-/// Shared workload for distributed-vs-reference comparisons.
+/// Shared workload for distributed-vs-reference comparisons: the
+/// registered MPDATA spec, seeded alike on every runner.
 struct DistWorkload {
   int NI = 24, NJ = 10, NK = 6;
   int Steps = 3;
-
-  DistributedInit init() const {
-    DistributedInit Init;
-    Init.State = [](int I, int J, int K) {
-      SplitMix64 Rng(static_cast<uint64_t>(I * 10007 + J * 101 + K));
-      return Rng.nextInRange(0.1, 2.0);
-    };
-    Init.U1 = [](int, int, int) { return 0.3; };
-    Init.U2 = [](int, int, int) { return -0.25; };
-    Init.U3 = [](int, int, int) { return 0.2; };
-    Init.H = [](int, int, int) { return 1.0; };
-    return Init;
-  }
+  uint64_t Seed = 5;
+  const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  ArrayId Psi = buildMpdataProgram().XIn;
 
   Array3D reference() const {
-    ReferenceSolver Solver(NI, NJ, NK);
-    DistributedInit Init = init();
-    Box3 Core = Solver.domain().coreBox();
-    for (int I = 0; I != NI; ++I)
-      for (int J = 0; J != NJ; ++J)
-        for (int K = 0; K != NK; ++K) {
-          Solver.stateIn().at(I, J, K) = Init.State(I, J, K);
-          Solver.velocity(0).at(I, J, K) = Init.U1(I, J, K);
-          Solver.velocity(1).at(I, J, K) = Init.U2(I, J, K);
-          Solver.velocity(2).at(I, J, K) = Init.U3(I, J, K);
-        }
-    Solver.prepareCoefficients();
-    Solver.run(Steps);
+    auto Oracle =
+        serialOracle(Spec, workloadDomain(Spec, NI, NJ, NK), Steps, Seed);
+    Box3 Core = Box3::fromExtents(NI, NJ, NK);
     Array3D Result(Core);
-    Result.copyRegionFrom(Solver.state(), Core);
+    Result.copyRegionFrom(Oracle->array(Psi), Core);
     return Result;
+  }
+
+  DistributedResult run(int PI, int PJ, FaultInjector *Injector = nullptr,
+                        const CommTimeouts &Timeouts = {}) const {
+    return runDistributed(Spec, KernelVariant::Reference, PI, PJ, NI, NJ, NK,
+                          Steps, Seed, Injector, Timeouts);
   }
 };
 
@@ -142,10 +130,10 @@ TEST_P(DistributedEquivalence, MatchesReferenceBitExactly) {
   DistWorkload W;
   int Ranks = GetParam();
   Array3D Reference = W.reference();
-  Array3D Result =
-      runDistributedMpdata(Ranks, W.NI, W.NJ, W.NK, W.Steps, W.init());
-  EXPECT_EQ(Result.maxAbsDiff(Reference,
-                              Box3::fromExtents(W.NI, W.NJ, W.NK)),
+  DistributedResult R = W.run(Ranks, 1);
+  ASSERT_TRUE(R.Ok) << R.RankErrors.front();
+  EXPECT_EQ(R.array(W.Psi).maxAbsDiff(Reference,
+                                      Box3::fromExtents(W.NI, W.NJ, W.NK)),
             0.0)
       << "ranks=" << Ranks;
 }
@@ -169,10 +157,10 @@ TEST_P(Distributed2DEquivalence, MatchesReferenceBitExactly) {
   auto [PI, PJ] = GetParam();
   DistWorkload W;
   Array3D Reference = W.reference();
-  Array3D Result =
-      runDistributedMpdata2D(PI, PJ, W.NI, W.NJ, W.NK, W.Steps, W.init());
-  EXPECT_EQ(Result.maxAbsDiff(Reference,
-                              Box3::fromExtents(W.NI, W.NJ, W.NK)),
+  DistributedResult R = W.run(PI, PJ);
+  ASSERT_TRUE(R.Ok) << R.RankErrors.front();
+  EXPECT_EQ(R.array(W.Psi).maxAbsDiff(Reference,
+                                      Box3::fromExtents(W.NI, W.NJ, W.NK)),
             0.0)
       << "grid " << PI << "x" << PJ;
 }
@@ -223,12 +211,10 @@ TEST_P(DirectedMessageFaults, HaloExchangeRecoversBitExactly) {
   DistWorkload W;
   Array3D Reference = W.reference();
   FaultInjector Injector(saturatedPlan(Rate));
-  DistChaosResult R = runDistributedMpdataChaos(
-      2, 1, W.NI, W.NJ, W.NK, W.Steps, W.init(), &Injector,
-      tightTimeouts());
+  DistributedResult R = W.run(2, 1, &Injector, tightTimeouts());
   ASSERT_TRUE(R.Ok) << Name << ": " << R.RankErrors.front();
-  EXPECT_EQ(R.State.maxAbsDiff(Reference,
-                               Box3::fromExtents(W.NI, W.NJ, W.NK)),
+  EXPECT_EQ(R.array(W.Psi).maxAbsDiff(Reference,
+                                      Box3::fromExtents(W.NI, W.NJ, W.NK)),
             0.0)
       << Name;
   EXPECT_GT(R.Faults.Injected, 0) << Name;
@@ -389,9 +375,11 @@ TEST(RankCommFaultTest, GlobalMassIsIdenticalOnEveryRank) {
   for (int R = 0; R != Ranks; ++R)
     Threads.emplace_back([&, R] {
       RankComm Comm(World, R);
-      DistributedRank Rank(Comm, W.NI, W.NJ, W.NK, Ranks, 1, W.init());
-      Rank.prepareCoefficients();
-      Masses[static_cast<size_t>(R)] = Rank.globalMass();
+      DistributedRank Rank(Comm, W.Spec, KernelVariant::Reference, W.NI,
+                           W.NJ, W.NK, Ranks, 1, W.Seed);
+      Rank.prepareInputs();
+      // The registered init sets h = 1, so the sum of psi is the mass.
+      Masses[static_cast<size_t>(R)] = Rank.globalSum(W.Psi);
     });
   for (std::thread &T : Threads)
     T.join();

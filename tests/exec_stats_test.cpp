@@ -14,12 +14,11 @@
 #include "apps/Workloads.h"
 #include "core/PlanBuilder.h"
 #include "exec/ExecStats.h"
-#include "exec/PlanExecutor.h"
 #include "exec/ProgramExecutor.h"
 #include "exec/WorkerPool.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
 #include "stencil/WorkloadRegistry.h"
 #include "support/OStream.h"
 #include "verify/ShadowStore.h"
@@ -49,14 +48,13 @@ ExecutionPlan makeIslandsPlan(const MpdataProgram &M, int Sockets) {
                    Config);
 }
 
-std::unique_ptr<PlanExecutor> makeExecutor(const MpdataProgram &M,
-                                           int Sockets) {
-  Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
-  auto Exec = std::make_unique<PlanExecutor>(Dom, makeIslandsPlan(M, Sockets));
-  fillRandomPositive(Exec->stateIn(), Dom, 321, 0.1, 2.0);
-  setConstantVelocity(Exec->velocity(0), Exec->velocity(1),
-                      Exec->velocity(2), Dom, 0.3, -0.25, 0.2);
-  Exec->prepareCoefficients();
+std::unique_ptr<ProgramExecutor> makeExecutor(const MpdataProgram &M,
+                                              int Sockets) {
+  auto Exec = std::make_unique<ProgramExecutor>(
+      M.Program, buildMpdataKernels(),
+      Domain(GridNI, GridNJ, GridNK, mpdataHaloDepth()),
+      makeIslandsPlan(M, Sockets));
+  seedMpdata(*Exec, M, 321, 0.1, 2.0, 0.3, -0.25, 0.2);
   return Exec;
 }
 
@@ -193,8 +191,9 @@ TEST(ExecStatsTest, ProfilingDoesNotPerturbTheNumerics) {
   Profiled->enableProfiling(true);
   Profiled->run(Steps);
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
-  EXPECT_EQ(Profiled->state().maxAbsDiff(Plain->state(), Dom.coreBox()),
-            0.0);
+  EXPECT_EQ(
+      Profiled->array(M.XIn).maxAbsDiff(Plain->array(M.XIn), Dom.coreBox()),
+      0.0);
 }
 
 TEST(ExecStatsTest, DisabledProfilingTakesNoMeasurements) {

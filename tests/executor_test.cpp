@@ -8,12 +8,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "MpdataHarness.h"
+
 #include "core/PlanBuilder.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "exec/RegionSplit.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "stencil/SerialStepper.h"
 
 #include <gtest/gtest.h>
 
@@ -25,34 +27,30 @@ constexpr int GridNI = 20;
 constexpr int GridNJ = 14;
 constexpr int GridNK = 8;
 constexpr int TimeSteps = 3;
+const MpdataProgram M = buildMpdataProgram();
 
-/// Runs the reference solver on the shared workload.
+/// Runs the serial oracle on the shared workload.
 Array3D referenceResult() {
-  ReferenceSolver Solver(GridNI, GridNJ, GridNK);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 1234, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.25, 0.2);
-  Solver.prepareCoefficients();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(GridNI, GridNJ, GridNK, mpdataHaloDepth()));
+  seedMpdata(Solver, M, 1234, 0.1, 2.0, 0.3, -0.25, 0.2);
   Solver.run(TimeSteps);
   Array3D Result(Solver.domain().allocBox());
-  Result.copyRegionFrom(Solver.state(), Solver.domain().coreBox());
+  Result.copyRegionFrom(Solver.array(M.XIn), Solver.domain().coreBox());
   return Result;
 }
 
 /// Runs an executor with the same workload under \p Config.
 Array3D executorResult(const PlanConfig &Config, const MachineModel &Machine,
                        KernelVariant Kernels = KernelVariant::Reference) {
-  MpdataProgram M = buildMpdataProgram();
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan), Kernels);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 1234, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
+                       std::move(Plan));
+  seedMpdata(Exec, M, 1234, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
-  Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Array3D Result(Dom.allocBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Dom.coreBox());
   return Result;
 }
 
@@ -144,26 +142,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ExecutorTest, ConservesMass) {
   MachineModel Machine = makeToyMachine();
-  MpdataProgram M = buildMpdataProgram();
   Domain Dom(16, 12, 8, mpdataHaloDepth());
   PlanConfig Config;
   Config.Strat = Strategy::IslandsOfCores;
   Config.Sockets = 2;
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.2, 1.5);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.2, 0.15, -0.1);
-  Exec.prepareCoefficients();
-  double Before = Exec.conservedMass();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan));
+  seedMpdata(Exec, M, 77, 0.2, 1.5, 0.2, 0.15, -0.1);
+  double Before = conservedMass(Exec, M);
   Exec.run(5);
-  EXPECT_NEAR(Exec.conservedMass(), Before, 1e-10 * Before);
+  EXPECT_NEAR(conservedMass(Exec, M), Before, 1e-10 * Before);
 }
 
 TEST(ExecutorTest, SequentialRunsCompose) {
   // run(2) then run(3) must equal run(5).
   MachineModel Machine = makeToyMachine();
-  MpdataProgram M = buildMpdataProgram();
   Domain Dom(16, 12, 8, mpdataHaloDepth());
   PlanConfig Config;
   Config.Strat = Strategy::IslandsOfCores;
@@ -172,11 +166,9 @@ TEST(ExecutorTest, SequentialRunsCompose) {
   auto makeExec = [&]() {
     ExecutionPlan Plan =
         buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-    auto Exec = std::make_unique<PlanExecutor>(Dom, std::move(Plan));
-    fillRandomPositive(Exec->stateIn(), Exec->domain(), 55, 0.2, 1.5);
-    setConstantVelocity(Exec->velocity(0), Exec->velocity(1),
-                        Exec->velocity(2), Exec->domain(), 0.25, 0.1, 0.05);
-    Exec->prepareCoefficients();
+    auto Exec = std::make_unique<ProgramExecutor>(
+        M.Program, buildMpdataKernels(), Dom, std::move(Plan));
+    seedMpdata(*Exec, M, 55, 0.2, 1.5, 0.25, 0.1, 0.05);
     return Exec;
   };
 
@@ -185,23 +177,26 @@ TEST(ExecutorTest, SequentialRunsCompose) {
   Split->run(3);
   auto Whole = makeExec();
   Whole->run(5);
-  EXPECT_EQ(Split->state().maxAbsDiff(Whole->state(), Dom.coreBox()), 0.0);
+  EXPECT_EQ(Split->array(M.XIn).maxAbsDiff(Whole->array(M.XIn),
+                                           Dom.coreBox()),
+            0.0);
 }
 
 TEST(ExecutorTest, ZeroStepsIsANoOp) {
   MachineModel Machine = makeToyMachine();
-  MpdataProgram M = buildMpdataProgram();
   Domain Dom(12, 10, 8, mpdataHaloDepth());
   PlanConfig Config;
   Config.Strat = Strategy::Original;
   Config.Sockets = 1;
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 9, 0.2, 1.5);
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan));
+  fillRandomPositive(Exec.array(M.XIn), Dom, 9, 0.2, 1.5);
+  Exec.array(M.H).fill(1.0);
   Array3D Before(Dom.allocBox());
-  Before.copyRegionFrom(Exec.stateIn(), Dom.coreBox());
+  Before.copyRegionFrom(Exec.array(M.XIn), Dom.coreBox());
   Exec.run(0);
-  EXPECT_EQ(Exec.state().maxAbsDiff(Before, Dom.coreBox()), 0.0);
+  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Before, Dom.coreBox()), 0.0);
 }
 
 TEST(RegionSplitTest, CoversRegionDisjointly) {

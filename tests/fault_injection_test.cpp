@@ -9,14 +9,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Workloads.h"
 #include "core/PlanBuilder.h"
 #include "dist/DistributedSolver.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "fault/FaultInjector.h"
 #include "fault/Watchdog.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
 #include "support/Error.h"
 #include "support/Random.h"
 
@@ -39,32 +40,22 @@ CommTimeouts tightTimeouts() {
   return T;
 }
 
-/// Small distributed workload shared by the property tests.
+/// Small distributed workload shared by the property tests: the
+/// registered MPDATA spec on two ranks.
 struct ChaosWorkload {
   int PI = 2, PJ = 1;
   int NI = 14, NJ = 8, NK = 4;
   int Steps = 1;
-
-  DistributedInit init() const {
-    DistributedInit Init;
-    Init.State = [](int I, int J, int K) {
-      SplitMix64 Rng(static_cast<uint64_t>(I * 7919 + J * 131 + K + 5));
-      return Rng.nextInRange(0.2, 1.8);
-    };
-    Init.U1 = [](int, int, int) { return 0.3; };
-    Init.U2 = [](int, int, int) { return -0.2; };
-    Init.U3 = [](int, int, int) { return 0.15; };
-    Init.H = [](int, int, int) { return 1.0; };
-    return Init;
-  }
+  uint64_t Seed = 5;
+  const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  ArrayId Psi = buildMpdataProgram().XIn;
 
   Box3 core() const { return Box3::fromExtents(NI, NJ, NK); }
 
-  DistChaosResult run(FaultInjector *Injector) const {
-    return runDistributedMpdataChaos(PI, PJ, NI, NJ, NK, Steps, init(),
-                                     Injector,
-                                     Injector ? tightTimeouts()
-                                              : CommTimeouts());
+  DistributedResult run(FaultInjector *Injector) const {
+    return runDistributed(Spec, KernelVariant::Reference, PI, PJ, NI, NJ, NK,
+                          Steps, Seed, Injector,
+                          Injector ? tightTimeouts() : CommTimeouts());
   }
 };
 
@@ -254,16 +245,17 @@ TEST(FaultSpecTest, DuplicateKeysAreRejected) {
 TEST(FaultInjectionProperty, HundredRandomPlansRecoverBitExactly) {
   Watchdog Dog(120.0, "fault_injection_test: 100-plan property sweep");
   ChaosWorkload W;
-  DistChaosResult Baseline = W.run(nullptr);
+  DistributedResult Baseline = W.run(nullptr);
   ASSERT_TRUE(Baseline.Ok);
 
   for (uint64_t Seed = 0; Seed != 100; ++Seed) {
     FaultPlan Plan = randomRecoverablePlan(Seed * 2654435761ULL + 17);
     FaultInjector Injector(Plan);
-    DistChaosResult R = W.run(&Injector);
+    DistributedResult R = W.run(&Injector);
     ASSERT_TRUE(R.Ok) << "seed " << Seed << ": "
                       << R.RankErrors.front();
-    ASSERT_EQ(R.State.maxAbsDiff(Baseline.State, W.core()), 0.0)
+    ASSERT_EQ(R.array(W.Psi).maxAbsDiff(Baseline.array(W.Psi), W.core()),
+              0.0)
         << "seed " << Seed << " diverged under recoverable faults";
   }
 }
@@ -274,8 +266,8 @@ TEST(FaultInjectionProperty, SameSeedReplaysIdenticalFaultMultiset) {
   for (uint64_t Seed : {3u, 17u, 4242u}) {
     FaultPlan Plan = randomRecoverablePlan(Seed);
     FaultInjector A(Plan), B(Plan);
-    DistChaosResult RA = W.run(&A);
-    DistChaosResult RB = W.run(&B);
+    DistributedResult RA = W.run(&A);
+    DistributedResult RB = W.run(&B);
     ASSERT_TRUE(RA.Ok && RB.Ok) << "seed " << Seed;
     EXPECT_EQ(sortedTrace(A), sortedTrace(B)) << "seed " << Seed;
     EXPECT_GT(A.stats().Injected, 0) << "seed " << Seed;
@@ -289,7 +281,7 @@ TEST(FaultInjectionTest, UnrecoverableLossFailsStructurally) {
   Plan.Seed = 11;
   Plan.LoseRate = 1.0; // Every message dies: exhaustion is certain.
   FaultInjector Injector(Plan);
-  DistChaosResult R = W.run(&Injector);
+  DistributedResult R = W.run(&Injector);
   ASSERT_FALSE(R.Ok);
   ASSERT_FALSE(R.RankErrors.empty());
   EXPECT_NE(R.RankErrors.front().find("exhausted"), std::string::npos)
@@ -305,7 +297,7 @@ TEST(FaultInjectionTest, PartialLossEitherRecoversOrNamesTheFault) {
   // structured error whose trace names a lost message.
   Watchdog Dog(60.0, "fault_injection_test: partial loss");
   ChaosWorkload W;
-  DistChaosResult Baseline = W.run(nullptr);
+  DistributedResult Baseline = W.run(nullptr);
   ASSERT_TRUE(Baseline.Ok);
   for (uint64_t Seed = 0; Seed != 8; ++Seed) {
     FaultPlan Plan;
@@ -313,9 +305,10 @@ TEST(FaultInjectionTest, PartialLossEitherRecoversOrNamesTheFault) {
     Plan.DropRate = 0.1;
     Plan.LoseRate = 0.1;
     FaultInjector Injector(Plan);
-    DistChaosResult R = W.run(&Injector);
+    DistributedResult R = W.run(&Injector);
     if (R.Ok)
-      EXPECT_EQ(R.State.maxAbsDiff(Baseline.State, W.core()), 0.0)
+      EXPECT_EQ(R.array(W.Psi).maxAbsDiff(Baseline.array(W.Psi), W.core()),
+                0.0)
           << "seed " << Seed;
     else
       EXPECT_TRUE(mentions(R.ErrorTrace, "lose")) << "seed " << Seed;
@@ -343,14 +336,12 @@ Array3D executorChaosRun(FaultInjector *Chaos,
   Opts.BarrierPolicy = Policy;
   Opts.BarrierSpinLimit = 64; // Reach the sleep path quickly.
   Opts.Chaos = Chaos;
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1),
-                      Exec.velocity(2), Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
+  seedMpdata(Exec, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(3);
   Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Exec.domain().coreBox());
   return Result;
 }
 
@@ -414,11 +405,9 @@ TEST(FaultInjectionTest, ExecutorMirrorsFaultCountersIntoStatsV5) {
       buildPlan(M.Program, Dom.coreBox(), Machine, Config);
   ExecutorOptions Opts;
   Opts.Chaos = &Injector;
-  PlanExecutor Exec(Dom, std::move(Plan2), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1),
-                      Exec.velocity(2), Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan2), Opts);
+  seedMpdata(Exec, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(2);
 
   const ExecStats &Stats = Exec.stats();

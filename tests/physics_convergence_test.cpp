@@ -8,10 +8,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "MpdataHarness.h"
+
+#include "apps/Workloads.h"
 #include "dist/DistributedSolver.h"
 #include "dist/RankComm.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "stencil/SerialStepper.h"
 #include "support/OStream.h"
 
 #include <gtest/gtest.h>
@@ -26,21 +29,26 @@ namespace {
 /// L2 error against the translated analytic blob for an N x N x 8 run at
 /// fixed Courant (0.3, 0.2, 0).
 double translationError(int N, int Steps, bool FirstOrder) {
-  SolverOptions Opts;
-  Opts.FirstOrderOnly = FirstOrder;
-  ReferenceSolver Solver(N, N, 8, Opts);
+  const MpdataProgram M = buildMpdataProgram();
+  Domain Dom(N, N, 8, mpdataHaloDepth());
+  SerialStepper Solver = FirstOrder
+                             ? SerialStepper(mpdataUpwindProgram(M),
+                                             mpdataUpwindKernels(M), Dom)
+                             : SerialStepper(M.Program, buildMpdataKernels(),
+                                             Dom);
   GaussianBlob Blob;
   Blob.CenterI = N / 3.0;
   Blob.CenterJ = N / 2.0;
   Blob.CenterK = 4.0;
   Blob.Sigma = N / 8.0;
-  fillGaussian(Solver.stateIn(), Solver.domain(), Blob);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, 0.2, 0.0);
-  Solver.prepareCoefficients();
+  fillGaussian(Solver.array(M.XIn), Dom, Blob);
+  setConstantVelocity(Solver.array(M.U1), Solver.array(M.U2),
+                      Solver.array(M.U3), Dom, 0.3, 0.2, 0.0);
+  Solver.array(M.H).fill(1.0);
+  Solver.prepareInputs();
   Solver.run(Steps);
   GaussianBlob Moved = Blob.translated(0.3 * Steps, 0.2 * Steps, 0.0);
-  return l2ErrorVsBlob(Solver.state(), Solver.domain(), Moved);
+  return l2ErrorVsBlob(Solver.array(M.XIn), Dom, Moved);
 }
 
 } // namespace
@@ -117,20 +125,14 @@ TEST(InitialConditionsTest, RandomFieldRespectsBounds) {
 
 TEST(DistributedMassTest, LocalMassesSumToGlobalAndAreConserved) {
   const int NI = 16, NJ = 12, NK = 6, Ranks = 4;
-  DistributedInit Init;
-  Init.State = [](int I, int J, int K) {
-    return 0.5 + 0.01 * (I + 2 * J + 3 * K);
-  };
-  Init.U1 = [](int, int, int) { return 0.25; };
-  Init.U2 = [](int, int, int) { return 0.1; };
-  Init.U3 = [](int, int, int) { return -0.15; };
-  Init.H = [](int, int, int) { return 1.0; };
-
-  double ExpectedMass = 0.0;
-  for (int I = 0; I != NI; ++I)
-    for (int J = 0; J != NJ; ++J)
-      for (int K = 0; K != NK; ++K)
-        ExpectedMass += Init.State(I, J, K);
+  const uint64_t Seed = 11;
+  const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  const MpdataProgram M = buildMpdataProgram();
+  // The registered init sets h = 1, so the sum of psi is the mass.
+  SerialStepper Initial(Spec.Program, Spec.Kernels(KernelVariant::Reference),
+                        workloadDomain(Spec, NI, NJ, NK));
+  initWorkload(Spec, Initial, Seed);
+  double ExpectedMass = conservedMass(Initial, M);
 
   CommWorld World(Ranks);
   std::vector<double> Masses(Ranks, 0.0);
@@ -138,17 +140,18 @@ TEST(DistributedMassTest, LocalMassesSumToGlobalAndAreConserved) {
   for (int R = 0; R != Ranks; ++R)
     Threads.emplace_back([&, R] {
       RankComm Comm(World, R);
-      DistributedRank Rank(Comm, NI, NJ, NK, Ranks, 1, Init);
-      Rank.prepareCoefficients();
+      DistributedRank Rank(Comm, Spec, KernelVariant::Reference, NI, NJ, NK,
+                           Ranks, 1, Seed);
+      Rank.prepareInputs();
       Rank.run(6);
-      Masses[static_cast<size_t>(R)] = Rank.localMass();
+      Masses[static_cast<size_t>(R)] = Rank.localSum(M.XIn);
     });
   for (std::thread &T : Threads)
     T.join();
 
   double Total = 0.0;
-  for (double M : Masses)
-    Total += M;
+  for (double Mass : Masses)
+    Total += Mass;
   EXPECT_NEAR(Total, ExpectedMass, 1e-9 * ExpectedMass);
 }
 

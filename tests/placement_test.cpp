@@ -18,12 +18,13 @@
 #include "core/PlanBuilder.h"
 #include "core/ScheduleOptimizer.h"
 #include "exec/Affinity.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "grid/Placement.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
 #include "sim/Simulator.h"
+#include "stencil/SerialStepper.h"
 
 #include <gtest/gtest.h>
 
@@ -36,16 +37,15 @@ constexpr int GridNJ = 14;
 constexpr int GridNK = 8;
 constexpr int TimeSteps = 4;
 constexpr int Islands = 2;
+const MpdataProgram M = buildMpdataProgram();
 
 Array3D referenceResult() {
-  ReferenceSolver Solver(GridNI, GridNJ, GridNK);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.25, 0.2);
-  Solver.prepareCoefficients();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(GridNI, GridNJ, GridNK, mpdataHaloDepth()));
+  seedMpdata(Solver, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
   Solver.run(TimeSteps);
   Array3D Result(Solver.domain().allocBox());
-  Result.copyRegionFrom(Solver.state(), Solver.domain().coreBox());
+  Result.copyRegionFrom(Solver.array(M.XIn), Solver.domain().coreBox());
   return Result;
 }
 
@@ -53,7 +53,6 @@ ExecutionPlan makePlan(Strategy Strat, int Depth, PlacementPolicy Place,
                        MachineModel &Host, int NumIslands = Islands) {
   Host = makeToyMachine();
   Host.NumSockets = NumIslands;
-  MpdataProgram M = buildMpdataProgram();
   PlanConfig Config;
   Config.Strat = Strat;
   Config.Sockets = NumIslands;
@@ -79,18 +78,16 @@ Array3D placedResult(Strategy Strat, int Depth, PlacementPolicy Place,
   Opts.Placement = Place;
   if (Place != PlacementPolicy::None)
     Opts.Pinning = computeThreadPlacement(Plan, Host);
-  PlanExecutor Exec(Dom, std::move(Plan), Kernels, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
+                       std::move(Plan), Opts);
+  seedMpdata(Exec, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
   if (StatsOut)
     *StatsOut = Exec.stats();
   if (RemotePerStepOut)
-    *RemotePerStepOut = Exec.executor().remoteBytesPerStep();
+    *RemotePerStepOut = Exec.remoteBytesPerStep();
   Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Exec.domain().coreBox());
   return Result;
 }
 
@@ -116,7 +113,6 @@ TEST(PlacementTest, BitExactAcrossPoliciesStrategiesAndDepths) {
 }
 
 TEST(PlacementTest, ExecutorEstimatorAndSimulatorAgreeExactly) {
-  MpdataProgram M = buildMpdataProgram();
   for (PlacementPolicy Place :
        {PlacementPolicy::None, PlacementPolicy::FirstTouch,
         PlacementPolicy::Interleave})
@@ -179,7 +175,6 @@ TEST(PlacementTest, ArenaSegmentsTileTheSharedAllocation) {
 }
 
 TEST(PlacementTest, SingleIslandFallbackProjectsZeroRemoteBytes) {
-  MpdataProgram M = buildMpdataProgram();
   for (PlacementPolicy Place :
        {PlacementPolicy::None, PlacementPolicy::FirstTouch,
         PlacementPolicy::Interleave}) {
@@ -223,16 +218,14 @@ TEST(PlacementTest, BogusPinningCountsFailuresAndStaysExact) {
   ExecutorOptions Opts;
   Opts.Placement = PlacementPolicy::FirstTouch;
   Opts.Pinning = std::move(Pinning);
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
+  seedMpdata(Exec, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
 
   EXPECT_EQ(Exec.stats().PinFailures, Workers);
   Array3D Reference = referenceResult();
-  EXPECT_EQ(Exec.state().maxAbsDiff(Reference, coreBox()), 0.0);
+  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Reference, coreBox()), 0.0);
 }
 
 TEST(PlacementTest, HugePageAdviceKeepsResultsExact) {
@@ -244,14 +237,12 @@ TEST(PlacementTest, HugePageAdviceKeepsResultsExact) {
   Opts.Placement = PlacementPolicy::FirstTouch;
   Opts.HugePages = true;
   Opts.Pinning = computeThreadPlacement(Plan, Host);
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
+  seedMpdata(Exec, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
   Array3D Reference = referenceResult();
-  EXPECT_EQ(Exec.state().maxAbsDiff(Reference, coreBox()), 0.0);
+  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Reference, coreBox()), 0.0);
 }
 
 TEST(PlacementTest, ParsePolicyAcceptsAllSpellings) {

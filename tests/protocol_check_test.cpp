@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Workloads.h"
 #include "dist/CommSchedule.h"
 #include "support/Diagnostics.h"
 #include "verify/ProtocolCheck.h"
@@ -18,6 +19,10 @@
 using namespace icores;
 
 namespace {
+
+const WorkloadSpec &mpdataSpec() {
+  return *builtinWorkloads().find("mpdata");
+}
 
 //===----------------------------------------------------------------------===//
 // TeamBarrier model
@@ -92,21 +97,29 @@ TEST(ProtocolCheckTest, StateCapFailsExplicitly) {
 //===----------------------------------------------------------------------===//
 
 TEST(ProtocolCheckTest, MpdataCommScheduleIsCleanAcrossGrids) {
-  for (auto [PI, PJ] : {std::pair<int, int>{1, 1}, {2, 1}, {2, 2}}) {
-    std::vector<RankCommSchedule> S =
-        buildMpdataCommSchedule(PI, PJ, 16, 16, 8, 2);
-    ASSERT_EQ(S.size(), static_cast<size_t>(PI * PJ));
-    DiagnosticEngine Diags;
-    CommCheckResult R = checkCommSchedule(S, Diags);
-    EXPECT_TRUE(R.Ok) << PI << "x" << PJ << ": " << R.Witness;
-    EXPECT_EQ(R.OrphanedMessages, 0);
-    EXPECT_GT(R.OpsExecuted, 0);
-  }
+  // Every registered workload's schedule, MPDATA's included.
+  for (const WorkloadSpec &Spec : builtinWorkloads().workloads())
+    for (auto [PI, PJ] : {std::pair<int, int>{1, 1}, {2, 1}, {2, 2}}) {
+      std::vector<RankCommSchedule> S =
+          buildCommSchedule(Spec, PI, PJ, 16, 16, 8, 2);
+      ASSERT_EQ(S.size(), static_cast<size_t>(PI * PJ));
+      DiagnosticEngine Diags;
+      CommCheckResult R = checkCommSchedule(S, Diags);
+      EXPECT_TRUE(R.Ok) << Spec.Name << " " << PI << "x" << PJ << ": "
+                        << R.Witness;
+      EXPECT_EQ(R.OrphanedMessages, 0) << Spec.Name;
+      EXPECT_GT(R.OpsExecuted, 0) << Spec.Name;
+      // MPDATA exchanges u1, u2, u3 and h once and xIn every step; each
+      // exchange is two dimensions of two sends and two recvs.
+      if (Spec.Name == "mpdata") {
+        EXPECT_EQ(S[0].Ops.size(), (4u + 2u) * 8u + 1u);
+      }
+    }
 }
 
 TEST(ProtocolCheckTest, EveryRankDeathStillTerminates) {
   std::vector<RankCommSchedule> S =
-      buildMpdataCommSchedule(2, 2, 16, 16, 8, 2);
+      buildCommSchedule(mpdataSpec(), 2, 2, 16, 16, 8, 2);
   for (int Dead = 0; Dead != 4; ++Dead) {
     DiagnosticEngine Diags;
     CommCheckResult R = checkCommSchedule(S, Diags, Dead, /*DeathOp=*/1);
@@ -116,7 +129,7 @@ TEST(ProtocolCheckTest, EveryRankDeathStillTerminates) {
 
 TEST(ProtocolCheckTest, DroppedSendIsACyclicWait) {
   std::vector<RankCommSchedule> S =
-      buildMpdataCommSchedule(2, 1, 16, 16, 8, 1);
+      buildCommSchedule(mpdataSpec(), 2, 1, 16, 16, 8, 1);
   // Erase rank 0's first send: its peer's matching recv can never
   // complete, so the run wedges (recvs block, sends are buffered).
   for (size_t I = 0; I != S[0].Ops.size(); ++I)
@@ -133,7 +146,7 @@ TEST(ProtocolCheckTest, DroppedSendIsACyclicWait) {
 
 TEST(ProtocolCheckTest, DroppedRecvIsAnOrphanedMessage) {
   std::vector<RankCommSchedule> S =
-      buildMpdataCommSchedule(2, 1, 16, 16, 8, 1);
+      buildCommSchedule(mpdataSpec(), 2, 1, 16, 16, 8, 1);
   for (size_t I = 0; I != S[1].Ops.size(); ++I)
     if (S[1].Ops[I].K == CommOp::Kind::Recv) {
       S[1].Ops.erase(S[1].Ops.begin() + static_cast<long>(I));
@@ -148,7 +161,7 @@ TEST(ProtocolCheckTest, DroppedRecvIsAnOrphanedMessage) {
 
 TEST(ProtocolCheckTest, ShrunkPayloadIsASizeMismatch) {
   std::vector<RankCommSchedule> S =
-      buildMpdataCommSchedule(2, 1, 16, 16, 8, 1);
+      buildCommSchedule(mpdataSpec(), 2, 1, 16, 16, 8, 1);
   for (CommOp &Op : S[0].Ops)
     if (Op.K == CommOp::Kind::Send) {
       Op.Count -= 1;

@@ -14,13 +14,13 @@
 #include "core/PlanVerifier.h"
 #include "core/ScheduleOptimizer.h"
 #include "exec/LintSuite.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "exec/ScheduleCheck.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
 #include "mpdata/Kernels.h"
-#include "mpdata/Solver.h"
 #include "sim/Simulator.h"
+#include "stencil/SerialStepper.h"
 #include "support/Diagnostics.h"
 
 #include <gtest/gtest.h>
@@ -253,11 +253,9 @@ TEST(ScheduleOptimizerTest, ExecStatsCountElisions) {
   ASSERT_GT(Report.ElidedBarriers, 0);
 
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 11, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan));
+  seedMpdata(Exec, M, 11, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.enableProfiling(true);
   Exec.run(TimeSteps);
   const ExecStats &Stats = Exec.stats();
@@ -284,14 +282,13 @@ class ScheduleOptimizerEquivalence
     : public ::testing::TestWithParam<ElisionCase> {};
 
 Array3D referenceResult() {
-  ReferenceSolver Solver(GridNI, GridNJ, GridNK);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 1234, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.25, 0.2);
-  Solver.prepareCoefficients();
+  const MpdataProgram M = buildMpdataProgram();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(GridNI, GridNJ, GridNK, mpdataHaloDepth()));
+  seedMpdata(Solver, M, 1234, 0.1, 2.0, 0.3, -0.25, 0.2);
   Solver.run(TimeSteps);
   Array3D Result(Solver.domain().allocBox());
-  Result.copyRegionFrom(Solver.state(), Solver.domain().coreBox());
+  Result.copyRegionFrom(Solver.array(M.XIn), Solver.domain().coreBox());
   return Result;
 }
 
@@ -305,14 +302,12 @@ Array3D executorResult(const MpdataProgram &M, const ElisionCase &C,
     EXPECT_GT(Report.ElidedBarriers, 0) << "nothing elided — the "
                                            "equivalence run proves nothing";
   }
-  PlanExecutor Exec(Dom, std::move(Plan), C.Kernels, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 1234, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(C.Kernels), Dom,
+                       std::move(Plan), Opts);
+  seedMpdata(Exec, M, 1234, 0.1, 2.0, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
   Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Exec.domain().coreBox());
   return Result;
 }
 

@@ -19,7 +19,6 @@
 #include "mpdata/InitialConditions.h"
 #include "mpdata/Kernels.h"
 #include "mpdata/MpdataProgram.h"
-#include "mpdata/Solver.h"
 #include "support/Diagnostics.h"
 #include "support/Random.h"
 #include "verify/Mutator.h"

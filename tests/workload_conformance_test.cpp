@@ -14,7 +14,10 @@
 //    verification, schedule race check) for every strategy's plan,
 //  - price identically in the simulator and the executor
 //    (projectedSharedBytesPerStep == sharedBytesPerStep),
-//  - replay deterministically under seeded chaos faults.
+//  - replay deterministically under seeded chaos faults,
+//  - run distributed on rank grids 1x1, 2x1 and 2x2 bit-exactly (a
+//    workload with reductions must instead fail with a structured
+//    error, since distributed runs do not fold reductions yet).
 //
 // The harness is registry-driven: registering a new workload in
 // src/apps/Workloads.cpp makes it appear here with zero test-code
@@ -28,6 +31,7 @@
 #include "apps/Workloads.h"
 #include "core/BalanceModel.h"
 #include "core/PlanVerifier.h"
+#include "dist/DistributedSolver.h"
 #include "exec/LintSuite.h"
 #include "exec/ScheduleCheck.h"
 #include "fault/FaultInjector.h"
@@ -315,6 +319,29 @@ TEST_P(WorkloadConformance, ChaosReplayIsDeterministic) {
   for (size_t I = 0; I != Ids.size(); ++I)
     EXPECT_EQ(A.State[I].maxAbsDiff(Oracle->array(Ids[I]), Dom.coreBox()),
               0.0);
+}
+
+TEST_P(WorkloadConformance, DistributedRanksAreBitExact) {
+  const WorkloadSpec &Spec = spec();
+  Domain Dom = domain();
+  for (KernelVariant V : sweepVariants()) {
+    auto Oracle = serialOracle(Spec, Dom, Steps, Seed, V);
+    for (auto [PI, PJ] : {std::pair<int, int>{1, 1}, {2, 1}, {2, 2}}) {
+      DistributedResult R =
+          runDistributed(Spec, V, PI, PJ, NI, NJ, NK, Steps, Seed);
+      if (!Spec.Program.reductions().empty()) {
+        ASSERT_FALSE(R.Ok) << PI << "x" << PJ;
+        EXPECT_NE(R.RankErrors.front().find("declares reductions"),
+                  std::string::npos)
+            << R.RankErrors.front();
+        continue;
+      }
+      ASSERT_TRUE(R.Ok) << PI << "x" << PJ << ": " << R.RankErrors.front();
+      EXPECT_EQ(maxNewestStateDiff(Spec.Program, R, *Oracle, Dom.coreBox()),
+                0.0)
+          << PI << "x" << PJ << " variant=" << kernelVariantName(V);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -19,6 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Workloads.h"
 #include "dist/DistributedSolver.h"
 #include "fault/FaultInjector.h"
 #include "fault/Watchdog.h"
@@ -26,7 +27,6 @@
 #include "support/Random.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -34,30 +34,6 @@
 using namespace icores;
 
 namespace {
-
-/// Smooth, index-deterministic initial data (identical on every rank, as
-/// in a real MPI deployment).
-DistributedInit makeInit() {
-  DistributedInit Init;
-  Init.State = [](int I, int J, int K) {
-    return 1.0 + 0.5 * std::sin(0.37 * I) * std::cos(0.23 * J) +
-           0.25 * std::sin(0.51 * K + 0.1);
-  };
-  Init.U1 = [](int I, int J, int K) {
-    return 0.2 * std::cos(0.11 * I + 0.07 * J + 0.05 * K);
-  };
-  Init.U2 = [](int I, int J, int K) {
-    return -0.15 * std::sin(0.09 * I - 0.13 * J + 0.03 * K);
-  };
-  Init.U3 = [](int I, int J, int K) {
-    return 0.1 * std::cos(0.05 * I + 0.17 * K - 0.02 * J);
-  };
-  Init.H = [](int I, int J, int K) {
-    return 1.0 + 0.1 * std::cos(0.19 * I) * std::cos(0.29 * J) *
-                     std::cos(0.07 * K);
-  };
-  return Init;
-}
 
 /// Derives a mixed recoverable plan from one sweep seed: every rate is a
 /// pure function of the seed, so the whole sweep is reproducible.
@@ -120,8 +96,15 @@ int main(int Argc, char **Argv) {
   const int Steps = static_cast<int>(CL.getInt("steps", 2));
   const bool Verbose = CL.hasOption("verbose");
 
-  DistributedInit Init = makeInit();
+  // The registered MPDATA workload; every rank seeds its own part from
+  // the spec's init, as in a real MPI deployment.
+  const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  const ArrayId State = Spec.Program.feedbacks().front().Target;
   Box3 Core = Box3::fromExtents(NI, NJ, NK);
+  auto runChaos = [&](FaultInjector *Injector, const CommTimeouts &T) {
+    return runDistributed(Spec, KernelVariant::Reference, PI, PJ, NI, NJ, NK,
+                          Steps, /*Seed=*/0, Injector, T);
+  };
 
   // Chaos runs retry aggressively: the retransmit log satisfies a
   // re-request on the first timeout tick, so small backoffs keep the
@@ -132,12 +115,10 @@ int main(int Argc, char **Argv) {
   Tight.MaxBackoffSeconds = 4e-3;
   Tight.MaxRetries = 120;
 
-  DistChaosResult Baseline;
+  DistributedResult Baseline;
   {
     Watchdog Dog(60.0, "chaos_runner: fault-free baseline");
-    Baseline = runDistributedMpdataChaos(PI, PJ, NI, NJ, NK, Steps, Init,
-                                         /*Injector=*/nullptr,
-                                         CommTimeouts());
+    Baseline = runChaos(/*Injector=*/nullptr, CommTimeouts());
   }
   if (!Baseline.Ok) {
     std::fprintf(stderr, "FAIL: fault-free baseline failed: %s\n",
@@ -156,13 +137,12 @@ int main(int Argc, char **Argv) {
       Watchdog Dog(60.0, ("chaos_runner: seed " + std::to_string(Seed) +
                           (Lethal ? " (lethal)" : ""))
                              .c_str());
-      return runDistributedMpdataChaos(PI, PJ, NI, NJ, NK, Steps, Init,
-                                       &Injector, Tight);
+      return runChaos(&Injector, Tight);
     };
     FaultInjector Run1(Plan);
-    DistChaosResult R1 = runOnce(Run1);
+    DistributedResult R1 = runOnce(Run1);
     FaultInjector Run2(Plan);
-    DistChaosResult R2 = runOnce(Run2);
+    DistributedResult R2 = runOnce(Run2);
 
     TotalInjected += R1.Faults.Injected;
     TotalRetries += R1.Faults.Retries;
@@ -189,8 +169,10 @@ int main(int Argc, char **Argv) {
       if (!R1.Ok || !R2.Ok) {
         violation("recoverable plan failed: " +
                   (R1.Ok ? R2 : R1).RankErrors.front());
-      } else if (R1.State.maxAbsDiff(Baseline.State, Core) != 0.0 ||
-                 R2.State.maxAbsDiff(Baseline.State, Core) != 0.0) {
+      } else if (R1.array(State).maxAbsDiff(Baseline.array(State), Core) !=
+                     0.0 ||
+                 R2.array(State).maxAbsDiff(Baseline.array(State), Core) !=
+                     0.0) {
         violation("recovered state is not bit-identical to fault-free");
       } else if (sortedTrace(Run1) != sortedTrace(Run2)) {
         violation("same seed injected a different fault multiset");
