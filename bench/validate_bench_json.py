@@ -62,7 +62,7 @@ Accepted schemas:
   and per-thread "steals"/"steal_failures"/"idle_seconds".
 
   icores.prove.v1 (src/verify/ProofDriver.cpp writeProveJson; emitted by
-  tools/icores_verify and `mpdata_cli verify`):
+  tools/icores_verify):
   {
     "schema": "icores.prove.v1",
     "grid": str, "time_steps": int >= 1,

@@ -97,7 +97,7 @@ struct ProgramExecutor::IslandState {
 
   IslandState(unsigned NumArrays, int TeamSize, const ExecutorOptions &Opts)
       : Store(NumArrays),
-        Team(TeamSize, Opts.BarrierPolicy, Opts.BarrierSpinLimit),
+        Team(TeamSize, Opts.BarrierSpinLimit),
         Deques(static_cast<size_t>(TeamSize)) {}
 };
 
@@ -269,9 +269,9 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     if (Program.array(Id).Role == ArrayRole::Intermediate)
       continue;
     if (Placing)
-      External[Id].resetUntouched(Alloc, Opts.PadKRows);
+      External[Id].resetUntouched(Alloc, Array3D::VectorPadK);
     else
-      External.emplace(Id, Array3D(Alloc, Opts.PadKRows));
+      External.emplace(Id, Array3D(Alloc, Array3D::VectorPadK));
   }
 
   for (const IslandPlan &Island : Plan.Islands) {
@@ -290,9 +290,9 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
         if (Buf.empty() || IS->Store.isBound(Out))
           continue;
         if (Placing)
-          IS->Store.allocateOwnedUntouched(Out, Buf, Opts.PadKRows);
+          IS->Store.allocateOwnedUntouched(Out, Buf, Array3D::VectorPadK);
         else
-          IS->Store.allocateOwned(Out, Buf, Opts.PadKRows);
+          IS->Store.allocateOwned(Out, Buf, Array3D::VectorPadK);
       }
 
     // Shared-traffic footprints from the actual pass regions: the union
@@ -337,19 +337,20 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
         if (!BufBox[static_cast<size_t>(In)].empty()) {
           if (Placing)
             IS->Imports[In].resetUntouched(BufBox[static_cast<size_t>(In)],
-                                           Opts.PadKRows);
+                                           Array3D::VectorPadK);
           else
-            IS->Imports.emplace(
-                In, Array3D(BufBox[static_cast<size_t>(In)], Opts.PadKRows));
+            IS->Imports.emplace(In, Array3D(BufBox[static_cast<size_t>(In)],
+                                            Array3D::VectorPadK));
         }
       for (ArrayId Out : Program.stepOutputs())
         if (!BufBox[static_cast<size_t>(Out)].empty()) {
           if (Placing)
             IS->Scratch[Out].resetUntouched(
-                BufBox[static_cast<size_t>(Out)], Opts.PadKRows);
+                BufBox[static_cast<size_t>(Out)], Array3D::VectorPadK);
           else
-            IS->Scratch.emplace(
-                Out, Array3D(BufBox[static_cast<size_t>(Out)], Opts.PadKRows));
+            IS->Scratch.emplace(Out,
+                                Array3D(BufBox[static_cast<size_t>(Out)],
+                                        Array3D::VectorPadK));
         }
       // Epoch import: every import buffer is gathered once from the
       // shared arrays.
@@ -399,23 +400,16 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     RemoteBytesPerEpoch +=
         estimateIslandRemoteEpochTraffic(Island, Plan, Program, PMap).total();
 
+  // Pin before the pool first spawns, which is the init epoch below when a
+  // placement policy is armed: first touch only homes pages on the right
+  // socket when the touching thread already sits there.
+  std::vector<int> PinCores;
+  PinCores.reserve(Opts.Pinning.size());
+  for (const ThreadPlacement &P : Opts.Pinning)
+    PinCores.push_back(P.GlobalCore);
+  Pool->setPinning(std::move(PinCores));
+
   if (Placing) {
-    // Pin before the init epoch: first touch only homes pages on the right
-    // socket when the touching thread already sits there, and the pool is
-    // about to spawn for the epoch — setThreadPinning() afterwards would
-    // be too late. Callers pass pinning through the options instead.
-    if (!Opts.Pinning.empty())
-      setThreadPinning(Opts.Pinning);
-    if (Opts.HugePages) {
-      for (auto &[Id, Arr] : External)
-        Arr.adviseHugePages();
-      for (const auto &IS : IslandStates) {
-        for (auto &[Id, Buf] : IS->Imports)
-          Buf.adviseHugePages();
-        for (auto &[Id, Buf] : IS->Scratch)
-          Buf.adviseHugePages();
-      }
-    }
     runPlacementEpoch();
     for (auto &[Id, Arr] : External)
       Arr.markPlaced();
@@ -774,15 +768,6 @@ const std::vector<double> &ProgramExecutor::reductionHistory(size_t R) const {
   return ReductionLog[R];
 }
 
-void ProgramExecutor::setThreadPinning(
-    const std::vector<ThreadPlacement> &Placements) {
-  std::vector<int> Cores;
-  Cores.reserve(Placements.size());
-  for (const ThreadPlacement &P : Placements)
-    Cores.push_back(P.GlobalCore);
-  Pool->setPinning(std::move(Cores));
-}
-
 /// One share of a pass: \p Stage's kernel over \p Sub, then the worker's
 /// fold of the reduced arrays over exactly the cells it just computed.
 /// The static split and every stolen chunk run through here.
@@ -983,7 +968,7 @@ void ProgramExecutor::run(int Steps) {
                    "after the init epoch)");
 
   TeamBarrier Global(static_cast<int>(WorkerCoords.size()),
-                     Opts.BarrierPolicy, Opts.BarrierSpinLimit);
+                     Opts.BarrierSpinLimit);
   if (Opts.Chaos)
     Global.armChaos(Opts.Chaos, /*Site=*/0);
   ProfileClock::time_point Start;

@@ -14,18 +14,17 @@
 /// followed by a team barrier when the pass's BarrierAfter bit is set (the
 /// barrier-elision optimizer, core/ScheduleOptimizer.h, clears redundant
 /// bits); the program's feedback pairs advance the state between steps.
-/// Both the per-pass team
-/// rendezvous and the step-boundary global rendezvous use the hybrid
-/// combining-tree TeamBarrier, tunable through ExecutorOptions. Every
+/// Both the per-pass team rendezvous and the step-boundary global
+/// rendezvous use the combining-tree TeamBarrier (spin, then sleep). Every
 /// workload, MPDATA included, runs through this class directly: callers
 /// pass its program and kernel table and seed its external arrays.
 ///
 /// The plan's threads live in a persistent WorkerPool: they are spawned
-/// (and optionally pinned) once, on the first run(), and reused by every
-/// later call, so bench loops time the schedule rather than thread
-/// creation. With enableProfiling(true) the executor records per-stage
-/// kernel time and per-pass barrier waits into an ExecStats (see
-/// exec/ExecStats.h); results are bit-identical either way.
+/// (and optionally pinned) once, on the placement init epoch or the first
+/// run(), and reused by every later call, so bench loops time the schedule
+/// rather than thread creation. With enableProfiling(true) the executor
+/// records per-stage kernel time and per-pass barrier waits into an
+/// ExecStats (see exec/ExecStats.h); results are bit-identical either way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,16 +55,14 @@ class ExecObserver;
 class FaultInjector;
 struct MachineModel;
 
-/// Runtime knobs for the executor's barriers. Results are bit-identical
-/// for every setting; only latency/CPU-burn trade-offs change.
+/// Runtime options of the executor. Results are bit-identical for every
+/// setting; the wait, the pinning and the placement change only timing
+/// and page residency. Every array the executor allocates is k-padded to
+/// Array3D::VectorPadK, so rows start cache-line aligned.
 struct ExecutorOptions {
-  TeamBarrier::WaitPolicy BarrierPolicy = TeamBarrier::WaitPolicy::Hybrid;
+  /// Acquire loads a team or global barrier waiter spins before it sleeps
+  /// (see exec/TeamBarrier.h); 0 sleeps at once.
   int BarrierSpinLimit = TeamBarrier::DefaultSpinLimit;
-  /// k-row pad multiple for every array the executor allocates (externals,
-  /// per-island intermediate buffers and temporal buffers); rows start
-  /// cache-line aligned at the default. 0 disables padding. Layout only —
-  /// results are identical.
-  int PadKRows = Array3D::VectorPadK;
   /// Chaos hook: when non-null, worker threads stall before passes and
   /// team/global barriers force spurious wakeups and detect stalled-team
   /// timeouts, all per the injector's seeded plan. Results stay
@@ -86,14 +83,12 @@ struct ExecutorOptions {
   /// pages round-robin across all workers. Results are bit-identical for
   /// every policy; only page residency (and therefore bandwidth) changes.
   PlacementPolicy Placement = PlacementPolicy::None;
-  /// Advise transparent huge pages (madvise(MADV_HUGEPAGE)) on the arenas
-  /// between allocation and first touch. Best effort; Linux only.
-  bool HugePages = false;
-  /// Worker pinning applied *before* the placement init epoch, in the
-  /// (island, thread) order of computeThreadPlacement() — first touch
-  /// only places pages correctly when the touching thread already sits on
-  /// its socket. With Placement == None, setThreadPinning() before the
-  /// first run() remains equivalent.
+  /// Worker I is pinned to Pinning[I].GlobalCore, in the (island, thread)
+  /// order of computeThreadPlacement(), under every placement policy. The
+  /// pool takes it at construction, so the workers already sit on their
+  /// cores when the placement init epoch first-touches the arenas. Best
+  /// effort: rejected pins are counted in ExecStats::PinFailures. Empty
+  /// leaves the workers unpinned.
   std::vector<ThreadPlacement> Pinning;
   /// Work-stealing block scheduler: within an island, passes bracketed by
   /// real barriers on both sides are diced into four chunks per team
@@ -161,14 +156,6 @@ public:
 
   /// Zeroes the accumulated measurements (layout and pool kept).
   void resetStats() { Stats.resetMeasurements(); }
-
-  /// Requests that worker I be pinned to Placements[I].GlobalCore (the
-  /// (island, thread) order of computeThreadPlacement). Takes effect only
-  /// if called before the first run(); best effort on the host. With a
-  /// placement policy armed the pool already spun up for the init epoch —
-  /// pass ExecutorOptions::Pinning instead so the touching threads are
-  /// pinned before they touch.
-  void setThreadPinning(const std::vector<ThreadPlacement> &Placements);
 
   /// Advances \p Steps steps with the plan's threads. Afterwards each
   /// feedback Target array holds the newest state. \p Steps must be a

@@ -47,9 +47,8 @@ int countNodes(int NumThreads, int Arity) {
 
 } // namespace
 
-TeamBarrier::TeamBarrier(int NumThreads, WaitPolicy Policy, int SpinLimit)
-    : NumThreads(NumThreads), Policy(Policy),
-      SpinLimit(std::max(0, SpinLimit)),
+TeamBarrier::TeamBarrier(int NumThreads, int SpinLimit)
+    : NumThreads(NumThreads), SpinLimit(std::max(0, SpinLimit)),
       Nodes(countNodes(NumThreads, Arity)) {
   ICORES_CHECK(NumThreads >= 1, "TeamBarrier needs at least one thread");
   // Wire up levels bottom-to-top. Level l node i combines arrivals from
@@ -89,8 +88,7 @@ void TeamBarrier::signal(int NodeIndex) {
       // registration (see arriveAndWait) so a notify is never skipped
       // while a waiter is committing to sleep.
       Epoch.fetch_add(1, std::memory_order_seq_cst);
-      if (Policy != WaitPolicy::Spin &&
-          Sleepers.load(std::memory_order_seq_cst) != 0)
+      if (Sleepers.load(std::memory_order_seq_cst) != 0)
         Epoch.notify_all();
       return;
     }
@@ -109,17 +107,16 @@ TeamBarrier::Wake TeamBarrier::chaosWait(uint64_t Seen) {
   const double TimeoutSec = Chaos->plan().StallTimeoutSeconds;
   const Clock::time_point Start = Clock::now();
 
-  const int Spins = Policy == WaitPolicy::Block ? 0 : SpinLimit;
-  for (int Spin = 0; Spin != Spins; ++Spin) {
+  for (int Spin = 0; Spin != SpinLimit; ++Spin) {
     if (Epoch.load(std::memory_order_acquire) != Seen)
       return Wake::Spin;
     cpuRelax();
   }
-  // Armed slow path (covers the Spin policy too): std::atomic::wait has
-  // no timeout, so slice the wait into short sleeps and check elapsed
-  // time against the plan's detection threshold. Exceeding it counts a
-  // stalled-team timeout — once per crossing — but the wait itself goes
-  // on: detection, not a deadline, so the run still completes bit-exactly.
+  // Armed slow path: std::atomic::wait has no timeout, so slice the wait
+  // into short sleeps and check elapsed time against the plan's detection
+  // threshold. Exceeding it counts a stalled-team timeout — once per
+  // crossing — but the wait itself goes on: detection, not a deadline, so
+  // the run still completes bit-exactly.
   bool TimedOut = false;
   Wake How = Wake::Spin;
   while (Epoch.load(std::memory_order_acquire) == Seen) {
@@ -151,18 +148,11 @@ TeamBarrier::Wake TeamBarrier::arriveAndWait(int Thread) {
     return chaosWait(Seen);
   }
 
-  const int Spins = Policy == WaitPolicy::Block ? 0 : SpinLimit;
-  for (int Spin = 0; Spin != Spins; ++Spin) {
+  for (int Spin = 0; Spin != SpinLimit; ++Spin) {
     if (Epoch.load(std::memory_order_acquire) != Seen)
       return Wake::Spin;
     cpuRelax();
   }
-  if (Policy == WaitPolicy::Spin) {
-    while (Epoch.load(std::memory_order_acquire) == Seen)
-      cpuRelax();
-    return Wake::Spin;
-  }
-
   if (Epoch.load(std::memory_order_acquire) != Seen)
     return Wake::Spin;
   // Slow path. The seq_cst Sleepers increment before the epoch re-check
@@ -175,29 +165,4 @@ TeamBarrier::Wake TeamBarrier::arriveAndWait(int Thread) {
     Epoch.wait(Seen, std::memory_order_seq_cst);
   Sleepers.fetch_sub(1, std::memory_order_relaxed);
   return Wake::Sleep;
-}
-
-const char *icores::waitPolicyName(TeamBarrier::WaitPolicy Policy) {
-  switch (Policy) {
-  case TeamBarrier::WaitPolicy::Spin:
-    return "spin";
-  case TeamBarrier::WaitPolicy::Hybrid:
-    return "hybrid";
-  case TeamBarrier::WaitPolicy::Block:
-    return "block";
-  }
-  ICORES_UNREACHABLE("unknown wait policy");
-}
-
-bool icores::parseWaitPolicy(const std::string &Name,
-                             TeamBarrier::WaitPolicy &Out) {
-  if (Name == "spin")
-    Out = TeamBarrier::WaitPolicy::Spin;
-  else if (Name == "hybrid")
-    Out = TeamBarrier::WaitPolicy::Hybrid;
-  else if (Name == "block")
-    Out = TeamBarrier::WaitPolicy::Block;
-  else
-    return false;
-  return true;
 }

@@ -14,12 +14,13 @@
 /// compare against the epoch they saw on entry, so the barrier is
 /// immediately reusable with no reset phase visible to waiters.
 ///
-/// Waiting is hybrid: a bounded spin of acquire loads (pass barriers are
-/// usually hit within microseconds of each other when the region split is
-/// balanced), then a fall back to std::atomic::wait — futex-backed on
-/// Linux libstdc++ — so oversubscribed or imbalanced teams do not burn
-/// cores. A Sleepers counter lets the epoch publisher skip the notify_all
-/// syscall on the common all-spinners path. See DESIGN.md §8 for the
+/// There is one way to wait: a spin of up to SpinLimit acquire loads
+/// (pass barriers are usually hit within microseconds of each other when
+/// the region split is balanced), then std::atomic::wait — futex-backed
+/// on Linux libstdc++ — so oversubscribed or imbalanced teams do not burn
+/// cores. SpinLimit 0 sleeps at once. A Sleepers counter lets the epoch
+/// publisher skip the notify_all syscall on the common all-spinners path;
+/// it notifies whenever a sleeper is registered. See DESIGN.md §8 for the
 /// memory-ordering argument.
 ///
 /// arriveAndWait() reports whether the caller was released while spinning
@@ -42,7 +43,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace icores {
@@ -52,13 +52,6 @@ class FaultInjector;
 /// Reusable rendezvous for a fixed-size thread team.
 class TeamBarrier {
 public:
-  /// How a thread waits for the epoch to advance.
-  enum class WaitPolicy {
-    Spin,   ///< Spin forever; lowest latency, burns the core.
-    Hybrid, ///< Bounded spin, then futex sleep (the default).
-    Block,  ///< Sleep immediately; kindest to oversubscribed machines.
-  };
-
   /// How a completed wait was released (for ExecStats accounting).
   enum class Wake {
     Spin,  ///< Released during the spin phase.
@@ -67,9 +60,8 @@ public:
 
   static constexpr int DefaultSpinLimit = 4096;
 
-  explicit TeamBarrier(int NumThreads,
-                       WaitPolicy Policy = WaitPolicy::Hybrid,
-                       int SpinLimit = DefaultSpinLimit);
+  /// \p SpinLimit acquire loads precede the sleep; 0 sleeps at once.
+  explicit TeamBarrier(int NumThreads, int SpinLimit = DefaultSpinLimit);
 
   TeamBarrier(const TeamBarrier &) = delete;
   TeamBarrier &operator=(const TeamBarrier &) = delete;
@@ -86,7 +78,6 @@ public:
   void armChaos(FaultInjector *Injector, uint64_t Site);
 
   int numThreads() const { return NumThreads; }
-  WaitPolicy policy() const { return Policy; }
 
 private:
   static constexpr int Arity = 4;
@@ -107,7 +98,6 @@ private:
   Wake chaosWait(uint64_t Seen);
 
   const int NumThreads;
-  const WaitPolicy Policy;
   const int SpinLimit;
   std::vector<Node> Nodes; ///< Level 0 (leaves) first, root last.
   alignas(64) std::atomic<uint64_t> Epoch{0};
@@ -118,13 +108,6 @@ private:
   uint64_t ChaosSite = 0;
   std::vector<uint64_t> Crossings; ///< Per-thread crossing counters.
 };
-
-/// Name for reports ("spin", "hybrid", "block").
-const char *waitPolicyName(TeamBarrier::WaitPolicy Policy);
-
-/// Parses a policy name as accepted by `--barrier=`. Returns false (and
-/// leaves \p Out alone) on an unknown name.
-bool parseWaitPolicy(const std::string &Name, TeamBarrier::WaitPolicy &Out);
 
 } // namespace icores
 

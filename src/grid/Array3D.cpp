@@ -2,16 +2,11 @@
 
 #include "grid/Array3D.h"
 
-#include "grid/Placement.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 using namespace icores;
 
@@ -40,26 +35,6 @@ void Array3D::copyRegionFrom(const Array3D &Src, const Box3 &Region) {
     for (int J = Region.Lo[1]; J != Region.Hi[1]; ++J)
       std::memmove(pointerTo(I, J, Region.Lo[2]),
                    Src.pointerTo(I, J, Region.Lo[2]), RunBytes);
-}
-
-bool Array3D::adviseHugePages() {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  if (Data.empty())
-    return false;
-  // madvise wants a page-aligned span; the 64-byte-aligned allocation is
-  // not page-aligned, so shrink to the whole pages inside it.
-  const uintptr_t Page = static_cast<uintptr_t>(placementPageBytes());
-  uintptr_t Begin = reinterpret_cast<uintptr_t>(Data.data());
-  uintptr_t End = Begin + Data.size() * sizeof(double);
-  Begin = (Begin + Page - 1) & ~(Page - 1);
-  End &= ~(Page - 1);
-  if (End <= Begin)
-    return false;
-  return ::madvise(reinterpret_cast<void *>(Begin),
-                   static_cast<size_t>(End - Begin), MADV_HUGEPAGE) == 0;
-#else
-  return false;
-#endif
 }
 
 double Array3D::sumRegion(const Box3 &Region) const {

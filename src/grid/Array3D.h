@@ -212,12 +212,6 @@ public:
   bool placed() const { return Placed; }
   void markPlaced() { Placed = true; }
 
-  /// Advises the kernel to back this array's pages with transparent huge
-  /// pages (madvise(MADV_HUGEPAGE)); call between resetUntouched() and
-  /// the first-touch fill so the pages are still unmapped. Returns false
-  /// (never fails hard) when unsupported or the span is under a page.
-  bool adviseHugePages();
-
   /// Serial deterministic sum over \p Region (used by conservation tests;
   /// never parallelized so results are bit-stable).
   double sumRegion(const Box3 &Region) const;

@@ -6,11 +6,11 @@
 // ICORES_SOAK_SECONDS environment variable.
 //
 // Each iteration draws a fresh seed and cycles through the cross product
-// of plan strategy x kernel backend x barrier wait policy, running the
+// of plan strategy x kernel backend x barrier spin limit, running the
 // threaded executor under stall/wake chaos — and every few iterations a
 // distributed run under message chaos — asserting bit-exactness against
 // the fault-free result each time. The interesting property is not any
-// single configuration but that no (strategy, backend, policy, seed)
+// single configuration but that no (strategy, backend, spin limit, seed)
 // combination deadlocks or diverges under injected faults.
 //
 //===----------------------------------------------------------------------===//
@@ -31,6 +31,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 
 using namespace icores;
 
@@ -59,8 +60,7 @@ Array3D referenceResult() {
 }
 
 Array3D chaoticExecutorRun(Strategy Strat, KernelVariant Kernels,
-                           TeamBarrier::WaitPolicy Policy,
-                           FaultInjector &Injector) {
+                           int SpinLimit, FaultInjector &Injector) {
   MpdataProgram M = buildMpdataProgram();
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
   MachineModel Machine = makeToyMachine();
@@ -71,8 +71,7 @@ Array3D chaoticExecutorRun(Strategy Strat, KernelVariant Kernels,
   ExecutionPlan Plan =
       buildPlan(M.Program, Dom.coreBox(), Machine, Config);
   ExecutorOptions Opts;
-  Opts.BarrierPolicy = Policy;
-  Opts.BarrierSpinLimit = 64; // Exercise the sleep path, not just spins.
+  Opts.BarrierSpinLimit = SpinLimit;
   Opts.Chaos = &Injector;
   ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
                        std::move(Plan), Opts);
@@ -96,9 +95,11 @@ TEST(ChaosSoakTest, RandomizedSweepStaysBitExact) {
   const KernelVariant Backends[] = {KernelVariant::Reference,
                                     KernelVariant::Optimized,
                                     KernelVariant::Simd};
-  const TeamBarrier::WaitPolicy Policies[] = {
-      TeamBarrier::WaitPolicy::Spin, TeamBarrier::WaitPolicy::Hybrid,
-      TeamBarrier::WaitPolicy::Block};
+  // The default spin budget, a short one that exercises the sleep path,
+  // and none (sleep at once).
+  const int SpinLimits[] = {TeamBarrier::DefaultSpinLimit, 64, 0};
+  const size_t NumStrategies = std::size(Strategies);
+  const size_t NumBackends = std::size(Backends);
 
   Array3D Reference = referenceResult();
   Box3 Core = Box3::fromExtents(GridNI, GridNJ, GridNK);
@@ -124,9 +125,11 @@ TEST(ChaosSoakTest, RandomizedSweepStaysBitExact) {
          Budget) {
     const uint64_t Seed = SeedRng.next();
     const int I = Iterations++;
-    Strategy Strat = Strategies[I % 3];
-    KernelVariant Kernels = Backends[(I / 3) % 3];
-    TeamBarrier::WaitPolicy Policy = Policies[(I / 9) % 3];
+    const size_t Combo = static_cast<size_t>(I);
+    Strategy Strat = Strategies[Combo % NumStrategies];
+    KernelVariant Kernels = Backends[(Combo / NumStrategies) % NumBackends];
+    int SpinLimit = SpinLimits[(Combo / (NumStrategies * NumBackends)) %
+                               std::size(SpinLimits)];
 
     FaultPlan Plan;
     Plan.Seed = Seed;
@@ -139,11 +142,11 @@ TEST(ChaosSoakTest, RandomizedSweepStaysBitExact) {
     // The clean run of the same backend is the oracle: stall/wake chaos
     // perturbs timing only, so results must agree with the serial
     // reference bit for bit (every backend already does — tier 1).
-    Array3D Result = chaoticExecutorRun(Strat, Kernels, Policy, Injector);
+    Array3D Result = chaoticExecutorRun(Strat, Kernels, SpinLimit, Injector);
     ASSERT_EQ(Result.maxAbsDiff(Reference, Core), 0.0)
         << "seed " << Seed << " strat " << static_cast<int>(Strat)
-        << " kernels " << static_cast<int>(Kernels) << " policy "
-        << waitPolicyName(Policy);
+        << " kernels " << static_cast<int>(Kernels) << " spin limit "
+        << SpinLimit;
     FaultsInjected += Injector.stats().Injected;
 
     if (I % 4 == 3) {

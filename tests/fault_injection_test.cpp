@@ -321,8 +321,7 @@ TEST(FaultInjectionTest, PartialLossEitherRecoversOrNamesTheFault) {
 
 namespace {
 
-Array3D executorChaosRun(FaultInjector *Chaos,
-                         TeamBarrier::WaitPolicy Policy) {
+Array3D executorChaosRun(FaultInjector *Chaos, int SpinLimit) {
   MpdataProgram M = buildMpdataProgram();
   Domain Dom(16, 12, 6, mpdataHaloDepth());
   MachineModel Machine = makeToyMachine();
@@ -333,8 +332,7 @@ Array3D executorChaosRun(FaultInjector *Chaos,
   ExecutionPlan Plan =
       buildPlan(M.Program, Dom.coreBox(), Machine, Config);
   ExecutorOptions Opts;
-  Opts.BarrierPolicy = Policy;
-  Opts.BarrierSpinLimit = 64; // Reach the sleep path quickly.
+  Opts.BarrierSpinLimit = SpinLimit;
   Opts.Chaos = Chaos;
   ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
                        std::move(Plan), Opts);
@@ -349,8 +347,7 @@ Array3D executorChaosRun(FaultInjector *Chaos,
 
 TEST(FaultInjectionTest, ExecutorChaosStaysBitExact) {
   Watchdog Dog(60.0, "fault_injection_test: executor chaos");
-  Array3D Clean =
-      executorChaosRun(nullptr, TeamBarrier::WaitPolicy::Hybrid);
+  Array3D Clean = executorChaosRun(nullptr, /*SpinLimit=*/64);
   FaultPlan Plan;
   Plan.Seed = 21;
   Plan.StallRate = 0.3;
@@ -358,30 +355,29 @@ TEST(FaultInjectionTest, ExecutorChaosStaysBitExact) {
   Plan.MaxStallSeconds = 5e-4;
   Plan.StallTimeoutSeconds = 1e-4; // Injected stalls trip the detector.
   FaultInjector Injector(Plan);
-  Array3D Chaotic =
-      executorChaosRun(&Injector, TeamBarrier::WaitPolicy::Hybrid);
+  Array3D Chaotic = executorChaosRun(&Injector, /*SpinLimit=*/64);
   EXPECT_EQ(Chaotic.maxAbsDiff(Clean, Box3::fromExtents(16, 12, 6)), 0.0);
   FaultStats FS = Injector.stats();
   EXPECT_GT(FS.Injected, 0);
   EXPECT_TRUE(mentions(Injector.trace(), "stall"));
 }
 
-TEST(FaultInjectionTest, SpuriousWakesSurviveEveryWaitPolicy) {
+TEST(FaultInjectionTest, SpuriousWakesSurviveEverySpinLimit) {
   Watchdog Dog(60.0, "fault_injection_test: spurious wakes");
-  for (TeamBarrier::WaitPolicy Policy :
-       {TeamBarrier::WaitPolicy::Spin, TeamBarrier::WaitPolicy::Hybrid,
-        TeamBarrier::WaitPolicy::Block}) {
-    Array3D Clean = executorChaosRun(nullptr, Policy);
+  // The default spin budget, a short one that reaches the sleep path
+  // quickly, and none (sleep at once).
+  for (int SpinLimit : {TeamBarrier::DefaultSpinLimit, 64, 0}) {
+    Array3D Clean = executorChaosRun(nullptr, SpinLimit);
     FaultPlan Plan;
     Plan.Seed = 31;
     Plan.WakeRate = 1.0; // Every crossing forces a spurious notify.
     FaultInjector Injector(Plan);
-    Array3D Chaotic = executorChaosRun(&Injector, Policy);
+    Array3D Chaotic = executorChaosRun(&Injector, SpinLimit);
     EXPECT_EQ(Chaotic.maxAbsDiff(Clean, Box3::fromExtents(16, 12, 6)),
               0.0)
-        << waitPolicyName(Policy);
+        << "spin limit " << SpinLimit;
     EXPECT_TRUE(mentions(Injector.trace(), "wake"))
-        << waitPolicyName(Policy);
+        << "spin limit " << SpinLimit;
   }
 }
 

@@ -206,43 +206,32 @@ TEST(PlacementTest, BogusPinningCountsFailuresAndStaysExact) {
   // Cores far beyond any host: every pin attempt is rejected; the run
   // must count one failure per worker, warn (once), and still reproduce
   // the reference bit-exactly — placement degrades, correctness never.
-  MachineModel Host;
-  ExecutionPlan Plan = makePlan(Strategy::IslandsOfCores, 1,
-                                PlacementPolicy::FirstTouch, Host);
-  std::vector<ThreadPlacement> Pinning = computeThreadPlacement(Plan, Host);
-  for (size_t T = 0; T != Pinning.size(); ++T)
-    Pinning[T].GlobalCore = (1 << 20) + static_cast<int>(T);
-  int64_t Workers = static_cast<int64_t>(Pinning.size());
-
-  Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
-  ExecutorOptions Opts;
-  Opts.Placement = PlacementPolicy::FirstTouch;
-  Opts.Pinning = std::move(Pinning);
-  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
-                       std::move(Plan), Opts);
-  seedMpdata(Exec, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
-  Exec.run(TimeSteps);
-
-  EXPECT_EQ(Exec.stats().PinFailures, Workers);
+  // Pinning applies under every placement policy, None included.
   Array3D Reference = referenceResult();
-  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Reference, coreBox()), 0.0);
-}
+  for (PlacementPolicy Place :
+       {PlacementPolicy::None, PlacementPolicy::FirstTouch}) {
+    MachineModel Host;
+    ExecutionPlan Plan =
+        makePlan(Strategy::IslandsOfCores, 1, Place, Host);
+    std::vector<ThreadPlacement> Pinning = computeThreadPlacement(Plan, Host);
+    for (size_t T = 0; T != Pinning.size(); ++T)
+      Pinning[T].GlobalCore = (1 << 20) + static_cast<int>(T);
+    int64_t Workers = static_cast<int64_t>(Pinning.size());
 
-TEST(PlacementTest, HugePageAdviceKeepsResultsExact) {
-  MachineModel Host;
-  ExecutionPlan Plan = makePlan(Strategy::IslandsOfCores, 1,
-                                PlacementPolicy::FirstTouch, Host);
-  Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
-  ExecutorOptions Opts;
-  Opts.Placement = PlacementPolicy::FirstTouch;
-  Opts.HugePages = true;
-  Opts.Pinning = computeThreadPlacement(Plan, Host);
-  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
-                       std::move(Plan), Opts);
-  seedMpdata(Exec, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
-  Exec.run(TimeSteps);
-  Array3D Reference = referenceResult();
-  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Reference, coreBox()), 0.0);
+    Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
+    ExecutorOptions Opts;
+    Opts.Placement = Place;
+    Opts.Pinning = std::move(Pinning);
+    ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                         std::move(Plan), Opts);
+    seedMpdata(Exec, M, 77, 0.1, 2.0, 0.3, -0.25, 0.2);
+    Exec.run(TimeSteps);
+
+    EXPECT_EQ(Exec.stats().PinFailures, Workers)
+        << placementPolicyName(Place);
+    EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Reference, coreBox()), 0.0)
+        << placementPolicyName(Place);
+  }
 }
 
 TEST(PlacementTest, ParsePolicyAcceptsAllSpellings) {
@@ -280,16 +269,4 @@ TEST(Array3DPlacementTest, ResetUntouchedTracksThePlacedFlag) {
 
   A.resetUntouched(Space, Array3D::VectorPadK);
   EXPECT_FALSE(A.placed());
-}
-
-TEST(Array3DPlacementTest, HugePageAdviceIsBestEffort) {
-  Array3D A;
-  A.resetUntouched(Box3::fromExtents(64, 64, 64));
-  A.adviseHugePages(); // Must not crash or fail hard, whatever the host.
-  A.fill(1.5);
-  EXPECT_EQ(A.at(3, 4, 5), 1.5);
-
-  Array3D Tiny;
-  Tiny.resetUntouched(Box3::fromExtents(1, 1, 1));
-  EXPECT_FALSE(Tiny.adviseHugePages()); // Under a page: advice declined.
 }

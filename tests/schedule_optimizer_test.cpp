@@ -353,22 +353,19 @@ INSTANTIATE_TEST_SUITE_P(
       return Info.param.Name;
     });
 
-TEST(ScheduleOptimizerEquivalenceTest, HoldsUnderEveryBarrierPolicy) {
+TEST(ScheduleOptimizerEquivalenceTest, HoldsUnderEverySpinLimit) {
   MpdataProgram M = buildMpdataProgram();
   ElisionCase C{Strategy::IslandsOfCores, 2, KernelVariant::Reference,
                 PartitionVariant::A, "islands_p2"};
   Box3 Core = Box3::fromExtents(GridNI, GridNJ, GridNK);
   Array3D Reference = referenceResult();
-  for (TeamBarrier::WaitPolicy Policy : {TeamBarrier::WaitPolicy::Spin,
-                                         TeamBarrier::WaitPolicy::Hybrid,
-                                         TeamBarrier::WaitPolicy::Block}) {
+  // The default spin budget, a short one that forces the futex path too,
+  // and none (sleep at once).
+  for (int SpinLimit : {TeamBarrier::DefaultSpinLimit, 4, 0}) {
     ExecutorOptions Opts;
-    Opts.BarrierPolicy = Policy;
-    Opts.BarrierSpinLimit = Policy == TeamBarrier::WaitPolicy::Hybrid
-                                ? 4 // Force the futex path too.
-                                : TeamBarrier::DefaultSpinLimit;
+    Opts.BarrierSpinLimit = SpinLimit;
     Array3D Optimized = executorResult(M, C, /*Optimize=*/true, Opts);
     EXPECT_EQ(Optimized.maxAbsDiff(Reference, Core), 0.0)
-        << waitPolicyName(Policy);
+        << "spin limit " << SpinLimit;
   }
 }

@@ -97,11 +97,11 @@ TEST(TemporalExecutorTest, BitExactUnderBothBarrierPoliciesAndElision) {
   Domain Dom = workloadDomain(M, 18, 12, 8);
   const int Steps = 4;
   auto Oracle = serialOracle(M, Dom, Steps);
-  for (TeamBarrier::WaitPolicy Policy : {TeamBarrier::WaitPolicy::Spin,
-                                         TeamBarrier::WaitPolicy::Block})
+  // The default spin budget, a short one, and none (sleep at once).
+  for (int SpinLimit : {TeamBarrier::DefaultSpinLimit, 4, 0})
     for (bool Elide : {false, true}) {
       ExecutorOptions Opts;
-      Opts.BarrierPolicy = Policy;
+      Opts.BarrierSpinLimit = SpinLimit;
       auto Exec = makeWorkloadExecutor(
           M, Dom,
           makeTestPlan(M.Program, Dom, Strategy::IslandsOfCores, 2, Elide),
@@ -110,7 +110,7 @@ TEST(TemporalExecutorTest, BitExactUnderBothBarrierPoliciesAndElision) {
       EXPECT_EQ(
           maxNewestStateDiff(M.Program, *Exec, *Oracle, Dom.coreBox()),
           0.0)
-          << "elide=" << Elide;
+          << "spin limit " << SpinLimit << " elide=" << Elide;
     }
 }
 

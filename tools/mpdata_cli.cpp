@@ -3,23 +3,22 @@
 // A single binary exposing the library's main entry points to the shell:
 //
 //   mpdata_cli simulate  --strategy=islands --sockets=14 --machine=uv2000
-//                        [--ni --nj --nk --steps --variant --placement]
+//                        [--ni --nj --nk --steps --variant --place]
 //   mpdata_cli execute   --strategy=islands --islands=2
 //                        [--ni --nj --nk --steps --kernels=opt]
-//                        [--profile=stats.json --pin]
-//                        [--no-elide --barrier=spin|hybrid|block]
+//                        [--profile=stats.json --pin --no-elide]
 //                        [--chaos=SEED[,stall=p,wake=p,...]]
 //   mpdata_cli advise    --machine=uv2000 [--sockets --ni --nj --nk --steps]
 //   mpdata_cli traffic   --strategy=original [--machine ...]
 //   mpdata_cli plan      --strategy=islands [--sockets ...]  (dump the plan)
 //   mpdata_cli lint      [--strategy=...] [--json] [--no-audit]
-//   mpdata_cli verify    [--out=FILE] [--json]  (plan-space proof suite)
 //
 // `simulate`, `advise`, `traffic` and `plan` are instantaneous model
 // queries; `execute` runs the real threaded numerics on this host and
-// verifies them against the serial reference; `lint` (also spelled
-// `--lint`) runs the static-analysis suite — see tools/icores_lint.cpp
-// for the standalone driver and DESIGN.md §7 for the finding taxonomy.
+// verifies them against the serial reference; `lint` runs the
+// static-analysis suite — see tools/icores_lint.cpp for the standalone
+// driver and DESIGN.md §7 for the finding taxonomy. The plan-space proof
+// suite has its own driver, tools/icores_verify.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +41,6 @@
 #include "support/Diagnostics.h"
 #include "support/Format.h"
 #include "support/OStream.h"
-#include "verify/ProofDriver.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -55,7 +53,7 @@ namespace {
 
 void printUsage() {
   std::printf(
-      "usage: mpdata_cli <simulate|execute|advise|traffic|plan|lint|verify|"
+      "usage: mpdata_cli <simulate|execute|advise|traffic|plan|lint|"
       "list-workloads> [options]\n"
       "  --workload=NAME             registered workload to drive (default\n"
       "                              mpdata; `mpdata_cli list-workloads`\n"
@@ -82,14 +80,14 @@ void printUsage() {
       "                              block scheduler (per-island chunk\n"
       "                              deques; stealing never crosses an\n"
       "                              island). Results stay bit-exact\n"
-      "  --placement=firsttouch|serial (default firsttouch)\n"
       "  --place=none|firsttouch|interleave\n"
-      "                              NUMA page placement; supersedes\n"
-      "                              --placement. simulate/traffic/plan\n"
-      "                              model it; execute mode arms the\n"
-      "                              executor's placement init epoch (with\n"
-      "                              worker pinning) so the shared arenas\n"
-      "                              are first-touched per island\n"
+      "                              NUMA page placement (default\n"
+      "                              firsttouch). simulate/traffic/plan\n"
+      "                              model it; in execute mode a given\n"
+      "                              --place arms the executor's placement\n"
+      "                              init epoch (firsttouch and interleave\n"
+      "                              with worker pinning) so the shared\n"
+      "                              arenas are first-touched per island\n"
       "  --kernels=ref|opt|simd      kernel variant: execute mode runs\n"
       "                              it, simulate mode scales the model's\n"
       "                              compute term (default: execute ref,\n"
@@ -107,12 +105,11 @@ void printUsage() {
       "                              and per-pass barrier-wait times and\n"
       "                              write the ExecStats JSON to FILE\n"
       "                              (see README.md for the schema)\n"
-      "  --pin                       execute mode: pin worker threads to\n"
-      "                              cores (best effort)\n"
+      "  --pin                       execute mode: pin each worker to the\n"
+      "                              core the plan assigned it (best\n"
+      "                              effort; under every --place)\n"
       "  --no-elide                  execute mode: keep every team barrier\n"
       "                              (skip the schedule optimizer)\n"
-      "  --barrier=spin|hybrid|block execute mode: team-barrier wait\n"
-      "                              policy (default hybrid)\n"
       "  --chaos=SEED[,k=v...]       execute mode: arm the deterministic\n"
       "                              fault injector with this seed; keys\n"
       "                              stall=, wake= (rates in [0,1]),\n"
@@ -122,11 +119,7 @@ void printUsage() {
       "                              --profile JSON (exec_stats v3)\n"
       "  --json                      lint mode: emit icores.lint.v1 JSON\n"
       "  --no-audit                  lint mode: skip the kernel access "
-      "audit\n"
-      "  --out=FILE                  verify mode: icores.prove.v1 output\n"
-      "                              path (default BENCH_prove.json); see\n"
-      "                              tools/icores_verify.cpp for the full\n"
-      "                              option set\n");
+      "audit\n");
 }
 
 bool parseStrategy(const std::string &Name, Strategy &Out) {
@@ -161,16 +154,13 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   std::string Mode = Argv[1];
-  if (Mode == "--lint") // `mpdata_cli --lint` is an alias for `lint`.
-    Mode = "lint";
 
   CommandLine CL;
   for (const char *Opt : {"machine", "strategy", "sockets", "islands",
-                          "variant", "placement", "place", "balance",
-                          "steal", "kernels", "ni", "nj", "nk", "steps",
-                          "temporal", "profile", "pin", "json", "no-audit",
-                          "no-elide", "barrier", "chaos", "out", "workload",
-                          "seed", "help"})
+                          "variant", "place", "balance", "steal", "kernels",
+                          "ni", "nj", "nk", "steps", "temporal", "profile",
+                          "pin", "json", "no-audit", "no-elide", "chaos",
+                          "workload", "seed", "help"})
     CL.registerOption(Opt, "");
   std::string Error;
   if (!CL.parse(Argc - 1, Argv + 1, Error)) {
@@ -241,26 +231,29 @@ int main(int Argc, char **Argv) {
   Config.Strat = Strat;
   Config.Sockets = Sockets;
   Config.TemporalDepth = Temporal;
-  Config.Variant = CL.getString("variant", "A") == "B"
-                       ? PartitionVariant::B
-                       : PartitionVariant::A;
-  Config.Placement = CL.getString("placement", "firsttouch") == "serial"
-                         ? PagePlacement::None
-                         : PagePlacement::FirstTouch;
-  // --place supersedes the legacy --placement spelling and additionally
-  // arms the executor's placement init epoch in execute mode.
+  std::string VariantName = CL.getString("variant", "A");
+  if (VariantName == "A") {
+    Config.Variant = PartitionVariant::A;
+  } else if (VariantName == "B") {
+    Config.Variant = PartitionVariant::B;
+  } else {
+    std::fprintf(stderr, "error: unknown variant '%s' (expected A or B)\n",
+                 VariantName.c_str());
+    return 1;
+  }
+  // The plan models first-touch pages unless --place says otherwise; a
+  // given --place also arms the executor's placement init epoch in
+  // execute mode.
   const bool HavePlace = CL.hasOption("place");
   PlacementPolicy Place = PlacementPolicy::FirstTouch;
-  if (HavePlace) {
-    if (!parsePlacementPolicy(CL.getString("place", "firsttouch"), Place)) {
-      std::fprintf(stderr,
-                   "error: unknown placement '%s' (expected none, "
-                   "firsttouch or interleave)\n",
-                   CL.getString("place", "").c_str());
-      return 1;
-    }
-    Config.Placement = Place;
+  if (!parsePlacementPolicy(CL.getString("place", "firsttouch"), Place)) {
+    std::fprintf(stderr,
+                 "error: unknown placement '%s' (expected none, "
+                 "firsttouch or interleave)\n",
+                 CL.getString("place", "").c_str());
+    return 1;
   }
+  Config.Placement = Place;
   std::string BalanceName = CL.getString("balance", "uniform");
   if (BalanceName == "cost") {
     Config.Balance = BalancePolicy::Cost;
@@ -337,35 +330,6 @@ int main(int Argc, char **Argv) {
     return Diags.hasErrors() ? 1 : 0;
   }
 
-  if (Mode == "verify") {
-    // The full plan-space proof suite (see tools/icores_verify.cpp for
-    // the standalone driver with the complete option set).
-    ProofOptions Opts;
-    Opts.Space.NI = static_cast<int>(CL.getInt("ni", Opts.Space.NI));
-    Opts.Space.NJ = static_cast<int>(CL.getInt("nj", Opts.Space.NJ));
-    Opts.Space.NK = static_cast<int>(CL.getInt("nk", Opts.Space.NK));
-    if (CL.hasOption("steps"))
-      Opts.Space.TimeSteps = Steps;
-    if (CL.hasOption("workload"))
-      Opts.Space.Workloads = {WorkloadName};
-    ProofReport Report = runProofSuite(Opts);
-    std::string Out = CL.getString("out", "BENCH_prove.json");
-    if (!writeProveJsonFile(Report, Out)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", Out.c_str());
-      return 1;
-    }
-    if (CL.hasOption("json"))
-      writeProveJson(Report, outs());
-    std::printf("verify: %zu plans (%zu proved, %zu pruned, %zu violated), "
-                "protocol %s, kill rate %.2f -> %s\n",
-                Report.Plans.size(), Report.numWithVerdict("proved"),
-                Report.numWithVerdict("pruned"),
-                Report.numWithVerdict("violated"),
-                Report.protocolOk() ? "ok" : "FAILED", Report.killRate(),
-                Out.c_str());
-    return Report.ok() ? 0 : 1;
-  }
-
   if (Mode == "simulate" || Mode == "traffic" || Mode == "plan") {
     ExecutionPlan Plan = buildPlan(Prog, Grid, Machine, Config);
     if (Mode == "plan") {
@@ -435,12 +399,6 @@ int main(int Argc, char **Argv) {
     // machine model the plan was built for, so the --profile JSON's
     // predicted_island_skew matches `simulate` by construction.
     ExecOpts.Machine = &Host;
-    std::string BarrierName = CL.getString("barrier", "hybrid");
-    if (!parseWaitPolicy(BarrierName, ExecOpts.BarrierPolicy)) {
-      std::fprintf(stderr, "error: unknown barrier policy '%s'\n",
-                   BarrierName.c_str());
-      return 1;
-    }
     std::unique_ptr<FaultInjector> Chaos;
     if (CL.hasOption("chaos")) {
       FaultPlan ChaosPlan;
@@ -487,20 +445,16 @@ int main(int Argc, char **Argv) {
     }
     uint64_t Seed = static_cast<uint64_t>(CL.getInt("seed", 7));
     Domain Dom = workloadDomain(*Workload, NI, NJ, NK);
-    if (HavePlace) {
-      // Arm the placement init epoch: workers must already be pinned when
-      // they first-touch their arena segments, so the pinning goes in
-      // through ExecutorOptions rather than setThreadPinning() (which
-      // would only take effect after construction, too late for paging).
+    // A given --place arms the placement init epoch. Placed pages need
+    // pinned workers (first touch homes a page on the toucher's socket),
+    // so firsttouch and interleave pin as --pin does.
+    if (HavePlace)
       ExecOpts.Placement = Place;
-      if (Place != PlacementPolicy::None)
-        ExecOpts.Pinning = computeThreadPlacement(Plan, Host);
-    }
+    if (CL.hasOption("pin") || ExecOpts.Placement != PlacementPolicy::None)
+      ExecOpts.Pinning = computeThreadPlacement(Plan, Host);
     ExecOpts.Reductions = Workload->Reductions;
     ProgramExecutor Exec(Prog, Workload->Kernels(Kernels), Dom,
                          std::move(Plan), ExecOpts);
-    if (CL.hasOption("pin"))
-      Exec.setThreadPinning(computeThreadPlacement(Exec.plan(), Host));
     std::string ProfilePath = CL.getString("profile", "");
     if (!ProfilePath.empty())
       Exec.enableProfiling(true);
@@ -603,11 +557,10 @@ int main(int Argc, char **Argv) {
                   formatSeconds(Stats.GlobalBarrierWaitSeconds).c_str(),
                   Stats.barrierShare() * 100.0);
       std::printf("profile: %lld barriers elided; %lld spin wakes, %lld "
-                  "sleep wakes (%s policy)\n",
+                  "sleep wakes\n",
                   static_cast<long long>(Stats.barriersElided()),
                   static_cast<long long>(Stats.spinWakes()),
-                  static_cast<long long>(Stats.sleepWakes()),
-                  waitPolicyName(ExecOpts.BarrierPolicy));
+                  static_cast<long long>(Stats.sleepWakes()));
       if (Stats.Stealing)
         std::printf("profile: %lld chunks stolen (%lld lost races), idle "
                     "%s across threads\n",
