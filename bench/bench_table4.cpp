@@ -73,8 +73,8 @@ int main() {
     if (Util[P - 1] < 0.20 || Util[P - 1] > 0.55)
       UtilBand = false;
   Failures += shapeCheck(UtilBand,
-                         "utilization stays in the paper's ~26-40% band "
-                         "(ours ~28-37%)");
+                         "utilization stays within 20-55% (paper: "
+                         "~26-40%)");
   Failures += shapeCheck(Util[13] < Util[1],
                          "utilization declines at the largest "
                          "configuration");

@@ -81,9 +81,9 @@ struct BlockTask {
   std::vector<StagePass> Passes;
   /// Which fused time step of a temporally blocked epoch this block
   /// belongs to, 0 .. ExecutionPlan::TemporalDepth-1. Always 0 in plain
-  /// (TemporalDepth == 1) plans. Blocks are ordered by step: the executor
-  /// inserts a structural team barrier plus a feedback-buffer rebind at
-  /// every step boundary.
+  /// (TemporalDepth == 1) plans. Blocks are ordered by step; the epoch
+  /// script (exec/EpochScript.h) rebinds the feedback buffers between
+  /// barriers at every step boundary.
   int StepInEpoch = 0;
 };
 

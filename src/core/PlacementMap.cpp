@@ -71,10 +71,62 @@ PlacementMap icores::buildPlacementMap(const ExecutionPlan &Plan,
   return Map;
 }
 
+IslandFootprint icores::islandFootprint(const StencilProgram &Program,
+                                        const ExecutionPlan &Plan,
+                                        const IslandPlan &Island) {
+  const int Depth = std::max(1, Plan.TemporalDepth);
+  IslandFootprint F;
+  F.Reads.resize(Program.numArrays());
+  if (Depth > 1)
+    F.Scratch.resize(Program.numArrays());
+  F.FinalWrites.resize(Program.numArrays());
+  auto grow = [](Box3 &Un, const Box3 &B) { Un = Un.unionWith(B); };
+  for (const BlockTask &Block : Island.Blocks)
+    for (const StagePass &Pass : Block.Passes) {
+      const StageDef &Stage = Program.stage(Pass.Stage);
+      for (const StageInput &In : Stage.Inputs)
+        if (Program.array(In.Array).Role == ArrayRole::StepInput)
+          grow(F.Reads[static_cast<size_t>(In.Array)],
+               In.readRegion(Pass.Region));
+      for (ArrayId Out : Stage.Outputs)
+        if (Program.array(Out).Role == ArrayRole::StepOutput) {
+          if (Depth > 1)
+            grow(F.Scratch[static_cast<size_t>(Out)], Pass.Region);
+          if (Block.StepInEpoch == Depth - 1)
+            grow(F.FinalWrites[static_cast<size_t>(Out)], Pass.Region);
+        }
+    }
+  // At T > 1 a feedback pair alternates between its Target's import
+  // buffer and its Source's scratch buffer from fused step to fused step,
+  // so both cover the pair's read and write unions.
+  for (const FeedbackPair &FB : Program.feedbacks())
+    if (Depth > 1) {
+      Box3 &In = F.Reads[static_cast<size_t>(FB.Target)];
+      Box3 &Out = F.Scratch[static_cast<size_t>(FB.Source)];
+      In = Out = In.unionWith(Out);
+    }
+  return F;
+}
+
+int64_t IslandFootprint::readBytes(const StencilProgram &Program) const {
+  int64_t Bytes = 0;
+  for (ArrayId In : Program.stepInputs())
+    Bytes += Reads[static_cast<size_t>(In)].numPoints() *
+             Program.array(In).ElementBytes;
+  return Bytes;
+}
+
+int64_t IslandFootprint::writeBytes(const StencilProgram &Program) const {
+  int64_t Bytes = 0;
+  for (ArrayId Out : Program.stepOutputs())
+    Bytes += FinalWrites[static_cast<size_t>(Out)].numPoints() *
+             Program.array(Out).ElementBytes;
+  return Bytes;
+}
+
 IslandRemoteTraffic icores::estimateIslandRemoteEpochTraffic(
     const IslandPlan &Island, const ExecutionPlan &Plan,
     const StencilProgram &Program, const PlacementMap &Map) {
-  const int Depth = std::max(1, Plan.TemporalDepth);
   IslandRemoteTraffic Traffic;
 
   // Classify one shared-array box against the map and accumulate its
@@ -132,56 +184,11 @@ IslandRemoteTraffic icores::estimateIslandRemoteEpochTraffic(
     (IsWrite ? Traffic.WriteBytes : Traffic.ReadBytes) += RemoteBytes;
   };
 
-  // Replicate the executor's per-epoch footprint boxes: read unions and
-  // write unions from the actual pass regions, feedback-paired into the
-  // import-buffer boxes for temporal plans.
-  std::vector<Box3> ReadUnion(Program.numArrays());
-  std::vector<Box3> WriteUnion(Program.numArrays());
-  for (const BlockTask &Block : Island.Blocks)
-    for (const StagePass &Pass : Block.Passes) {
-      const StageDef &Stage = Program.stage(Pass.Stage);
-      for (const StageInput &In : Stage.Inputs)
-        if (Program.array(In.Array).Role == ArrayRole::StepInput) {
-          Box3 &Un = ReadUnion[static_cast<size_t>(In.Array)];
-          Un = Un.unionWith(In.readRegion(Pass.Region));
-        }
-      for (ArrayId Out : Stage.Outputs)
-        if (Program.array(Out).Role == ArrayRole::StepOutput) {
-          Box3 &Un = WriteUnion[static_cast<size_t>(Out)];
-          Un = Un.unionWith(Pass.Region);
-        }
-    }
-
-  if (Depth > 1) {
-    std::vector<Box3> BufBox(Program.numArrays());
-    for (ArrayId In : Program.stepInputs())
-      BufBox[static_cast<size_t>(In)] = ReadUnion[static_cast<size_t>(In)];
-    for (ArrayId Out : Program.stepOutputs())
-      BufBox[static_cast<size_t>(Out)] =
-          WriteUnion[static_cast<size_t>(Out)];
-    for (const FeedbackPair &FB : Program.feedbacks()) {
-      Box3 Paired = BufBox[static_cast<size_t>(FB.Target)].unionWith(
-          BufBox[static_cast<size_t>(FB.Source)]);
-      BufBox[static_cast<size_t>(FB.Target)] = Paired;
-      BufBox[static_cast<size_t>(FB.Source)] = Paired;
-    }
-    for (ArrayId In : Program.stepInputs())
-      charge(In, BufBox[static_cast<size_t>(In)], /*IsWrite=*/false);
-  } else {
-    for (ArrayId In : Program.stepInputs())
-      charge(In, ReadUnion[static_cast<size_t>(In)], /*IsWrite=*/false);
-  }
-  for (ArrayId Out : Program.stepOutputs()) {
-    Box3 FinalOut;
-    for (const BlockTask &Block : Island.Blocks) {
-      if (Block.StepInEpoch != Depth - 1)
-        continue;
-      for (const StagePass &Pass : Block.Passes)
-        if (Pass.Stage == Program.producerOf(Out))
-          FinalOut = FinalOut.unionWith(Pass.Region);
-    }
-    charge(Out, FinalOut, /*IsWrite=*/true);
-  }
+  const IslandFootprint F = islandFootprint(Program, Plan, Island);
+  for (ArrayId In : Program.stepInputs())
+    charge(In, F.Reads[static_cast<size_t>(In)], /*IsWrite=*/false);
+  for (ArrayId Out : Program.stepOutputs())
+    charge(Out, F.FinalWrites[static_cast<size_t>(Out)], /*IsWrite=*/true);
   return Traffic;
 }
 

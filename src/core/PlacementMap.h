@@ -19,10 +19,11 @@
 ///  - Interleave: pages round-robin across the active sockets, so a 1/S
 ///    slice of any region is local to each socket.
 ///
-/// On top of the map, estimateIslandRemoteEpochTraffic() replicates the
-/// executor's shared-traffic footprint (per-epoch import reads with the
-/// feedback-paired boxes for T > 1, final-step output writes) and splits
-/// it into local and remote bytes, attributed per remote socket (so the
+/// On top of the map, estimateIslandRemoteEpochTraffic() takes the
+/// island's shared-array footprint (islandFootprint(): per-epoch import
+/// reads with the feedback-paired boxes for T > 1, final-step output
+/// writes — the executor's own accounting) and splits it into local and
+/// remote bytes, attributed per remote socket (so the
 /// simulator can price each NUMA hop) and per array (so TrafficReport can
 /// print a remote column). The executor's ExecStats remote_bytes_est and
 /// the simulator's projection both come from this one function, so they
@@ -84,6 +85,32 @@ PlacementMap buildPlacementMap(const ExecutionPlan &Plan,
 /// the segment shapes the executor's init epoch touches.
 Box3 extendPartToHalo(const Box3 &Part, const Box3 &Target);
 
+/// One island's per-epoch footprint on the shared arrays, indexed by
+/// ArrayId. The executor sizes its import and scratch buffers from it, and
+/// the executor, the simulator and the placement model count shared bytes
+/// from it.
+struct IslandFootprint {
+  /// Step inputs: the read union of the island's passes, feedback-paired
+  /// at T > 1 (the import buffer).
+  std::vector<Box3> Reads;
+  /// Step outputs at T > 1: the feedback-paired write union, the scratch
+  /// buffer intermediate fused steps write. Empty at T == 1, which keeps
+  /// the T == 1 footprint to two allocations: a third one flipped glibc's
+  /// heap trimming across back-to-back executor constructions.
+  std::vector<Box3> Scratch;
+  /// Step outputs: the region the final fused step writes.
+  std::vector<Box3> FinalWrites;
+
+  /// Logical bytes one epoch reads from, and writes to, the shared arrays.
+  int64_t readBytes(const StencilProgram &Program) const;
+  int64_t writeBytes(const StencilProgram &Program) const;
+};
+
+/// \p Island's footprint under \p Plan's temporal depth.
+IslandFootprint islandFootprint(const StencilProgram &Program,
+                                const ExecutionPlan &Plan,
+                                const IslandPlan &Island);
+
 /// One island's per-epoch remote traffic against a placement map.
 struct IslandRemoteTraffic {
   int64_t ReadBytes = 0;  ///< Epoch input reads off remote pages.
@@ -97,10 +124,8 @@ struct IslandRemoteTraffic {
   int64_t total() const { return ReadBytes + WriteBytes; }
 };
 
-/// Splits one island's per-epoch shared-array footprint into remote bytes
-/// under \p Map. The footprint replicates ProgramExecutor's accounting:
-/// feedback-paired import boxes for temporal plans, plain read unions for
-/// T == 1, and the final-fused-step output unions for writes.
+/// Splits one island's per-epoch shared-array footprint
+/// (islandFootprint()) into remote bytes under \p Map.
 IslandRemoteTraffic
 estimateIslandRemoteEpochTraffic(const IslandPlan &Island,
                                  const ExecutionPlan &Plan,

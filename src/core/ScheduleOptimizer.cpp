@@ -39,8 +39,8 @@ ScheduleOptimizerReport icores::optimizeBarriers(const StencilProgram &Program,
     // epoch member when it joins, so the final epochs are pairwise
     // conflict-free — exactly the property checkScheduleRaces() verifies.
     // Elision never crosses a fused-step boundary (TemporalDepth > 1
-    // plans): the executor rebinds the feedback buffers there under a
-    // structural barrier, so each fused step's final pass keeps its
+    // plans): the epoch script rebinds the feedback buffers there between
+    // structural barriers, so each fused step's final pass keeps its
     // barrier, just like the island's final pass keeps the step-end
     // rendezvous that makes island lockstep independent of the executor's
     // global step barrier.

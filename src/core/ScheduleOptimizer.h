@@ -53,20 +53,11 @@ struct ScheduleOptimizerReport {
 
   /// Barriers remaining per step after optimization.
   int64_t remainingBarriers() const { return TotalPasses - ElidedBarriers; }
-
-  /// Fraction of barriers removed, in [0, 1].
-  double elidedFraction() const {
-    return TotalPasses == 0
-               ? 0.0
-               : static_cast<double>(ElidedBarriers) /
-                     static_cast<double>(TotalPasses);
-  }
 };
 
 /// Clears the BarrierAfter bit of every pass in \p Plan whose barrier is
 /// provably redundant for \p Program, in place, and reports what changed.
-/// Empty passes are treated exactly as buildIslandSchedules() treats them:
-/// their barrier (if any) belongs to the previous non-empty pass.
+/// An empty pass runs no kernel, so its barrier bit is always cleared.
 /// Idempotent; safe on any plan that verifies.
 ScheduleOptimizerReport optimizeBarriers(const StencilProgram &Program,
                                          ExecutionPlan &Plan);

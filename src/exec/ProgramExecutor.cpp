@@ -3,6 +3,7 @@
 #include "exec/ProgramExecutor.h"
 
 #include "core/BalanceModel.h"
+#include "exec/EpochScript.h"
 #include "exec/ExecObserver.h"
 #include "exec/IntermediateWindows.h"
 #include "exec/RegionSplit.h"
@@ -154,16 +155,27 @@ public:
       LastWork = ProfileClock::now();
   }
 
-  /// Crosses \p Barrier in \p Slot, adding the wait to \p Wait unless it
-  /// is null (always, unprofiled). The observer sees the arrive before the
-  /// rendezvous and the depart after it, so it can merge happens-before
-  /// clocks at the exact points the hardware orders the workers.
-  void cross(TeamBarrier &Barrier, uint64_t Site, int Slot,
-             int Participants, double *Wait) {
+  /// Crosses the barrier of \p Op: the run's \p Global barrier (site 0)
+  /// or the island's team barrier (site Island + 1), whose wait is booked
+  /// to the stage of the pass it ends, if any. The observer sees the
+  /// arrive before the rendezvous and the depart after it, so it can merge
+  /// happens-before clocks at the exact points the hardware orders the
+  /// workers.
+  void barrier(const EpochOp &Op, TeamBarrier &Global) {
+    const bool Run = Op.K == EpochOp::Kind::GlobalBarrier;
+    const uint64_t Site = Run ? 0 : static_cast<uint64_t>(Island) + 1;
+    double *Wait = nullptr;
+    if (Prof && Run)
+      Wait = &Accum.GlobalBarrierWaitSeconds;
+    else if (Prof && Op.Stage != NoStage)
+      Wait = &Accum.StageBarrierWaitSeconds[static_cast<size_t>(Op.Stage)];
     if (Obs)
-      Obs->onBarrierArrive(Site, Worker, Participants);
+      Obs->onBarrierArrive(
+          Site, Worker,
+          Run ? static_cast<int>(E.WorkerCoords.size()) : TeamSize);
     const auto T0 = Wait ? ProfileClock::now() : ProfileClock::time_point();
-    if (Barrier.arriveAndWait(Slot) == TeamBarrier::Wake::Sleep)
+    if ((Run ? Global : IS.Team).arriveAndWait(Run ? Worker : ThreadInTeam) ==
+        TeamBarrier::Wake::Sleep)
       ++Accum.SleepWakes;
     else
       ++Accum.SpinWakes;
@@ -172,29 +184,17 @@ public:
     if (Obs)
       Obs->onBarrierDepart(Site, Worker);
   }
-  void globalBarrier(TeamBarrier &Global) {
-    cross(Global, /*Site=*/0, Worker,
-          static_cast<int>(E.WorkerCoords.size()),
-          Prof ? &Accum.GlobalBarrierWaitSeconds : nullptr);
-  }
-  void teamBarrier(double *Wait = nullptr) {
-    cross(IS.Team, static_cast<uint64_t>(Island) + 1, ThreadInTeam,
-          TeamSize, Wait);
-  }
 
   /// Books a pass of \p Stage (elided without \p BarrierAfter; a
-  /// \p Stealing pass's time since the worker's last work is idle), then
-  /// crosses its barrier, timed as the stage's.
+  /// \p Stealing pass's time since the worker's last work is idle).
   void endPass(StageId Stage, bool BarrierAfter, bool Stealing) {
+    if (!Prof)
+      return;
     const size_t S = static_cast<size_t>(Stage);
-    if (Prof) {
-      ++Accum.StagePasses[S];
-      Accum.StageBarriersElided[S] += !BarrierAfter;
-      if (Stealing)
-        Accum.IdleSeconds += secondsSince(LastWork, ProfileClock::now());
-    }
-    if (BarrierAfter)
-      teamBarrier(Prof ? &Accum.StageBarrierWaitSeconds[S] : nullptr);
+    ++Accum.StagePasses[S];
+    Accum.StageBarriersElided[S] += !BarrierAfter;
+    if (Stealing)
+      Accum.IdleSeconds += secondsSince(LastWork, ProfileClock::now());
   }
 
   void merge() {
@@ -253,6 +253,8 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     NumWorkers += static_cast<size_t>(Island.NumThreads);
   Partials.resize(NumWorkers * static_cast<size_t>(Plan.TemporalDepth) *
                   Reductions.size());
+  for (size_t Slot = 0; Slot != Partials.size(); ++Slot)
+    Partials[Slot] = Reductions[Slot % Reductions.size()].Identity;
   // The intermediates' buffers and slide schedules, also sized before the
   // large allocations for the same reason.
   Windows.reserve(Plan.Islands.size());
@@ -263,16 +265,19 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
   // the init epoch's pinned workers produce the first (page-homing) write;
   // None keeps the historical serial zero-fill.
   const bool Placing = Opts.Placement != PlacementPolicy::None;
-  Box3 Alloc = Dom.allocBox();
-  for (unsigned A = 0; A != Program.numArrays(); ++A) {
-    ArrayId Id = static_cast<ArrayId>(A);
-    if (Program.array(Id).Role == ArrayRole::Intermediate)
-      continue;
+  auto allocate = [Placing](std::map<ArrayId, Array3D> &Bufs, ArrayId Id,
+                            const Box3 &Box) {
+    if (Box.empty())
+      return;
     if (Placing)
-      External[Id].resetUntouched(Alloc, Array3D::VectorPadK);
+      Bufs[Id].resetUntouched(Box, Array3D::VectorPadK);
     else
-      External.emplace(Id, Array3D(Alloc, Array3D::VectorPadK));
-  }
+      Bufs.emplace(Id, Array3D(Box, Array3D::VectorPadK));
+  };
+  for (unsigned A = 0; A != Program.numArrays(); ++A)
+    if (Program.array(static_cast<ArrayId>(A)).Role !=
+        ArrayRole::Intermediate)
+      allocate(External, static_cast<ArrayId>(A), Dom.allocBox());
 
   for (const IslandPlan &Island : Plan.Islands) {
     auto IS = std::make_unique<IslandState>(Program.numArrays(),
@@ -295,88 +300,16 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
           IS->Store.allocateOwned(Out, Buf, Array3D::VectorPadK);
       }
 
-    // Shared-traffic footprints from the actual pass regions: the union
-    // each step-input array is read over, and the union each step-output
-    // array is written over, across all of this island's passes.
-    std::vector<Box3> ReadUnion(Program.numArrays());
-    std::vector<Box3> WriteUnion(Program.numArrays());
-    for (const BlockTask &Block : Island.Blocks)
-      for (const StagePass &Pass : Block.Passes) {
-        const StageDef &Stage = Program.stage(Pass.Stage);
-        for (const StageInput &In : Stage.Inputs)
-          if (Program.array(In.Array).Role == ArrayRole::StepInput) {
-            Box3 &Un = ReadUnion[static_cast<size_t>(In.Array)];
-            Un = Un.unionWith(In.readRegion(Pass.Region));
-          }
-        for (ArrayId Out : Stage.Outputs)
-          if (Program.array(Out).Role == ArrayRole::StepOutput) {
-            Box3 &Un = WriteUnion[static_cast<size_t>(Out)];
-            Un = Un.unionWith(Pass.Region);
-          }
-      }
-
+    // The island's footprint on the shared arrays: at T > 1 it sizes the
+    // import and scratch buffers, and it is the shared traffic per epoch.
+    const IslandFootprint F = islandFootprint(Program, Plan, Island);
+    SharedReadBytesPerEpoch += F.readBytes(Program);
+    SharedWriteBytesPerEpoch += F.writeBytes(Program);
     if (Plan.TemporalDepth > 1) {
-      // Import and scratch buffers. A feedback pair alternates between
-      // its Target's import buffer and its Source's scratch buffer from
-      // fused step to fused step, so both must cover the pair's read and
-      // write unions.
-      std::vector<Box3> BufBox(Program.numArrays());
       for (ArrayId In : Program.stepInputs())
-        BufBox[static_cast<size_t>(In)] =
-            ReadUnion[static_cast<size_t>(In)];
+        allocate(IS->Imports, In, F.Reads[static_cast<size_t>(In)]);
       for (ArrayId Out : Program.stepOutputs())
-        BufBox[static_cast<size_t>(Out)] =
-            WriteUnion[static_cast<size_t>(Out)];
-      for (const FeedbackPair &FB : Program.feedbacks()) {
-        Box3 Paired = BufBox[static_cast<size_t>(FB.Target)].unionWith(
-            BufBox[static_cast<size_t>(FB.Source)]);
-        BufBox[static_cast<size_t>(FB.Target)] = Paired;
-        BufBox[static_cast<size_t>(FB.Source)] = Paired;
-      }
-      for (ArrayId In : Program.stepInputs())
-        if (!BufBox[static_cast<size_t>(In)].empty()) {
-          if (Placing)
-            IS->Imports[In].resetUntouched(BufBox[static_cast<size_t>(In)],
-                                           Array3D::VectorPadK);
-          else
-            IS->Imports.emplace(In, Array3D(BufBox[static_cast<size_t>(In)],
-                                            Array3D::VectorPadK));
-        }
-      for (ArrayId Out : Program.stepOutputs())
-        if (!BufBox[static_cast<size_t>(Out)].empty()) {
-          if (Placing)
-            IS->Scratch[Out].resetUntouched(
-                BufBox[static_cast<size_t>(Out)], Array3D::VectorPadK);
-          else
-            IS->Scratch.emplace(Out,
-                                Array3D(BufBox[static_cast<size_t>(Out)],
-                                        Array3D::VectorPadK));
-        }
-      // Epoch import: every import buffer is gathered once from the
-      // shared arrays.
-      for (const auto &[Id, Buf] : IS->Imports)
-        SharedReadBytesPerEpoch +=
-            Buf.indexSpace().numPoints() * Program.array(Id).ElementBytes;
-    } else {
-      // T == 1: the island streams its input footprint from the shared
-      // arrays every step.
-      for (ArrayId In : Program.stepInputs())
-        SharedReadBytesPerEpoch +=
-            ReadUnion[static_cast<size_t>(In)].numPoints() *
-            Program.array(In).ElementBytes;
-    }
-    // Final-step output writes go to the shared arrays in every mode.
-    for (ArrayId Out : Program.stepOutputs()) {
-      Box3 FinalOut;
-      for (const BlockTask &Block : Island.Blocks) {
-        if (Block.StepInEpoch != Plan.TemporalDepth - 1)
-          continue;
-        for (const StagePass &Pass : Block.Passes)
-          if (Pass.Stage == Program.producerOf(Out))
-            FinalOut = FinalOut.unionWith(Pass.Region);
-      }
-      SharedWriteBytesPerEpoch +=
-          FinalOut.numPoints() * Program.array(Out).ElementBytes;
+        allocate(IS->Scratch, Out, F.Scratch[static_cast<size_t>(Out)]);
     }
     IslandStates.push_back(std::move(IS));
   }
@@ -695,16 +628,6 @@ double &ProgramExecutor::partialAt(int Worker, int StepInEpoch, size_t R) {
                   R];
 }
 
-/// Seeds the worker's per-epoch partials with the fold identities. Called
-/// by the worker itself right after the epoch-start global barriers,
-/// before its first fold; nobody else touches these slots until the next
-/// epoch-start barrier.
-void ProgramExecutor::resetWorkerPartials(int Worker) {
-  for (int Step = 0; Step != Plan.TemporalDepth; ++Step)
-    for (size_t R = 0; R != Reductions.size(); ++R)
-      partialAt(Worker, Step, R) = Reductions[R].Identity;
-}
-
 /// Folds \p Sub of each reduced array \p Stage produces into the worker's
 /// partial for fused step \p StepInEpoch. Sub is the non-empty region the
 /// worker's own kernel call just computed (its static share or a stolen
@@ -748,17 +671,19 @@ void ProgramExecutor::foldSubRegion(IslandState &IS, int Worker,
 }
 
 /// Combines the workers' partials of the epoch just finished, in worker
-/// order, and appends one global value per (fused step, reduction) to the
-/// log. Runs with every worker quiesced at a global barrier (or after the
-/// pool dispatch returned), so the partial reads need no further
-/// synchronisation.
+/// order, appends one global value per (fused step, reduction) to the
+/// log, and reseeds every partial with its fold identity. Runs with every
+/// worker quiesced at a global barrier (or after the pool dispatch
+/// returned), so the partials need no further synchronisation.
 void ProgramExecutor::appendEpochReductions() {
   for (int Step = 0; Step != Plan.TemporalDepth; ++Step)
     for (size_t R = 0; R != Reductions.size(); ++R) {
       double V = Reductions[R].Identity;
-      for (size_t W = 0; W != WorkerCoords.size(); ++W)
-        V = Reductions[R].Combine(V,
-                                  partialAt(static_cast<int>(W), Step, R));
+      for (size_t W = 0; W != WorkerCoords.size(); ++W) {
+        double &Partial = partialAt(static_cast<int>(W), Step, R);
+        V = Reductions[R].Combine(V, Partial);
+        Partial = Reductions[R].Identity;
+      }
       ReductionLog[R].push_back(V);
     }
 }
@@ -825,20 +750,21 @@ void ProgramExecutor::runStealingPass(IslandState &IS, WorkerSeam &Seam,
 
 void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
                                  int Steps, TeamBarrier &Global) {
-  const IslandPlan &IslandP = Plan.Islands[static_cast<size_t>(Island)];
-  const int NumThreads = IslandP.NumThreads;
+  const int NumThreads = Plan.Islands[static_cast<size_t>(Island)].NumThreads;
   IslandState &IS = *IslandStates[static_cast<size_t>(Island)];
   const IslandWindows &Win = Windows[static_cast<size_t>(Island)];
+  // Each worker builds its island's script here, from its own thread's
+  // allocator arena. Built in the constructor, the script's allocations
+  // changed the main heap's layout across back-to-back constructions
+  // enough to flip glibc's heap trimming: hotspot-sync's set-up took 36-51 k
+  // minor faults per process instead of 7.2 k, cfl-reduce's set-up ran
+  // 54 % slower.
+  const EpochScript Script = buildEpochScript(
+      Program, Plan, Plan.Islands[static_cast<size_t>(Island)], Win);
   WorkerSeam Seam(*this, IS, Worker, Island, ThreadInTeam, NumThreads);
   ExecObserver *const Obs = Opts.Observer;
 
-  const int Depth = Plan.TemporalDepth;
-  const int Epochs = Steps / Depth; // run() checked divisibility.
-  // T == 1 reads the shared inputs in place, so every epoch start refreshes
-  // the feedback targets' halos, each worker of the run filling its own
-  // slab of alloc-box planes. Temporal epochs instead wrap-gather imports
-  // from the core cells and never read the shared halos.
-  const bool RefreshHalos = Depth == 1 && !Program.feedbacks().empty();
+  // This worker's slab of alloc-box planes in the T = 1 halo refresh.
   const Box3 Alloc = Dom.allocBox();
   const int64_t NumWorkers = static_cast<int64_t>(WorkerCoords.size());
   const int SlabLo =
@@ -847,107 +773,68 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
   const int SlabHi =
       Alloc.Lo[0] +
       static_cast<int>(chunkBegin(Alloc.extent(0), NumWorkers, Worker + 1));
-  for (int Epoch = 0; Epoch != Epochs; ++Epoch) {
-    Seam.globalBarrier(Global);
-    // Every worker is quiesced: move the sliding intermediates back to
-    // where the epoch's first block finds its windows.
-    if (ThreadInTeam == 0)
-      for (ArrayId Id : Win.Sliding) {
-        Array3D &Buf = IS.Store.get(Id);
-        if (Obs)
-          Obs->onSlide(Worker, Buf, SlideShare{.Rebases = true});
-        Buf.rebasePlanes(Win.Buffers[static_cast<size_t>(Id)].Lo[0]);
-      }
-    if (Island == 0 && ThreadInTeam == 0 && Epoch != 0) {
-      // Every worker is quiesced between the two global barriers, so the
-      // previous epoch's reduction partials are complete — combine them
-      // across workers before anyone resets them for this epoch.
-      if (!Reductions.empty())
-        appendEpochReductions();
-      for (const FeedbackPair &FB : Program.feedbacks())
-        std::swap(array(FB.Source), array(FB.Target));
-    }
-    Seam.globalBarrier(Global);
-    if (RefreshHalos) {
-      // The swap is published; each slab writes only halo cells of its
-      // own planes and reads only core cells, and the barrier publishes
-      // every slab before any pass reads a halo.
-      if (SlabLo != SlabHi)
-        for (const FeedbackPair &FB : Program.feedbacks()) {
-          Array3D &Target = array(FB.Target);
-          if (Obs)
-            Obs->onHaloFill(Worker, Dom, Target, SlabLo, SlabHi);
-          Dom.fillHaloPlanes(Target, SlabLo, SlabHi);
-        }
-      Seam.globalBarrier(Global);
-    }
-    if (!Reductions.empty())
-      resetWorkerPartials(Worker);
-
-    if (Depth > 1) {
-      // Epoch prologue: rebind for fused step 0 and gather the imports.
-      // Rebinding (thread 0) and importing (all threads) touch disjoint
-      // state; the team barrier publishes both before any pass runs.
-      if (ThreadInTeam == 0)
-        rebindForStep(IS, 0);
-      importEpochInputs(IS, Worker, ThreadInTeam, NumThreads);
-      Seam.teamBarrier();
-    }
-
-    int PassIndex = 0;
-    int CurStep = 0;
-    size_t NextSlide = 0;
-    // True when a real barrier separates the previous pass (or the epoch
-    // prologue) from the next one.
-    bool PrevBarrier = true;
-    for (size_t B = 0; B != IslandP.Blocks.size(); ++B) {
-      const BlockTask &Block = IslandP.Blocks[B];
-      const bool Slides = NextSlide != Win.SlideBlocks.size() &&
-                          Win.SlideBlocks[NextSlide] == static_cast<int>(B);
-      if (Depth > 1 && Block.StepInEpoch != CurStep) {
-        // Structural fused-step boundary: quiesce the team, swap the
-        // feedback bindings, and publish them before the next step. A
-        // slide here has no live planes to copy (windows never span
-        // steps), so it is a rebase that rides on the same barriers.
-        Seam.teamBarrier();
-        CurStep = Block.StepInEpoch;
+  const int Epochs = Steps / Plan.TemporalDepth; // run() checked divisibility.
+  for (int Epoch = 0; Epoch != Epochs; ++Epoch)
+    for (const EpochOp &Op : Script.Ops)
+      switch (Op.K) {
+      case EpochOp::Kind::GlobalBarrier:
+      case EpochOp::Kind::TeamBarrier:
+        Seam.barrier(Op, Global);
+        break;
+      case EpochOp::Kind::Rebase:
         if (ThreadInTeam == 0)
-          rebindForStep(IS, CurStep);
-        if (Slides)
-          slideWindows(IS, Win, NextSlide++, Worker, ThreadInTeam,
-                       NumThreads);
-        Seam.teamBarrier();
-        PrevBarrier = true;
-      } else if (Slides) {
-        // The slide protocol: no pass may still touch the old addresses,
-        // and no pass may start before every live plane has moved.
-        if (!PrevBarrier)
-          Seam.teamBarrier();
-        slideWindows(IS, Win, NextSlide++, Worker, ThreadInTeam,
-                     NumThreads);
-        Seam.teamBarrier();
-        PrevBarrier = true;
-      }
-      for (const StagePass &Pass : Block.Passes) {
-        Seam.beforePass(Epoch, PassIndex++);
-        // A pass is steal-eligible only when real barriers bracket it on
-        // *both* sides: the preceding one means no earlier pass of a
-        // barrier-free group is still in flight (the barrier-elision proof
-        // of core/ScheduleOptimizer assumes the static teamSubRegion split
-        // within a group), and the trailing one publishes the stolen
-        // chunks' writes exactly as it publishes the static split's.
-        const bool Steals = Opts.Stealing && PrevBarrier &&
-                            Pass.BarrierAfter && !Pass.Region.empty();
+          for (ArrayId Id : Win.Sliding) {
+            Array3D &Buf = IS.Store.get(Id);
+            if (Obs)
+              Obs->onSlide(Worker, Buf, SlideShare{.Rebases = true});
+            Buf.rebasePlanes(Win.Buffers[static_cast<size_t>(Id)].Lo[0]);
+          }
+        break;
+      case EpochOp::Kind::CombineAndSwap:
+        // The previous epoch's reduction partials are complete; combine
+        // them across workers before anyone folds into them again.
+        if (ThreadInTeam == 0 && Epoch != 0) {
+          if (!Reductions.empty())
+            appendEpochReductions();
+          for (const FeedbackPair &FB : Program.feedbacks())
+            std::swap(array(FB.Source), array(FB.Target));
+        }
+        break;
+      case EpochOp::Kind::HaloSlab:
+        // Each slab writes only halo cells of its own planes and reads
+        // only core cells.
+        if (SlabLo != SlabHi)
+          for (const FeedbackPair &FB : Program.feedbacks()) {
+            Array3D &Target = array(FB.Target);
+            if (Obs)
+              Obs->onHaloFill(Worker, Dom, Target, SlabLo, SlabHi);
+            Dom.fillHaloPlanes(Target, SlabLo, SlabHi);
+          }
+        break;
+      case EpochOp::Kind::Rebind:
+        if (ThreadInTeam == 0)
+          rebindForStep(IS, Op.Step);
+        break;
+      case EpochOp::Kind::Import:
+        importEpochInputs(IS, Worker, ThreadInTeam, NumThreads);
+        break;
+      case EpochOp::Kind::Slide:
+        slideWindows(IS, Win, static_cast<size_t>(Op.Index), Worker,
+                     ThreadInTeam, NumThreads);
+        break;
+      case EpochOp::Kind::Pass: {
+        const StagePass &Pass = *Op.Pass;
+        Seam.beforePass(Epoch, Op.Index);
+        const bool Steals = Opts.Stealing && Op.Steals;
         if (Steals)
-          runStealingPass(IS, Seam, ThreadInTeam, NumThreads, Pass, CurStep);
+          runStealingPass(IS, Seam, ThreadInTeam, NumThreads, Pass, Op.Step);
         else
-          runShare(Seam, Pass.Stage, CurStep,
+          runShare(Seam, Pass.Stage, Op.Step,
                    teamSubRegion(Pass.Region, ThreadInTeam, NumThreads));
         Seam.endPass(Pass.Stage, Pass.BarrierAfter, Steals);
-        PrevBarrier = Pass.BarrierAfter;
+        break;
       }
-    }
-  }
+      }
   Seam.merge();
 }
 

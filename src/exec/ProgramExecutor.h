@@ -211,7 +211,6 @@ private:
   void slideWindows(IslandState &IS, const IslandWindows &Win, size_t Slide,
                     int Worker, int ThreadInTeam, int NumThreads);
   double &partialAt(int Worker, int StepInEpoch, size_t R);
-  void resetWorkerPartials(int Worker);
   void foldSubRegion(IslandState &IS, int Worker, int StepInEpoch,
                      StageId Stage, const Box3 &Sub);
   void appendEpochReductions();
@@ -246,8 +245,8 @@ private:
   /// Reductions holds the combiners in ReductionDef order;
   /// StageFolds[stage] lists the reduction indices the stage produces;
   /// Partials is the worker-major (worker, step-in-epoch, reduction)
-  /// scratch, each slot written only by its worker (reset per epoch,
-  /// combined in worker order at global barriers);
+  /// scratch, each slot folded into only by its worker and combined (and
+  /// reseeded) in worker order while every worker is quiesced;
   /// ReductionLog accumulates the per-step global values.
   std::vector<ReductionBinding> Reductions;
   std::vector<std::vector<size_t>> StageFolds;

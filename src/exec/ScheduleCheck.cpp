@@ -11,38 +11,82 @@
 using namespace icores;
 
 std::vector<IslandSchedule>
-icores::buildIslandSchedules(const ExecutionPlan &Plan) {
-  std::vector<IslandSchedule> Schedules;
-  Schedules.reserve(Plan.Islands.size());
-  for (const IslandPlan &Island : Plan.Islands) {
-    IslandSchedule S;
-    S.Index = Island.Index;
-    S.NumThreads = std::max(1, Island.NumThreads);
+icores::buildIslandSchedules(const ExecutionPlan &Plan,
+                             const std::vector<EpochScript> &Scripts) {
+  std::vector<IslandSchedule> Schedules(Scripts.size());
+  for (size_t I = 0; I != Scripts.size(); ++I) {
+    IslandSchedule &S = Schedules[I];
+    S.Index = Plan.Islands[I].Index;
+    S.NumThreads = std::max(1, Plan.Islands[I].NumThreads);
     S.TemporalDepth = std::max(1, Plan.TemporalDepth);
-    for (const BlockTask &Block : Island.Blocks)
-      for (const StagePass &Pass : Block.Passes) {
-        // The executor rebinds the feedback buffers between fused steps
-        // under a structural team barrier, so a fused-step boundary always
-        // ends the running barrier-free epoch regardless of barrier bits.
-        if (!S.Passes.empty() &&
-            S.Passes.back().StepInEpoch != Block.StepInEpoch)
-          S.Passes.back().BarrierAfter = true;
-        if (Pass.Region.empty()) {
-          // The executor skips the kernel of an empty pass but still
-          // honours its barrier bit; fold that barrier onto the previous
-          // retained pass so the epoch structure matches what runs. A
-          // leading empty pass needs no folding: there is nothing before
-          // it for its barrier to order.
-          if (Pass.BarrierAfter && !S.Passes.empty())
-            S.Passes.back().BarrierAfter = true;
-          continue;
-        }
-        S.Passes.push_back({Pass.Stage, Pass.Region, Pass.BarrierAfter,
-                            Block.StepInEpoch});
-      }
-    Schedules.push_back(std::move(S));
+    for (const EpochOp &Op : Scripts[I].Ops) {
+      if (Op.isBarrier() && !S.Passes.empty())
+        S.Passes.back().BarrierAfter = true;
+      else if (Op.K == EpochOp::Kind::Pass && !Op.Pass->Region.empty())
+        S.Passes.push_back(
+            {Op.Stage, Op.Pass->Region, /*BarrierAfter=*/false, Op.Step});
+    }
   }
   return Schedules;
+}
+
+namespace {
+
+using OpKind = EpochOp::Kind;
+
+/// Ops that touch state every island reaches: the shared arrays and the
+/// run-wide reduction partials. Their fences must be global barriers (the
+/// import's trailing one need only publish the island's own buffers), and
+/// no two kinds of them may share a barrier interval.
+bool touchesRunState(OpKind K) {
+  return K == OpKind::CombineAndSwap || K == OpKind::HaloSlab ||
+         K == OpKind::Import;
+}
+
+} // namespace
+
+bool icores::checkScriptFences(const std::vector<EpochScript> &Scripts,
+                               DiagnosticEngine &Diags) {
+  size_t ErrorsBefore = Diags.numErrors();
+  for (size_t I = 0; I != Scripts.size(); ++I) {
+    const std::vector<EpochOp> &Ops = Scripts[I].Ops;
+    for (size_t P = 0; P != Ops.size(); ++P) {
+      const OpKind K = Ops[P].K;
+      if (Ops[P].isBarrier() || K == OpKind::Pass)
+        continue;
+      for (int Dir : {-1, 1}) {
+        // Walk to the nearest barrier on this side, stopping early at an
+        // op that must not run concurrently with this one.
+        size_t Q = P;
+        while ((Dir < 0 ? Q-- != 0 : ++Q != Ops.size()) &&
+               !Ops[Q].isBarrier() && Ops[Q].K != OpKind::Pass &&
+               !(Dir > 0 && touchesRunState(K) &&
+                 touchesRunState(Ops[Q].K) && Ops[Q].K != K)) {
+        }
+        std::string Why;
+        if (Q >= Ops.size())
+          Why = "has no barrier";
+        else if (!Ops[Q].isBarrier())
+          Why = formatString("shares its barrier interval with the %s op "
+                             "%zu",
+                             epochOpName(Ops[Q].K), Q);
+        else if (touchesRunState(K) && (Dir < 0 || K != OpKind::Import) &&
+                 Ops[Q].K != OpKind::GlobalBarrier)
+          Why = "has a team barrier where a global one is needed";
+        else
+          continue;
+        const char *Side = Dir < 0 ? "before" : "after";
+        Diags
+            .report(Severity::Error,
+                    std::string("race.script.") + epochOpName(K),
+                    formatString("island %zu: the %s op %zu %s %s it", I,
+                                 epochOpName(K), P, Why.c_str(), Side))
+            .note("island", formatString("%zu", I))
+            .note("side", Side);
+      }
+    }
+  }
+  return Diags.numErrors() == ErrorsBefore;
 }
 
 namespace {
@@ -331,5 +375,9 @@ bool icores::checkScheduleRaces(const StencilProgram &Program,
 bool icores::checkPlanRaces(const StencilProgram &Program,
                             const ExecutionPlan &Plan,
                             DiagnosticEngine &Diags) {
-  return checkScheduleRaces(Program, buildIslandSchedules(Plan), Diags);
+  const std::vector<EpochScript> Scripts = buildEpochScripts(Program, Plan);
+  const bool Fenced = checkScriptFences(Scripts, Diags);
+  return checkScheduleRaces(Program, buildIslandSchedules(Plan, Scripts),
+                            Diags) &&
+         Fenced;
 }

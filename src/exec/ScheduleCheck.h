@@ -5,25 +5,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Happens-before analysis over an ExecutionPlan's pass/barrier schedule.
-/// The threaded executor runs each island's passes in order, splitting each
-/// pass region among the team's threads with teamSubRegion() and placing a
-/// team barrier after every pass; islands synchronise only at time-step
-/// boundaries. This analysis model makes both rules explicit and checkable:
+/// Happens-before analysis of the epoch scripts the threaded executor runs
+/// (exec/EpochScript.h). Each island's team runs its script's passes in
+/// order, splitting each pass region among the team's threads with
+/// teamSubRegion(), and meets at the script's barrier ops; islands
+/// synchronise only at global barriers. The check certifies the scripts
+/// themselves, so what it proves is what runs:
 ///
-///  - *Intra-island*: within a maximal barrier-free run of passes (an
-///    "epoch"), thread t1's writes may overlap thread t2's writes or
-///    window-expanded reads of a later pass — a data race the barrier
-///    normally prevents. buildIslandSchedules() mirrors the plan's
-///    per-pass BarrierAfter bits, so plans transformed by the barrier
-///    elision optimizer (core/ScheduleOptimizer.h) are checked exactly as
-///    the executor will run them; this check is the optimizer's safety
-///    gate.
+///  - *Fences* (`race.script.*`): every non-pass op of a script — rebase,
+///    combine-and-swap, halo slab, rebind, import, slide — needs a barrier
+///    on each side with no pass in between. Ops that touch state other
+///    islands reach (the combine and swap, the halo slab, the import's
+///    shared reads) need global barriers there, and no two kinds of them
+///    may share a barrier interval.
 ///
-///  - *Inter-island*: islands share only the non-Intermediate arrays (the
-///    per-island FieldStore privatises intermediates). Two islands whose
-///    passes write overlapping cells of a shared array, or where one writes
-///    cells another reads, race for the whole time step.
+///  - *Intra-island* (`race.intra.*`): within a maximal barrier-free run
+///    of passes (an "epoch"), thread t1's writes may overlap thread t2's
+///    writes or window-expanded reads of a later pass — a data race the
+///    barrier normally prevents. The schedule is derived from the script,
+///    so plans transformed by the barrier elision optimizer
+///    (core/ScheduleOptimizer.h) are checked exactly as the executor runs
+///    them; this check is the optimizer's safety gate.
+///
+///  - *Inter-island* (`race.inter.*`): islands share only the
+///    non-Intermediate arrays (the per-island FieldStore privatises
+///    intermediates). Two islands whose passes write overlapping cells of a
+///    shared array, or where one writes cells another reads, race for the
+///    whole time step.
 ///
 /// Findings use the stable `race.*` id namespace (see DESIGN.md §7).
 ///
@@ -33,6 +41,7 @@
 #define ICORES_EXEC_SCHEDULECHECK_H
 
 #include "core/ExecutionPlan.h"
+#include "exec/EpochScript.h"
 #include "grid/Box3.h"
 #include "stencil/StencilIR.h"
 
@@ -47,14 +56,10 @@ class DiagnosticEngine;
 struct ScheduledPass {
   StageId Stage = 0;
   Box3 Region;
-  /// Whether the team barriers after this pass. Stock plans always do;
-  /// the barrier elision optimizer clears bits it can prove redundant.
+  /// Whether a barrier separates this pass from the next one.
   bool BarrierAfter = true;
   /// Which fused time step of the temporal epoch this pass belongs to
-  /// (always 0 for TemporalDepth == 1 plans). The executor places a
-  /// structural team barrier plus a feedback-buffer rebind at every
-  /// fused-step boundary, so passes of different steps never share a
-  /// barrier-free epoch.
+  /// (always 0 for TemporalDepth == 1 plans).
   int StepInEpoch = 0;
 };
 
@@ -70,14 +75,21 @@ struct IslandSchedule {
   std::vector<ScheduledPass> Passes;
 };
 
-/// Flattens \p Plan into per-island schedules mirroring the executor:
-/// blocks in order, passes in order, empty pass regions dropped, barriers
-/// taken from the plan's per-pass BarrierAfter bits. The executor still
-/// honours the barrier bit of an empty (skipped) pass, so when an empty
-/// pass carrying a barrier is dropped its barrier is folded onto the
-/// previous retained pass — the schedule's epoch structure matches what
-/// actually runs.
-std::vector<IslandSchedule> buildIslandSchedules(const ExecutionPlan &Plan);
+/// The race-check view of \p Plan's epoch scripts \p Scripts (one per
+/// island, plan order): each island's non-empty passes in order, with
+/// BarrierAfter set when any barrier op comes before the next pass. So an
+/// empty pass's barrier lands on the previous retained pass, and
+/// structural and slide barriers end a barrier-free run like pass
+/// barriers do.
+std::vector<IslandSchedule>
+buildIslandSchedules(const ExecutionPlan &Plan,
+                     const std::vector<EpochScript> &Scripts);
+
+/// Checks the fences of \p Scripts (one per island, plan order), reporting
+/// `race.script.*` findings into \p Diags. Returns true when no error was
+/// added.
+bool checkScriptFences(const std::vector<EpochScript> &Scripts,
+                       DiagnosticEngine &Diags);
 
 /// One provable cross-thread conflict between two passes of one island
 /// executed with no intervening team barrier.
@@ -120,7 +132,8 @@ bool checkScheduleRaces(const StencilProgram &Program,
                         const std::vector<IslandSchedule> &Schedules,
                         DiagnosticEngine &Diags);
 
-/// Convenience: buildIslandSchedules + checkScheduleRaces.
+/// Builds every island's epoch script and certifies it: checkScriptFences
+/// plus checkScheduleRaces over the schedules derived from the scripts.
 bool checkPlanRaces(const StencilProgram &Program, const ExecutionPlan &Plan,
                     DiagnosticEngine &Diags);
 

@@ -4,6 +4,8 @@
 
 #include "core/BalanceModel.h"
 #include "core/PlacementMap.h"
+#include "exec/EpochScript.h"
+#include "exec/RegionSplit.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -12,16 +14,6 @@
 using namespace icores;
 
 namespace {
-
-/// The dimension a work team splits a pass along (matches the executor's
-/// teamSplitDim policy): the longer of i and j, never the unit-stride k
-/// axis unless both are degenerate.
-int splitDim(const Box3 &Region) {
-  int Best = Region.extent(0) >= Region.extent(1) ? 0 : 1;
-  if (Region.extent(Best) <= 1 && Region.extent(2) > 1)
-    return 2;
-  return Best;
-}
 
 /// Sum of halo plane depths (both sides) the pass's inputs read along
 /// \p Dim: the number of planes that cross a thread-boundary when the
@@ -40,7 +32,7 @@ struct IslandCosts {
   int64_t Flops = 0;
   int64_t DramBytes = 0;
   int64_t RemoteBytes = 0;
-  int64_t Barriers = 0; ///< Team barriers charged.
+  int64_t Barriers = 0; ///< Team barriers charged per epoch.
   int64_t Elided = 0;   ///< Pass barriers skipped via BarrierAfter=false.
 };
 
@@ -52,7 +44,8 @@ IslandCosts simulateIsland(const IslandPlan &Island,
                            const MachineModel &Machine, double StreamRate,
                            bool MultipleIslands, const PlacementMap &Map,
                            const IslandRemoteTraffic &RemoteTraffic,
-                           double KernelThroughput) {
+                           double KernelThroughput,
+                           const EpochScript &Script) {
   IslandCosts Costs;
   bool Blocked = Plan.Strat != Strategy::Original;
   const int Depth = std::max(1, Plan.TemporalDepth);
@@ -65,10 +58,6 @@ IslandCosts simulateIsland(const IslandPlan &Island,
   // (Original) do not.
   double RemoteVisible = Blocked ? (1.0 - Machine.RemoteOverlapFactor) : 1.0;
 
-  // Step inputs are streamed once per island and step: consecutive blocks
-  // overlap only in cone margins that stay cache-resident, so the charge
-  // is the union of the read regions (one sweep plus the island's cones).
-  std::map<ArrayId, Box3> StepInputReads;
   double ComputeTotal = 0.0;
 
   for (const BlockTask &Block : Island.Blocks) {
@@ -92,23 +81,14 @@ IslandCosts simulateIsland(const IslandPlan &Island,
         int64_t ReadBytes =
             In.readRegion(Pass.Region).numPoints() * Info.ElementBytes;
         if (Info.Role == ArrayRole::StepInput) {
-          if (Depth > 1) {
-            // Temporal epochs read step inputs from the island-private
-            // import buffer (gathered once per epoch, charged at island
-            // level below); the per-pass re-reads are cache hits for the
-            // blocked strategies, full streams for Original.
-            Box3 &U = StepInputReads[In.Array];
-            U = U.unionWith(In.readRegion(Pass.Region));
-            if (Blocked)
-              IntermediateBytes += ReadBytes;
-            else
-              BlockDramBytes += ReadBytes;
-          } else if (Blocked) {
-            Box3 &U = StepInputReads[In.Array];
-            U = U.unionWith(In.readRegion(Pass.Region));
-          } else {
+          // Blocked strategies stream step inputs once per island (charged
+          // at island level below). Temporal epochs read them from the
+          // island-private import buffer: the per-pass re-reads are cache
+          // hits for the blocked strategies, full streams for Original.
+          if (Depth > 1 && Blocked)
+            IntermediateBytes += ReadBytes;
+          else if (!Blocked)
             BlockDramBytes += ReadBytes;
-          }
         } else if (Blocked) {
           IntermediateBytes += ReadBytes;
         } else {
@@ -137,7 +117,7 @@ IslandCosts simulateIsland(const IslandPlan &Island,
 
       // --- Remote (interconnect) halo traffic --------------------------
       if (Island.NumSockets > 1) {
-        int Dim = splitDim(Pass.Region);
+        int Dim = teamSplitDim(Pass.Region);
         int Depth = haloDepthAlong(Program, Pass, Dim);
         int64_t CrossSection = Points / std::max(1, Pass.Region.extent(Dim));
         // Each adjacent socket pair exchanges over its own link; links
@@ -150,14 +130,8 @@ IslandCosts simulateIsland(const IslandPlan &Island,
                                     RemoteRate * RemoteVisible;
       }
 
-      // --- Team barrier, honouring the plan's barrier bits --------------
-      if (Pass.BarrierAfter) {
-        Costs.Breakdown.Barrier +=
-            Machine.barrierCost(Island.NumSockets, Island.NumThreads);
-        ++Costs.Barriers;
-      } else {
-        ++Costs.Elided;
-      }
+      // The team barriers are charged from the epoch script below.
+      Costs.Elided += !Pass.BarrierAfter;
     }
 
     Costs.DramBytes += BlockDramBytes;
@@ -175,31 +149,12 @@ IslandCosts simulateIsland(const IslandPlan &Island,
     }
   }
 
-  // Temporal epochs gather each step input into a private buffer whose
-  // box is the feedback-paired union the executor allocates (a fed-back
-  // input's buffer doubles as the pair's scratch, so it also covers the
-  // source's write union); that gather is the island's per-epoch input
-  // stream.
-  if (Depth > 1) {
-    std::map<ArrayId, Box3> WriteUnions;
-    for (const BlockTask &Block : Island.Blocks)
-      for (const StagePass &Pass : Block.Passes)
-        for (ArrayId Out : Program.stage(Pass.Stage).Outputs)
-          if (Program.array(Out).Role == ArrayRole::StepOutput) {
-            Box3 &U = WriteUnions[Out];
-            U = U.unionWith(Pass.Region);
-          }
-    for (const FeedbackPair &FB : Program.feedbacks()) {
-      auto In = StepInputReads.find(FB.Target);
-      auto Out = WriteUnions.find(FB.Source);
-      if (In == StepInputReads.end() || Out == WriteUnions.end())
-        continue;
-      In->second = In->second.unionWith(Out->second);
-    }
-  }
-
-  // Charge the island-wide step-input streams, overlapped with whatever
-  // compute headroom the per-block accounting left unused. Under
+  // Charge the island-wide step-input streams — the footprint reads the
+  // executor gathers: at T = 1 the union of the read regions (one sweep
+  // plus the island's cones; consecutive blocks overlap only in
+  // cache-resident cone margins), at T > 1 the feedback-paired import
+  // buffers — overlapped with whatever compute headroom the per-block
+  // accounting left unused. Under
   // FirstTouch, the slice of the union outside the island's own arena
   // segment lives on neighbor islands' first-touch pages (phase 1 of the
   // algorithm shares all inputs): the placement map splits those cone
@@ -211,8 +166,8 @@ IslandCosts simulateIsland(const IslandPlan &Island,
   int64_t RemoteInputBytes = 0;
   bool FirstTouchMargins = Map.Policy == PlacementPolicy::FirstTouch &&
                            Island.NumSockets == 1 && MultipleIslands;
-  for (const auto &[Array, Region] : StepInputReads)
-    InputBytes += Region.numPoints() * Program.array(Array).ElementBytes;
+  if (Blocked || Depth > 1)
+    InputBytes = islandFootprint(Program, Plan, Island).readBytes(Program);
   if (FirstTouchMargins)
     RemoteInputBytes = std::min(RemoteTraffic.ReadBytes, InputBytes);
   Costs.DramBytes += InputBytes;
@@ -231,16 +186,16 @@ IslandCosts simulateIsland(const IslandPlan &Island,
         Costs.Breakdown.Remote += static_cast<double>(Bytes) / Rate;
     }
 
-  // Temporal epochs: the executor brackets the epoch prologue with one
-  // team barrier and every fused-step rebind with two, and everything
-  // accumulated above covers all Depth fused steps — average it back to
-  // per-step costs.
+  // Every team barrier the island's epoch script crosses: the plan's pass
+  // barriers, the structural and slide barriers.
+  Costs.Barriers = Script.count(EpochOp::Kind::TeamBarrier);
+  Costs.Breakdown.Barrier +=
+      static_cast<double>(Costs.Barriers) *
+      Machine.barrierCost(Island.NumSockets, Island.NumThreads);
+
+  // Everything accumulated above covers all Depth fused steps of the
+  // epoch — average it back to per-step costs.
   if (Depth > 1) {
-    int Structural = 1 + 2 * (Depth - 1);
-    Costs.Breakdown.Barrier +=
-        Structural * Machine.barrierCost(Island.NumSockets,
-                                         Island.NumThreads);
-    Costs.Barriers += Structural;
     double Inv = 1.0 / static_cast<double>(Depth);
     Costs.Breakdown.Compute *= Inv;
     Costs.Breakdown.Dram *= Inv;
@@ -250,70 +205,9 @@ IslandCosts simulateIsland(const IslandPlan &Island,
     Costs.Flops /= Depth;
     Costs.DramBytes /= Depth;
     Costs.RemoteBytes /= Depth;
-    Costs.Barriers /= Depth;
     Costs.Elided /= Depth;
   }
   return Costs;
-}
-
-/// Replicates ProgramExecutor's shared-traffic footprint computation for
-/// one island: import-buffer reads per epoch (feedback-paired boxes for
-/// T > 1, plain read unions for T == 1) plus final-step output writes.
-int64_t islandSharedBytesPerEpoch(const IslandPlan &Island,
-                                  const ExecutionPlan &Plan,
-                                  const StencilProgram &Program) {
-  const int Depth = std::max(1, Plan.TemporalDepth);
-  std::vector<Box3> ReadUnion(Program.numArrays());
-  std::vector<Box3> WriteUnion(Program.numArrays());
-  for (const BlockTask &Block : Island.Blocks)
-    for (const StagePass &Pass : Block.Passes) {
-      const StageDef &Stage = Program.stage(Pass.Stage);
-      for (const StageInput &In : Stage.Inputs)
-        if (Program.array(In.Array).Role == ArrayRole::StepInput) {
-          Box3 &Un = ReadUnion[static_cast<size_t>(In.Array)];
-          Un = Un.unionWith(In.readRegion(Pass.Region));
-        }
-      for (ArrayId Out : Stage.Outputs)
-        if (Program.array(Out).Role == ArrayRole::StepOutput) {
-          Box3 &Un = WriteUnion[static_cast<size_t>(Out)];
-          Un = Un.unionWith(Pass.Region);
-        }
-    }
-
-  int64_t Bytes = 0;
-  if (Depth > 1) {
-    std::vector<Box3> BufBox(Program.numArrays());
-    for (ArrayId In : Program.stepInputs())
-      BufBox[static_cast<size_t>(In)] = ReadUnion[static_cast<size_t>(In)];
-    for (ArrayId Out : Program.stepOutputs())
-      BufBox[static_cast<size_t>(Out)] =
-          WriteUnion[static_cast<size_t>(Out)];
-    for (const FeedbackPair &FB : Program.feedbacks()) {
-      Box3 Paired = BufBox[static_cast<size_t>(FB.Target)].unionWith(
-          BufBox[static_cast<size_t>(FB.Source)]);
-      BufBox[static_cast<size_t>(FB.Target)] = Paired;
-      BufBox[static_cast<size_t>(FB.Source)] = Paired;
-    }
-    for (ArrayId In : Program.stepInputs())
-      Bytes += BufBox[static_cast<size_t>(In)].numPoints() *
-               Program.array(In).ElementBytes;
-  } else {
-    for (ArrayId In : Program.stepInputs())
-      Bytes += ReadUnion[static_cast<size_t>(In)].numPoints() *
-               Program.array(In).ElementBytes;
-  }
-  for (ArrayId Out : Program.stepOutputs()) {
-    Box3 FinalOut;
-    for (const BlockTask &Block : Island.Blocks) {
-      if (Block.StepInEpoch != Depth - 1)
-        continue;
-      for (const StagePass &Pass : Block.Passes)
-        if (Pass.Stage == Program.producerOf(Out))
-          FinalOut = FinalOut.unionWith(Pass.Region);
-    }
-    Bytes += FinalOut.numPoints() * Program.array(Out).ElementBytes;
-  }
-  return Bytes;
 }
 
 } // namespace
@@ -337,8 +231,10 @@ int64_t
 icores::projectedSharedBytesPerStep(const ExecutionPlan &Plan,
                                     const StencilProgram &Program) {
   int64_t PerEpoch = 0;
-  for (const IslandPlan &Island : Plan.Islands)
-    PerEpoch += islandSharedBytesPerEpoch(Island, Plan, Program);
+  for (const IslandPlan &Island : Plan.Islands) {
+    const IslandFootprint F = islandFootprint(Program, Plan, Island);
+    PerEpoch += F.readBytes(Program) + F.writeBytes(Program);
+  }
   return PerEpoch / std::max(1, Plan.TemporalDepth);
 }
 
@@ -373,8 +269,15 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
   Result.PlacementRemoteBytesPerStep =
       estimateRemoteBytesPerStep(Plan, Program, Plan.Placement);
 
+  // The epoch protocol the executor runs: its barrier ops are what the
+  // islands and the run pay for synchronisation.
+  const std::vector<EpochScript> Scripts = buildEpochScripts(Program, Plan);
+  Result.GlobalBarriersPerEpoch =
+      Scripts.front().count(EpochOp::Kind::GlobalBarrier);
+
   double WorstIslandSeconds = 0.0;
-  for (const IslandPlan &Island : Plan.Islands) {
+  for (size_t I = 0; I != Plan.Islands.size(); ++I) {
+    const IslandPlan &Island = Plan.Islands[I];
     double StreamRate;
     if (Plan.Placement == PagePlacement::None) {
       // Every island's traffic funnels through the home node, shared
@@ -399,11 +302,11 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
     IslandCosts Costs = simulateIsland(
         Island, Plan, Program, Machine, StreamRate, Plan.Islands.size() > 1,
         PMap, estimateIslandRemoteEpochTraffic(Island, Plan, Program, PMap),
-        kernelThroughputFactor(Options.Kernels));
+        kernelThroughputFactor(Options.Kernels), Scripts[I]);
     Result.FlopsPerStep += Costs.Flops;
     Result.DramBytesPerStep += Costs.DramBytes;
     Result.RemoteBytesPerStep += Costs.RemoteBytes;
-    Result.TeamBarriersPerStep += Costs.Barriers;
+    Result.TeamBarriersPerEpoch += Costs.Barriers;
     Result.ElidedBarriersPerStep += Costs.Elided;
     double Seconds = Costs.Breakdown.total();
     if (Seconds > WorstIslandSeconds) {
@@ -412,13 +315,13 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
     }
   }
 
-  // Shared per-step costs: end-of-step barrier across every active socket
-  // plus the fixed turnover (halo refresh, scheduler). Temporal epochs
-  // cross the global barrier once per epoch, so both amortise over the
-  // fused steps.
-  double Shared =
-      (Machine.barrierCost(ActiveSockets) + Machine.StepOverheadSeconds) /
-      static_cast<double>(std::max(1, Plan.TemporalDepth));
+  // Shared per-step costs: the epoch's global barriers across every
+  // active socket plus the fixed turnover (scheduler), both amortised over
+  // the fused steps.
+  double Shared = (static_cast<double>(Result.GlobalBarriersPerEpoch) *
+                       Machine.barrierCost(ActiveSockets) +
+                   Machine.StepOverheadSeconds) /
+                  static_cast<double>(std::max(1, Plan.TemporalDepth));
   Result.CriticalIsland.Overhead += Shared;
 
   Result.StepSeconds = WorstIslandSeconds + Shared;

@@ -26,13 +26,15 @@
 ///    between adjacent sockets' sub-regions of each pass, at the
 ///    interconnect's cache-to-cache efficiency (partially overlapped for
 ///    cache-resident data);
-///  - barrier: one team barrier per pass whose BarrierAfter bit is set,
-///    cost growing with the socket span — the term that sinks the pure
-///    (3+1)D decomposition. Plans transformed by the barrier-elision
-///    optimizer (core/ScheduleOptimizer.h) are charged only for the
-///    barriers that remain, so predicted barrier share tracks the
-///    optimization;
-///  - overhead: per-step turnover plus the global end-of-step barrier.
+///  - barrier: every team barrier of the island's epoch script
+///    (exec/EpochScript.h, the protocol the executor runs): one per pass
+///    whose BarrierAfter bit is set, plus the structural and slide
+///    barriers, cost growing with the socket span — the term that sinks
+///    the pure (3+1)D decomposition. Plans transformed by the
+///    barrier-elision optimizer (core/ScheduleOptimizer.h) are charged
+///    only for the barriers that remain, so predicted barrier share tracks
+///    the optimization;
+///  - overhead: per-step turnover plus the script's global barriers.
 ///
 /// Temporal blocking (ExecutionPlan::TemporalDepth T > 1) is charged the
 /// way the executor runs it: all T fused steps' passes are accumulated
@@ -40,10 +42,8 @@
 /// output writes are served by the island-private import/scratch buffers
 /// (cache-resident for the blocked strategies, so they pay only the
 /// calibrated spill fraction); the DRAM stream is the once-per-epoch
-/// import gather plus the final fused step's shared writes; the global
-/// step barrier and turnover amortise over the epoch; and the executor's
-/// structural rebind barriers (one prologue plus two per fused-step
-/// boundary) are charged at team-barrier cost.
+/// import gather plus the final fused step's shared writes; and the
+/// script's barriers and the turnover amortise over the epoch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,11 +83,14 @@ struct SimResult {
                                  ///< (likwid-perfctr analogue).
   int64_t RemoteBytesPerStep = 0; ///< Interconnect halo traffic.
 
-  /// Team-barrier crossings charged per step across all islands (empty
-  /// passes are skipped, like the rest of the cost model). For temporal
-  /// plans this is the per-epoch count (pass barriers of all fused steps
-  /// plus the structural rebind barriers) divided by the depth.
-  int64_t TeamBarriersPerStep = 0;
+  /// Team barriers per epoch across all islands: the TeamBarrier ops of
+  /// the islands' epoch scripts (exec/EpochScript.h) — every pass barrier,
+  /// empty passes' included, plus the structural and slide barriers —
+  /// each the crossing the executor makes.
+  int64_t TeamBarriersPerEpoch = 0;
+  /// Global barriers per epoch: the GlobalBarrier ops of one script (every
+  /// island's script crosses the same ones).
+  int64_t GlobalBarriersPerEpoch = 0;
   /// Non-empty passes whose barrier the plan elides (not charged).
   int64_t ElidedBarriersPerStep = 0;
 

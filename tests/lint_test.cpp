@@ -12,6 +12,7 @@
 
 #include "core/PlanBuilder.h"
 #include "core/PlanVerifier.h"
+#include "exec/EpochScript.h"
 #include "exec/LintSuite.h"
 #include "exec/ScheduleCheck.h"
 #include "machine/MachineModel.h"
@@ -554,7 +555,8 @@ TEST(ScheduleCheck, BuiltPlansAreRaceFree) {
     Config.Strat = Strat;
     Config.Sockets = 2;
     ExecutionPlan Plan = buildPlan(M.Program, Target, Machine, Config);
-    std::vector<IslandSchedule> Schedules = buildIslandSchedules(Plan);
+    std::vector<IslandSchedule> Schedules =
+        buildIslandSchedules(Plan, buildEpochScripts(M.Program, Plan));
     // The executor barriers after every pass; the schedule must say so.
     for (const IslandSchedule &S : Schedules)
       for (const ScheduledPass &Pass : S.Passes) {
@@ -565,6 +567,63 @@ TEST(ScheduleCheck, BuiltPlansAreRaceFree) {
     EXPECT_TRUE(checkScheduleRaces(M.Program, Schedules, Diags))
         << strategyName(Strat) << ": " << Diags.firstErrorMessage();
   }
+}
+
+/// MPDATA's epoch scripts for a two-island blocked plan of temporal depth
+/// \p Depth, which the fence check must accept as built. Then the first
+/// barrier after island 0's first \p K op is deleted, and the result is
+/// whether the fence check reports \p Id for it.
+bool droppedFenceIsReported(EpochOp::Kind K, int Depth,
+                            const std::string &Id) {
+  MpdataProgram M = buildMpdataProgram();
+  MachineModel Machine = makeToyMachine();
+  Machine.NumSockets = std::max(Machine.NumSockets, 2);
+  PlanConfig Config;
+  Config.Strat = Strategy::IslandsOfCores;
+  Config.Sockets = 2;
+  Config.TemporalDepth = Depth;
+  ExecutionPlan Plan =
+      buildPlan(M.Program, Box3::fromExtents(48, 24, 8), Machine, Config);
+  std::vector<EpochScript> Scripts = buildEpochScripts(M.Program, Plan);
+  DiagnosticEngine Clean;
+  EXPECT_TRUE(checkScriptFences(Scripts, Clean)) << Clean.firstErrorMessage();
+
+  std::vector<EpochOp> &Ops = Scripts[0].Ops;
+  auto Op = std::find_if(Ops.begin(), Ops.end(),
+                         [K](const EpochOp &O) { return O.K == K; });
+  if (Op == Ops.end()) {
+    ADD_FAILURE() << "no " << epochOpName(K) << " op at T=" << Depth;
+    return false;
+  }
+  Ops.erase(std::find_if(Op, Ops.end(),
+                         [](const EpochOp &O) { return O.isBarrier(); }));
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(checkScriptFences(Scripts, Diags));
+  return Diags.hasFinding(Id);
+}
+
+TEST(ScheduleCheck, DroppedFenceAfterSlideIsReported) {
+  EXPECT_TRUE(
+      droppedFenceIsReported(EpochOp::Kind::Slide, 1, "race.script.slide"));
+  EXPECT_TRUE(
+      droppedFenceIsReported(EpochOp::Kind::Slide, 2, "race.script.slide"));
+}
+
+TEST(ScheduleCheck, DroppedFenceAfterHaloSlabIsReported) {
+  EXPECT_TRUE(droppedFenceIsReported(EpochOp::Kind::HaloSlab, 1,
+                                     "race.script.halo-slab"));
+}
+
+TEST(ScheduleCheck, DroppedFenceAfterCombineAndSwapIsReported) {
+  for (int Depth : {1, 2})
+    EXPECT_TRUE(droppedFenceIsReported(EpochOp::Kind::CombineAndSwap, Depth,
+                                       "race.script.combine-and-swap"))
+        << "T=" << Depth;
+}
+
+TEST(ScheduleCheck, DroppedFenceAfterImportIsReported) {
+  EXPECT_TRUE(droppedFenceIsReported(EpochOp::Kind::Import, 2,
+                                     "race.script.import"));
 }
 
 //===----------------------------------------------------------------------===//

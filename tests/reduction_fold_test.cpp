@@ -136,8 +136,10 @@ TEST(ReductionFoldTest, OptimizerElidesTheReducedPassBarrier) {
             }
       EXPECT_EQ(MeasurePasses, Depth);
       DiagnosticEngine Diags;
-      EXPECT_TRUE(checkScheduleRaces(A.Program, buildIslandSchedules(Plan),
-                                     Diags));
+      EXPECT_TRUE(checkScheduleRaces(
+          A.Program,
+          buildIslandSchedules(Plan, buildEpochScripts(A.Program, Plan)),
+          Diags));
       EXPECT_EQ(Diags.numFindings(), 0u) << Diags.firstErrorMessage();
     }
 }

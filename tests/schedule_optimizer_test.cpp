@@ -13,6 +13,7 @@
 #include "core/PlanBuilder.h"
 #include "core/PlanVerifier.h"
 #include "core/ScheduleOptimizer.h"
+#include "exec/EpochScript.h"
 #include "exec/LintSuite.h"
 #include "exec/ProgramExecutor.h"
 #include "exec/ScheduleCheck.h"
@@ -192,8 +193,9 @@ TEST(ScheduleOptimizerTest, SeededOverElisionIsRejected) {
 }
 
 TEST(ScheduleOptimizerTest, EmptyPassBarrierFoldsOntoPreviousPass) {
-  // Mirror of the executor: an empty pass is skipped but its barrier bit
-  // is still honoured, so buildIslandSchedules folds it backwards.
+  // An empty pass runs no kernel, but the epoch script still crosses its
+  // barrier, so the schedule derived from the script folds it backwards.
+  MpdataProgram M = buildMpdataProgram();
   ExecutionPlan Plan;
   Plan.GlobalTarget = Box3::fromExtents(4, 4, 4);
   IslandPlan Island;
@@ -207,7 +209,8 @@ TEST(ScheduleOptimizerTest, EmptyPassBarrierFoldsOntoPreviousPass) {
   Island.Blocks.push_back(Block);
   Plan.Islands.push_back(Island);
 
-  std::vector<IslandSchedule> Schedules = buildIslandSchedules(Plan);
+  std::vector<IslandSchedule> Schedules =
+      buildIslandSchedules(Plan, buildEpochScripts(M.Program, Plan));
   ASSERT_EQ(Schedules.size(), 1u);
   ASSERT_EQ(Schedules[0].Passes.size(), 2u);
   EXPECT_EQ(Schedules[0].Passes[0].Stage, 0);
@@ -220,7 +223,7 @@ TEST(ScheduleOptimizerTest, EmptyPassBarrierFoldsOntoPreviousPass) {
   Plan.Islands[0].Blocks[0].Passes.insert(
       Plan.Islands[0].Blocks[0].Passes.begin(),
       StagePass{3, Box3(), /*BarrierAfter=*/true});
-  Schedules = buildIslandSchedules(Plan);
+  Schedules = buildIslandSchedules(Plan, buildEpochScripts(M.Program, Plan));
   ASSERT_EQ(Schedules[0].Passes.size(), 2u);
   EXPECT_EQ(Schedules[0].Passes[0].Stage, 0);
   EXPECT_TRUE(Schedules[0].Passes[0].BarrierAfter);
@@ -229,6 +232,15 @@ TEST(ScheduleOptimizerTest, EmptyPassBarrierFoldsOntoPreviousPass) {
 TEST(ScheduleOptimizerTest, CountsMatchSimulator) {
   MpdataProgram M = buildMpdataProgram();
   MachineModel Machine = machineWithSockets(2);
+  // The scripts' team barrier ops, all of them and those ending a pass.
+  auto teamBarriers = [&](const ExecutionPlan &Plan, bool PassOnly) {
+    int64_t N = 0;
+    for (const EpochScript &S : buildEpochScripts(M.Program, Plan))
+      for (const EpochOp &Op : S.Ops)
+        N += Op.K == EpochOp::Kind::TeamBarrier &&
+             (!PassOnly || Op.Stage != NoStage);
+    return N;
+  };
   for (Strategy Strat : {Strategy::Original, Strategy::Block31D,
                          Strategy::IslandsOfCores}) {
     ExecutionPlan Plain = makePlan(M, Strat, 2);
@@ -238,8 +250,10 @@ TEST(ScheduleOptimizerTest, CountsMatchSimulator) {
     ExecutionPlan Opt = makePlan(M, Strat, 2);
     ScheduleOptimizerReport Report = optimizeBarriers(M.Program, Opt);
     SimResult OptSim = simulate(Opt, M.Program, Machine, TimeSteps);
-    EXPECT_EQ(PlainSim.TeamBarriersPerStep, Report.TotalPasses);
-    EXPECT_EQ(OptSim.TeamBarriersPerStep, Report.remainingBarriers());
+    EXPECT_EQ(PlainSim.TeamBarriersPerEpoch, teamBarriers(Plain, false));
+    EXPECT_EQ(OptSim.TeamBarriersPerEpoch, teamBarriers(Opt, false));
+    EXPECT_EQ(teamBarriers(Plain, true), Report.TotalPasses);
+    EXPECT_EQ(teamBarriers(Opt, true), Report.remainingBarriers());
     EXPECT_EQ(OptSim.ElidedBarriersPerStep, Report.ElidedBarriers);
     EXPECT_LE(OptSim.TotalSeconds, PlainSim.TotalSeconds + 1e-12)
         << strategyName(Strat);

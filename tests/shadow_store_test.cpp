@@ -249,7 +249,8 @@ TEST(ShadowStoreTest, DropBarrierMutantIsCaughtInReplay) {
     for (ArrayId A = 0; A != static_cast<ArrayId>(M.Program.numArrays());
          ++A)
       Arrays.emplace(A, Array3D(Box3::fromExtents(32, 16, 8).grownAll(8)));
-    std::vector<IslandSchedule> Schedules = buildIslandSchedules(P);
+    std::vector<IslandSchedule> Schedules =
+        buildIslandSchedules(P, buildEpochScripts(M.Program, P));
     for (const ScheduledPass &Pass : Schedules[Island].Passes) {
       const StageDef &SD = M.Program.stage(Pass.Stage);
       for (int T = 0; T != N; ++T) {

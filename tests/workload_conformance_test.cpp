@@ -13,7 +13,8 @@
 //  - pass the lint suite (program validation, audit, plan dataflow
 //    verification, schedule race check) for every strategy's plan,
 //  - price identically in the simulator and the executor
-//    (projectedSharedBytesPerStep == sharedBytesPerStep),
+//    (projectedSharedBytesPerStep == sharedBytesPerStep, and the
+//    barriers crossed per epoch == the simulator's barrier counts),
 //  - replay deterministically under seeded chaos faults,
 //  - run distributed on rank grids 1x1, 2x1 and 2x2 bit-exactly (a
 //    workload with reductions must instead fail with a structured
@@ -32,6 +33,8 @@
 #include "core/BalanceModel.h"
 #include "core/PlanVerifier.h"
 #include "dist/DistributedSolver.h"
+#include "exec/EpochScript.h"
+#include "exec/ExecObserver.h"
 #include "exec/LintSuite.h"
 #include "exec/ScheduleCheck.h"
 #include "fault/FaultInjector.h"
@@ -42,6 +45,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -269,6 +273,77 @@ TEST_P(WorkloadConformance, SimulatorSharedTrafficMatchesExecutor) {
       EXPECT_EQ(Projected, Exec->sharedBytesPerStep())
           << strategyName(Strat) << " T=" << T;
     }
+}
+
+namespace {
+
+/// Counts barrier arrivals per observer site (0 is the global barrier,
+/// island + 1 that island's team barrier).
+class BarrierCounter : public ExecObserver {
+public:
+  explicit BarrierCounter(size_t Sites) : Arrivals(Sites) {}
+  int64_t arrivals(size_t Site) const { return Arrivals[Site].load(); }
+
+  void onBarrierArrive(uint64_t Site, int, int) override {
+    Arrivals[static_cast<size_t>(Site)].fetch_add(1);
+  }
+  void onBarrierDepart(uint64_t, int) override {}
+  void onPass(int, const StencilProgram &, FieldStore &, StageId,
+              const Box3 &) override {}
+  void onImport(int, const Array3D &, const Array3D &, const Box3 &, int,
+                int, int) override {}
+  void onSlide(int, const Array3D &, const SlideShare &) override {}
+  void onHaloFill(int, const Domain &, const Array3D &, int, int) override {}
+
+private:
+  std::vector<std::atomic<int64_t>> Arrivals;
+};
+
+} // namespace
+
+TEST_P(WorkloadConformance, SimulatorBarrierCountsMatchExecutor) {
+  // The executor runs the islands' epoch scripts and the simulator prices
+  // them: the barriers the workers cross per epoch, the scripts' barrier
+  // ops and the simulator's per-epoch counts must all agree.
+  const WorkloadSpec &Spec = spec();
+  Domain Dom = domain();
+  MachineModel Machine = makeToyMachine();
+  Machine.NumSockets = std::max(Machine.NumSockets, 2);
+  constexpr int Epochs = 2;
+  for (Strategy Strat : allStrategies())
+    for (int T : sweepDepths())
+      for (bool Elide : {false, true}) {
+        ExecutionPlan Plan = makeTestPlan(Spec.Program, Dom, Strat, T, Elide);
+        const SimResult Sim = simulate(Plan, Spec.Program, Machine, T);
+        const std::vector<EpochScript> Scripts =
+            buildEpochScripts(Spec.Program, Plan);
+        BarrierCounter Counter(Plan.Islands.size() + 1);
+        ExecutorOptions Opts;
+        Opts.Observer = &Counter;
+        auto Exec = makeWorkloadExecutor(Spec, Dom, Plan,
+                                         KernelVariant::Reference, Opts);
+        Exec->run(Epochs * T);
+        const std::string Where = std::string(strategyName(Strat)) +
+                                  " T=" + std::to_string(T) +
+                                  (Elide ? " elided" : "");
+
+        int64_t Workers = 0, TeamOps = 0;
+        for (size_t I = 0; I != Plan.Islands.size(); ++I) {
+          const int64_t Team = Plan.Islands[I].NumThreads;
+          Workers += Team;
+          const int64_t Ops = Scripts[I].count(EpochOp::Kind::TeamBarrier);
+          TeamOps += Ops;
+          EXPECT_EQ(Counter.arrivals(I + 1), Ops * Team * Epochs)
+              << Where << " island " << I;
+          EXPECT_EQ(Scripts[I].count(EpochOp::Kind::GlobalBarrier),
+                    Sim.GlobalBarriersPerEpoch)
+              << Where << " island " << I;
+        }
+        EXPECT_EQ(Sim.TeamBarriersPerEpoch, TeamOps) << Where;
+        EXPECT_EQ(Counter.arrivals(0),
+                  Sim.GlobalBarriersPerEpoch * Workers * Epochs)
+            << Where;
+      }
 }
 
 TEST_P(WorkloadConformance, ChaosReplayIsDeterministic) {
