@@ -59,7 +59,9 @@ Accepted schemas:
   "steal_failures" (ints >= 0), "idle_seconds" (float >= 0),
   "predicted_island_skew" and "measured_island_skew" (floats; >= 1 or
   exactly 0 when unpriced), plus per-island "imbalance_per_step" lists
-  and per-thread "steals"/"steal_failures"/"idle_seconds".
+  and per-thread "steals"/"steal_failures"/"idle_seconds". A
+  "fold_seconds" field (reduction-fold time, top level and per thread)
+  joined v5 without a version bump: optional, a float >= 0 when present.
 
   icores.prove.v1 (src/verify/ProofDriver.cpp writeProveJson; emitted by
   tools/icores_verify):
@@ -189,6 +191,12 @@ BALANCE_ROW_FIELDS = {
 
 # Workload manifest loaded from --manifest=FILE (None: accept any name).
 MANIFEST = None
+
+
+def is_seconds(value):
+    """True for a non-negative JSON number that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and value >= 0
 
 
 def validate_workload_field(where, row):
@@ -399,6 +407,8 @@ def validate_exec_stats(path, doc):
             or isinstance(doc["temporal_depth"], bool)
             or doc["temporal_depth"] < 1):
         errors.append("%s: temporal_depth must be an int >= 1" % path)
+    if "fold_seconds" in doc and not is_seconds(doc["fold_seconds"]):
+        errors.append("%s: fold_seconds must be a float >= 0" % path)
     for field in ("shared_read_bytes", "shared_written_bytes"):
         if field in doc and (not isinstance(doc[field], int)
                              or isinstance(doc[field], bool)
@@ -412,6 +422,11 @@ def validate_exec_stats(path, doc):
         for field in ("island", "num_threads", "stages"):
             if field not in island:
                 errors.append("%s: missing field %r" % (where, field))
+        for t, thread in enumerate(island.get("threads", [])):
+            if isinstance(thread, dict) and "fold_seconds" in thread \
+                    and not is_seconds(thread["fold_seconds"]):
+                errors.append("%s: threads[%d]: fold_seconds must be a "
+                              "float >= 0" % (where, t))
         if version == "v5":
             steps = island.get("imbalance_per_step")
             if not isinstance(steps, list) or not all(

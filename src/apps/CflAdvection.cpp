@@ -179,6 +179,10 @@ std::vector<ReductionBinding> icores::cflAdvectionReductions() {
   // tolerant, so the redundant cone cells of islands/temporal plans (which
   // hold bit-identical periodic images) fold to the exact serial result.
   std::vector<ReductionBinding> Bindings;
+  // One allocation, not a grow-and-move: the registry keeps this vector
+  // for the process's life, and back-to-back executor set-ups are
+  // sensitive to the small-allocation heap layout (EXPERIMENTS.md).
+  Bindings.reserve(2);
   Bindings.push_back(
       {"cfl", [](double Acc, double V) { return std::max(Acc, V); }, 0.0});
   Bindings.push_back({"maxnorm",

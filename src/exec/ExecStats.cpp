@@ -147,8 +147,6 @@ void ExecStats::mergeThread(int Island, int ThreadInTeam,
     ThreadS.KernelSeconds += Accum.StageKernelSeconds[S];
     ThreadS.BarrierWaitSeconds += Accum.StageBarrierWaitSeconds[S];
     ThreadS.Passes += Accum.StagePasses[S];
-    ThreadS.BarrierWaits +=
-        Accum.StagePasses[S] - Accum.StageBarriersElided[S];
     ThreadS.BarriersElided += Accum.StageBarriersElided[S];
   }
   ThreadS.SpinWakes += Accum.SpinWakes;
@@ -156,6 +154,8 @@ void ExecStats::mergeThread(int Island, int ThreadInTeam,
   ThreadS.Steals += Accum.Steals;
   ThreadS.StealFailures += Accum.StealFailures;
   ThreadS.IdleSeconds += Accum.IdleSeconds;
+  ThreadS.FoldSeconds += Accum.FoldSeconds;
+  ThreadS.BarrierWaitSeconds += Accum.StructuralBarrierWaitSeconds;
   size_t Steps =
       std::min(ThreadS.StepKernelSeconds.size(), Accum.StepKernelSeconds.size());
   for (size_t S = 0; S != Steps; ++S)
@@ -225,6 +225,14 @@ double ExecStats::idleSeconds() const {
   return Sum;
 }
 
+double ExecStats::foldSeconds() const {
+  double Sum = 0.0;
+  for (const IslandStat &Island : Islands)
+    for (const ThreadStat &T : Island.Threads)
+      Sum += T.FoldSeconds;
+  return Sum;
+}
+
 double ExecStats::measuredIslandSkew() const {
   if (Islands.size() < 2)
     return 1.0;
@@ -268,6 +276,7 @@ void ExecStats::writeJson(OStream &OS) const {
   OS << "  \"steals\": " << steals() << ",\n";
   OS << "  \"steal_failures\": " << stealFailures() << ",\n";
   OS << "  \"idle_seconds\": " << jsonNumber(idleSeconds()) << ",\n";
+  OS << "  \"fold_seconds\": " << jsonNumber(foldSeconds()) << ",\n";
   OS << "  \"predicted_island_skew\": " << jsonNumber(PredictedIslandSkew)
      << ",\n";
   OS << "  \"measured_island_skew\": " << jsonNumber(measuredIslandSkew())
@@ -330,13 +339,14 @@ void ExecStats::writeJson(OStream &OS) const {
       OS << (T ? ",\n       " : "\n       ");
       OS << "{\"thread\": " << Thread.ThreadInTeam
          << ", \"passes\": " << Thread.Passes
-         << ", \"barrier_waits\": " << Thread.BarrierWaits
+         << ", \"barrier_waits\": " << Thread.barrierWaits()
          << ", \"elided_barriers\": " << Thread.BarriersElided
          << ", \"spin_wakes\": " << Thread.SpinWakes
          << ", \"sleep_wakes\": " << Thread.SleepWakes
          << ", \"steals\": " << Thread.Steals
          << ", \"steal_failures\": " << Thread.StealFailures
          << ", \"idle_seconds\": " << jsonNumber(Thread.IdleSeconds)
+         << ", \"fold_seconds\": " << jsonNumber(Thread.FoldSeconds)
          << ", \"kernel_seconds\": " << jsonNumber(Thread.KernelSeconds)
          << ", \"barrier_wait_seconds\": "
          << jsonNumber(Thread.BarrierWaitSeconds) << "}";

@@ -30,7 +30,8 @@
 /// remote_bytes_est / pages_first_touched / pin_failures; v5 adds the
 /// load-balance fields balance / stealing / steals / steal_failures /
 /// idle_seconds / predicted_island_skew / measured_island_skew and the
-/// per-island imbalance_per_step array); writeCsv() renders
+/// per-island imbalance_per_step array; fold_seconds, top level and per
+/// thread, came later without a version bump); writeCsv() renders
 /// per-(island, stage) rows through support/Table for
 /// spreadsheet-friendly dumps. v2..v4 documents remain parseable by
 /// bench/validate_bench_json.py.
@@ -63,9 +64,11 @@ struct StageStat {
 struct ThreadStat {
   int ThreadInTeam = 0;
   double KernelSeconds = 0.0;
-  double BarrierWaitSeconds = 0.0; ///< Team barriers only.
+  /// Team barriers only: the pass barriers (also booked per stage) plus
+  /// the epoch script's structural and slide barriers, which end no pass
+  /// and are booked to no stage.
+  double BarrierWaitSeconds = 0.0;
   int64_t Passes = 0;              ///< Pass visits by this thread.
-  int64_t BarrierWaits = 0;        ///< Team-barrier crossings.
   int64_t BarriersElided = 0;      ///< Passes this thread ran barrier-free.
   int64_t SpinWakes = 0;  ///< Barrier releases observed while spinning.
   int64_t SleepWakes = 0; ///< Barrier releases via the futex sleep path.
@@ -76,10 +79,16 @@ struct ThreadStat {
   /// into the pass barrier, summed over stealing-scheduled passes. The
   /// barrier wait itself is counted separately in BarrierWaitSeconds.
   double IdleSeconds = 0.0;
+  /// Reduction-fold time: the thread's folds of the cells it computed
+  /// into its partials. Neither kernel nor idle time.
+  double FoldSeconds = 0.0;
   /// Kernel seconds attributed to each fused step of the temporal epoch
   /// (index = BlockTask::StepInEpoch; size = plan TemporalDepth), summed
   /// over all epochs, so imbalance can be reported per step.
   std::vector<double> StepKernelSeconds;
+
+  /// Pass-barrier crossings: every pass not run barrier-free.
+  int64_t barrierWaits() const { return Passes - BarriersElided; }
 };
 
 /// Per-island aggregation: per-stage and per-thread views of the same
@@ -115,11 +124,14 @@ struct ExecThreadAccum {
   std::vector<int64_t> StageBarriersElided;
   std::vector<double> StepKernelSeconds; ///< By fused step in epoch.
   double GlobalBarrierWaitSeconds = 0.0;
+  /// Team-barrier waits that end no pass (structural and slide barriers).
+  double StructuralBarrierWaitSeconds = 0.0;
   int64_t SpinWakes = 0;  ///< Team + global barrier spin releases.
   int64_t SleepWakes = 0; ///< Team + global barrier sleep releases.
   int64_t Steals = 0;        ///< Chunks claimed from teammates.
   int64_t StealFailures = 0; ///< Lost steal races.
   double IdleSeconds = 0.0;  ///< Out-of-work time before pass barriers.
+  double FoldSeconds = 0.0;  ///< Reduction folds.
 
   ExecThreadAccum(unsigned NumStages, unsigned TemporalDepth)
       : StageKernelSeconds(NumStages, 0.0),
@@ -208,6 +220,9 @@ struct ExecStats {
   int64_t steals() const;
   int64_t stealFailures() const;
   double idleSeconds() const;
+
+  /// Reduction-fold seconds summed over all threads.
+  double foldSeconds() const;
 
   /// Measured island skew: max over islands of measured kernel seconds
   /// divided by the mean — the measured counterpart of

@@ -145,22 +145,26 @@ public:
     Accum.StepKernelSeconds[static_cast<size_t>(StepInEpoch)] += Sec;
   }
 
-  /// The reduction fold over \p Sub: work (it ends the idle span) but
-  /// never kernel time.
+  /// The reduction fold over \p Sub, booked as fold time: work (it ends
+  /// the idle span) but never kernel time.
   void fold(StageId Stage, int StepInEpoch, const Box3 &Sub) {
     if (E.StageFolds[static_cast<size_t>(Stage)].empty())
       return;
+    const auto T0 = Prof ? ProfileClock::now() : ProfileClock::time_point();
     E.foldSubRegion(IS, Worker, StepInEpoch, Stage, Sub);
-    if (Prof)
-      LastWork = ProfileClock::now();
+    if (!Prof)
+      return;
+    LastWork = ProfileClock::now();
+    Accum.FoldSeconds += secondsSince(T0, LastWork);
   }
 
   /// Crosses the barrier of \p Op: the run's \p Global barrier (site 0)
   /// or the island's team barrier (site Island + 1), whose wait is booked
-  /// to the stage of the pass it ends, if any. The observer sees the
-  /// arrive before the rendezvous and the depart after it, so it can merge
-  /// happens-before clocks at the exact points the hardware orders the
-  /// workers.
+  /// to the stage of the pass it ends, or as a structural wait when it
+  /// ends no pass (slide and epoch-protocol barriers). The observer sees
+  /// the arrive before the rendezvous and the depart after it, so it can
+  /// merge happens-before clocks at the exact points the hardware orders
+  /// the workers.
   void barrier(const EpochOp &Op, TeamBarrier &Global) {
     const bool Run = Op.K == EpochOp::Kind::GlobalBarrier;
     const uint64_t Site = Run ? 0 : static_cast<uint64_t>(Island) + 1;
@@ -169,6 +173,8 @@ public:
       Wait = &Accum.GlobalBarrierWaitSeconds;
     else if (Prof && Op.Stage != NoStage)
       Wait = &Accum.StageBarrierWaitSeconds[static_cast<size_t>(Op.Stage)];
+    else if (Prof)
+      Wait = &Accum.StructuralBarrierWaitSeconds;
     if (Obs)
       Obs->onBarrierArrive(
           Site, Worker,
@@ -639,34 +645,22 @@ double &ProgramExecutor::partialAt(int Worker, int StepInEpoch, size_t R) {
 /// bit-identical (periodically wrapped) values — which the
 /// duplicate-tolerant combiner contract makes immaterial.
 ///
-/// Each k-row is folded into four independent accumulators, combined
-/// once at the end: the serial chain of opaque Combine calls is
-/// latency-bound, and four chains roughly halve the fold's time. The
-/// contract (neutral identity, associative, commutative) makes the
-/// regrouping bit-exact.
+/// Each unit-stride k-row goes through the binding's FoldRow, which
+/// inlines the combiner over independent lanes (see ReductionBinding):
+/// one indirect call per row, not one per cell.
 void ProgramExecutor::foldSubRegion(IslandState &IS, int Worker,
                                     int StepInEpoch, StageId Stage,
                                     const Box3 &Sub) {
   const int RowLen = Sub.extent(2);
   for (size_t R : StageFolds[static_cast<size_t>(Stage)]) {
     const Array3D &Arr = IS.Store.get(Program.reductions()[R].Array);
-    const auto &C = Reductions[R].Combine;
-    double V0 = partialAt(Worker, StepInEpoch, R);
-    double V1 = Reductions[R].Identity, V2 = V1, V3 = V1;
+    const auto &FoldRow = Reductions[R].FoldRow;
+    // Accumulate locally: teammates' partials share cache lines.
+    double V = partialAt(Worker, StepInEpoch, R);
     for (int I = Sub.Lo[0]; I != Sub.Hi[0]; ++I)
-      for (int J = Sub.Lo[1]; J != Sub.Hi[1]; ++J) {
-        const double *Row = Arr.pointerTo(I, J, Sub.Lo[2]);
-        int K = 0;
-        for (; K + 4 <= RowLen; K += 4) {
-          V0 = C(V0, Row[K]);
-          V1 = C(V1, Row[K + 1]);
-          V2 = C(V2, Row[K + 2]);
-          V3 = C(V3, Row[K + 3]);
-        }
-        for (; K != RowLen; ++K)
-          V0 = C(V0, Row[K]);
-      }
-    partialAt(Worker, StepInEpoch, R) = C(C(V0, V1), C(V2, V3));
+      for (int J = Sub.Lo[1]; J != Sub.Hi[1]; ++J)
+        V = FoldRow(V, Arr.pointerTo(I, J, Sub.Lo[2]), RowLen);
+    partialAt(Worker, StepInEpoch, R) = V;
   }
 }
 

@@ -9,7 +9,6 @@
 #include "support/Table.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 using namespace icores;
@@ -95,12 +94,24 @@ TrafficReport icores::accountTraffic(const ExecutionPlan &Plan,
     Report.PerArray[A].Role = Program.array(static_cast<ArrayId>(A)).Role;
   }
 
-  bool Blocked = Plan.Strat != Strategy::Original;
-  double WriteFactor = Machine.NonTemporalStores ? 1.0 : 2.0;
+  // One temporal epoch (Depth fused steps) under the simulator's rules,
+  // then scaled to the run. Blocked strategies keep intermediates
+  // cache-resident (only the spill fraction reaches DRAM) and stream each
+  // step input once per island: its footprint, the import buffer at
+  // T > 1. Within an epoch, the passes' step-input reads hit that import
+  // buffer and the non-final fused steps write island-private scratch,
+  // both cache-resident too.
+  const bool Blocked = Plan.Strat != Strategy::Original;
+  const int Depth = std::max(1, Plan.TemporalDepth);
+  const double WriteFactor = Machine.NonTemporalStores ? 1.0 : 2.0;
+  auto spill = [&Machine](int64_t Bytes) {
+    return static_cast<int64_t>(Machine.CacheSpillFraction *
+                                static_cast<double>(Bytes));
+  };
 
   for (const IslandPlan &Island : Plan.Islands) {
-    std::map<ArrayId, Box3> StepInputReads;
     for (const BlockTask &Block : Island.Blocks) {
+      const bool FinalStep = Block.StepInEpoch == Depth - 1;
       for (const StagePass &Pass : Block.Passes) {
         const StageDef &Stage = Program.stage(Pass.Stage);
         int64_t Points = Pass.Region.numPoints();
@@ -111,52 +122,46 @@ TrafficReport icores::accountTraffic(const ExecutionPlan &Plan,
           int64_t ReadBytes =
               In.readRegion(Pass.Region).numPoints() * Info.ElementBytes;
           ArrayTraffic &T = Report.PerArray[static_cast<size_t>(In.Array)];
-          if (Blocked && Info.Role == ArrayRole::StepInput) {
-            Box3 &U = StepInputReads[In.Array];
-            U = U.unionWith(In.readRegion(Pass.Region));
-          } else if (Blocked) {
-            // Cache-resident: only the spill fraction reaches DRAM.
-            T.ReadBytes += static_cast<int64_t>(
-                Machine.CacheSpillFraction * static_cast<double>(ReadBytes));
-          } else {
+          if (!Blocked)
             T.ReadBytes += ReadBytes;
-          }
+          else if (Info.Role != ArrayRole::StepInput || Depth > 1)
+            T.ReadBytes += spill(ReadBytes);
+          // Blocked T = 1 step-input reads are the footprint stream below.
         }
         for (ArrayId Out : Stage.Outputs) {
           const ArrayInfo &Info = Program.array(Out);
           int64_t WriteBytes = static_cast<int64_t>(
               static_cast<double>(Points * Info.ElementBytes) * WriteFactor);
           ArrayTraffic &T = Report.PerArray[static_cast<size_t>(Out)];
-          if (Blocked && Info.Role == ArrayRole::Intermediate)
-            T.WriteBytes += static_cast<int64_t>(
-                Machine.CacheSpillFraction *
-                static_cast<double>(WriteBytes));
+          if (Blocked && (Info.Role == ArrayRole::Intermediate || !FinalStep))
+            T.WriteBytes += spill(WriteBytes);
           else
             T.WriteBytes += WriteBytes;
         }
       }
     }
-    for (const auto &[Array, Region] : StepInputReads)
-      Report.PerArray[static_cast<size_t>(Array)].ReadBytes +=
-          Region.numPoints() * Program.array(Array).ElementBytes;
+    if (Blocked || Depth > 1) {
+      const IslandFootprint F = islandFootprint(Program, Plan, Island);
+      for (ArrayId In : Program.stepInputs())
+        Report.PerArray[static_cast<size_t>(In)].ReadBytes +=
+            F.Reads[static_cast<size_t>(In)].numPoints() *
+            Program.array(In).ElementBytes;
+    }
+  }
+  for (ArrayTraffic &A : Report.PerArray) {
+    A.ReadBytes = A.ReadBytes * TimeSteps / Depth;
+    A.WriteBytes = A.WriteBytes * TimeSteps / Depth;
   }
 
   // Remote slice of the shared-array traffic under the plan's placement
   // policy, from the same per-array split the executor and simulator use.
   PlacementMap PMap = buildPlacementMap(Plan, Plan.Placement);
-  const int Depth = std::max(1, Plan.TemporalDepth);
   for (const IslandPlan &Island : Plan.Islands) {
     IslandRemoteTraffic RT =
         estimateIslandRemoteEpochTraffic(Island, Plan, Program, PMap);
     for (const auto &[Array, Bytes] : RT.BytesByArray)
       Report.PerArray[static_cast<size_t>(Array)].RemoteBytes +=
-          Bytes / Depth;
-  }
-
-  for (ArrayTraffic &A : Report.PerArray) {
-    A.ReadBytes *= TimeSteps;
-    A.WriteBytes *= TimeSteps;
-    A.RemoteBytes *= TimeSteps;
+          Bytes / Depth * TimeSteps;
   }
   return Report;
 }

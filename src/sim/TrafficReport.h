@@ -58,8 +58,11 @@ struct TrafficReport {
 };
 
 /// Accounts the DRAM traffic of running \p Plan for \p TimeSteps steps,
-/// using the same model as the simulator (blocked strategies keep
-/// intermediates cache-resident up to the machine's spill fraction).
+/// using the same model as the simulator: one temporal epoch is accounted
+/// (blocked strategies keep intermediates, the import buffer and the
+/// non-final fused steps' scratch cache-resident up to the machine's
+/// spill fraction, and stream step inputs once per island) and scaled by
+/// TimeSteps / TemporalDepth.
 TrafficReport accountTraffic(const ExecutionPlan &Plan,
                              const StencilProgram &Program,
                              const MachineModel &Machine, int TimeSteps);

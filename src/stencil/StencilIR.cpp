@@ -74,7 +74,7 @@ icores::orderedReductionBindings(const StencilProgram &Program,
     for (const ReductionBinding &B : Bindings)
       if (B.Name == Def.Name)
         Found = &B;
-    ICORES_CHECK(Found && Found->Combine,
+    ICORES_CHECK(Found && Found->Combine && Found->FoldRow,
                  "program reduction has no callable combiner binding");
     Ordered.push_back(*Found);
   }

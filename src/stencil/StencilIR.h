@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace icores {
@@ -131,10 +133,49 @@ struct ReductionDef {
 /// than once. The contract is what keeps every schedule's reduction
 /// bit-identical to the serial stepper's canonical i,j,k scan;
 /// WorkloadRegistry::add probes it (`registry.reduction.contract`).
+///
+/// One constructor builds both callables from the same combiner functor:
+/// Combine (one pair at a time: the serial scan, the worker-order combine
+/// of partials, the registry probe) and FoldRow, the threaded runtime's
+/// fold of one contiguous k-row. FoldRow inlines the functor over
+/// RowLanes independent lanes, each seeded with Acc, and combines the
+/// lanes at the end: one indirect call per row instead of one per cell,
+/// and no serial dependence chain through the row. Seeding every lane
+/// with Acc folds Acc in RowLanes times, which duplicate tolerance makes
+/// exact; associativity and commutativity make the regrouping exact, so
+/// FoldRow(Acc, Row, N) equals the left fold of Combine over the row from
+/// Acc (the registry's `row-fold` law checks this bit for bit). A null
+/// combiner leaves both callables empty.
 struct ReductionBinding {
+  static constexpr int RowLanes = 8;
+
   std::string Name; ///< Matches a ReductionDef of the program.
   std::function<double(double, double)> Combine;
+  /// Folds Row[0, N) into Acc; see the struct comment.
+  std::function<double(double Acc, const double *Row, int N)> FoldRow;
   double Identity = 0.0; ///< Fold seed (and value over an empty region).
+
+  template <typename Op>
+  ReductionBinding(std::string AName, Op Fn, double AIdentity)
+      : Name(std::move(AName)), Combine(Fn), Identity(AIdentity) {
+    if constexpr (!std::is_null_pointer_v<Op>)
+      if (Combine)
+        FoldRow = [Fn](double Acc, const double *Row, int N) {
+          double Lane[RowLanes];
+          for (double &L : Lane)
+            L = Acc;
+          int K = 0;
+          for (; K + RowLanes <= N; K += RowLanes)
+            for (int L = 0; L != RowLanes; ++L)
+              Lane[L] = Fn(Lane[L], Row[K + L]);
+          for (int L = 0; K != N; ++K, ++L)
+            Lane[L] = Fn(Lane[L], Row[K]);
+          for (int Width = RowLanes / 2; Width != 0; Width /= 2)
+            for (int L = 0; L != Width; ++L)
+              Lane[L] = Fn(Lane[L], Lane[L + Width]);
+          return Lane[0];
+        };
+  }
 };
 
 /// An ordered heterogeneous stencil program.
@@ -212,10 +253,10 @@ ArrayId findArrayId(const StencilProgram &Program, const std::string &Name);
 
 /// Reorders \p Bindings into the program's ReductionDef order, checking
 /// (fatally) that every declared reduction has a binding with a callable
-/// Combine. A program without reductions yields an empty list. Runtimes
-/// use this so their fold loops can index bindings and declarations in
-/// lockstep; the registry reports the same mismatches as structured
-/// `registry.*` findings before any runtime is constructed.
+/// Combine and FoldRow. A program without reductions yields an empty
+/// list. Runtimes use this so their fold loops can index bindings and
+/// declarations in lockstep; the registry reports the same mismatches as
+/// structured `registry.*` findings before any runtime is constructed.
 std::vector<ReductionBinding>
 orderedReductionBindings(const StencilProgram &Program,
                          std::vector<ReductionBinding> Bindings);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <initializer_list>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -31,7 +32,10 @@ struct ContractViolation {
 /// on: per-worker partials seeded with Identity, cells folded in any split
 /// and order, some cells folded twice, partials combined in worker order.
 /// Cells come from a fixed probe set; partials are those cells folded once
-/// from Identity. Results are compared bit for bit.
+/// from Identity. Results are compared bit for bit. The row-fold law
+/// holds FoldRow to the left fold of Combine on probe rows of every
+/// length up to two lane widths, so the lane loop and its tail are both
+/// exercised from every reachable partial.
 ContractViolation probeCombiner(const ReductionBinding &B) {
   static const double Cells[] = {0.0, 1.0,   -1.0, 0.1, 0.2,
                                  0.3, -7.25, 2.5,  1e-3, 3e8};
@@ -60,6 +64,20 @@ ContractViolation probeCombiner(const ReductionBinding &B) {
       for (double Z : Operands)
         if (!sameBits(C(C(X, Y), Z), C(X, C(Y, Z))))
           return {"associative", args({X, Y, Z})};
+    }
+  }
+
+  constexpr int NumCells = static_cast<int>(std::size(Cells));
+  double Row[2 * ReductionBinding::RowLanes + 1];
+  for (int N = 0; N <= static_cast<int>(std::size(Row)); ++N) {
+    for (int K = 0; K != N; ++K)
+      Row[K] = Cells[(3 * K + N) % NumCells];
+    for (double Acc : Partials) {
+      double Want = Acc;
+      for (int K = 0; K != N; ++K)
+        Want = C(Want, Row[K]);
+      if (!sameBits(B.FoldRow(Acc, Row, N), Want))
+        return {"row-fold", formatString("%.17g over a row of %d", Acc, N)};
     }
   }
   return {};
@@ -114,7 +132,7 @@ bool WorkloadRegistry::add(WorkloadSpec Spec, DiagnosticEngine &Diags) {
       for (const ReductionBinding &B : Spec.Reductions)
         if (B.Name == Def.Name)
           Found = &B;
-      if (!Found || !Found->Combine) {
+      if (!Found || !Found->Combine || !Found->FoldRow) {
         Diags
             .report(Severity::Error, "registry.reduction.missing-combiner",
                     formatString("workload '%s': reduction '%s' is declared "

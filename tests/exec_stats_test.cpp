@@ -141,8 +141,14 @@ TEST(ExecStatsTest, PassAndBarrierCountsMatchThePlan) {
           for (const ThreadStat &T : IslandS.Threads) {
             EXPECT_EQ(T.Passes, Passes);
             EXPECT_EQ(T.BarriersElided, IslandElided);
-            EXPECT_EQ(T.BarrierWaits, Passes - IslandElided);
+            EXPECT_EQ(T.barrierWaits(), Passes - IslandElided);
           }
+          // Team-barrier wait = the stages' pass-barrier waits plus the
+          // structural and slide waits, which are booked to no stage.
+          double StageWait = 0.0;
+          for (const StageStat &S : IslandS.Stages)
+            StageWait += S.BarrierWaitSeconds;
+          EXPECT_GE(IslandS.barrierWaitSeconds(), StageWait - 1e-12);
           Elided += IslandElided;
         }
         EXPECT_EQ(Stats.barriersElided(), Elided);
@@ -335,7 +341,9 @@ TEST(ExecStatsTest, ReductionFoldsAreNeitherKernelNorIdleTime) {
   // so the per-worker folds dwarf the kernels. kernel.* must still mean
   // kernels, and a stealing worker's last fold before the pass barrier
   // is work, not idle time. Booking the folds wrongly would put all of
-  // their time in one of the two counters.
+  // their time in one of the two counters; booked right, it lands in
+  // fold_seconds. Each binding is rebuilt through the constructor, so
+  // its row fold calls the slow combiner once per cell too.
   constexpr int Steps = 4;
   constexpr double CallSeconds = 2e-6;
   const WorkloadSpec &Spec = *builtinWorkloads().find("cfl-advect");
@@ -346,15 +354,18 @@ TEST(ExecStatsTest, ReductionFoldsAreNeitherKernelNorIdleTime) {
   Config.Sockets = 2;
   ExecutionPlan Plan = buildPlan(Spec.Program, Dom.coreBox(), Machine, Config);
 
-  std::vector<ReductionBinding> Slow = Spec.Reductions;
-  for (ReductionBinding &B : Slow)
-    B.Combine = [Inner = B.Combine, CallSeconds](double Acc, double V) {
-      auto Until = std::chrono::steady_clock::now() +
-                   std::chrono::duration<double>(CallSeconds);
-      while (std::chrono::steady_clock::now() < Until) {
-      }
-      return Inner(Acc, V);
-    };
+  std::vector<ReductionBinding> Slow;
+  for (const ReductionBinding &B : Spec.Reductions)
+    Slow.emplace_back(
+        B.Name,
+        [Inner = B.Combine, CallSeconds](double Acc, double V) {
+          auto Until = std::chrono::steady_clock::now() +
+                       std::chrono::duration<double>(CallSeconds);
+          while (std::chrono::steady_clock::now() < Until) {
+          }
+          return Inner(Acc, V);
+        },
+        B.Identity);
   // Every core cell enters each reduction's fold once per step.
   const double FoldSeconds = static_cast<double>(Steps) *
                              static_cast<double>(Slow.size()) *
@@ -374,6 +385,8 @@ TEST(ExecStatsTest, ReductionFoldsAreNeitherKernelNorIdleTime) {
     ASSERT_EQ(Exec.reductionHistory(0).size(), static_cast<size_t>(Steps));
     EXPECT_GT(Stats.kernelSeconds(), 0.0);
     EXPECT_LT(Stats.kernelSeconds(), 0.5 * FoldSeconds)
+        << "stealing=" << Stealing;
+    EXPECT_GE(Stats.foldSeconds(), 0.5 * FoldSeconds)
         << "stealing=" << Stealing;
     if (Stealing) {
       EXPECT_LT(Stats.idleSeconds(), 0.5 * FoldSeconds);

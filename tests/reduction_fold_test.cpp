@@ -10,9 +10,12 @@
 // reduction history — across team widths (one of them wider than the
 // split extent, so some workers fold nothing and contribute their
 // identity partial), stealing on and off, and temporal depths 1 and 2.
+// The row fold the executor calls per k-row is pinned against the left
+// fold of the same binding's Combine, bit for bit.
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/CflAdvection.h"
 #include "core/PlanBuilder.h"
 #include "core/ScheduleOptimizer.h"
 #include "exec/ProgramExecutor.h"
@@ -26,8 +29,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 using namespace icores;
 
@@ -193,5 +198,42 @@ TEST(ReductionFoldTest, ElidedReducedPassMatchesTheSerialStepper) {
             EXPECT_EQ(Exec.reductionHistory(0), Oracle.reductionHistory(0))
                 << Case;
           }
+  }
+}
+
+TEST(ReductionFoldTest, RowFoldIsTheLeftFoldOfCombine) {
+  // Every row length from empty through past four lane widths (full lane
+  // blocks and every tail), over values that include both zeros and both
+  // infinities, from accumulators the fold reaches: the identity and
+  // partials the combiner produced from it.
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> Values = {-0.0, 0.0,    Inf,  -Inf, 0.5,
+                                      -3.0, 1e-9, -1e300, 7.25, 0.25};
+  SplitMix64 Rng(0xF01Du);
+  auto bits = [](double V) {
+    uint64_t B;
+    std::memcpy(&B, &V, sizeof B);
+    return B;
+  };
+  for (const ReductionBinding &B : cflAdvectionReductions()) {
+    ASSERT_TRUE(B.Combine && B.FoldRow) << B.Name;
+    const std::vector<double> Accs = {B.Identity, B.Combine(B.Identity, 0.25),
+                                      B.Combine(B.Identity, -1.5),
+                                      B.Combine(B.Identity, Inf)};
+    for (int N = 0; N <= 33; ++N) {
+      std::vector<double> Row(static_cast<size_t>(N));
+      for (double &V : Row)
+        V = Rng.nextBounded(4) == 0 ? Rng.nextInRange(-2.0, 2.0)
+                                    : Values[Rng.nextBounded(Values.size())];
+      for (double Acc : Accs) {
+        double Want = Acc;
+        for (double V : Row)
+          Want = B.Combine(Want, V);
+        const double Got = B.FoldRow(Acc, Row.data(), N);
+        EXPECT_EQ(bits(Got), bits(Want))
+            << B.Name << " N=" << N << " acc=" << Acc << " got " << Got
+            << " want " << Want;
+      }
+    }
   }
 }

@@ -18,20 +18,21 @@ struct TrafficFixture : public ::testing::Test {
   MachineModel Uv = makeSgiUv2000();
   Box3 Grid = Box3::fromExtents(256, 128, 32);
 
-  TrafficReport report(Strategy Strat, int Sockets, int Steps = 10) {
+  ExecutionPlan plan(Strategy Strat, int Sockets, int Depth) {
     PlanConfig Config;
     Config.Strat = Strat;
     Config.Sockets = Sockets;
-    ExecutionPlan Plan = buildPlan(M.Program, Grid, Uv, Config);
-    return accountTraffic(Plan, M.Program, Uv, Steps);
+    Config.TemporalDepth = Depth;
+    return buildPlan(M.Program, Grid, Uv, Config);
   }
 
-  SimResult sim(Strategy Strat, int Sockets, int Steps = 10) {
-    PlanConfig Config;
-    Config.Strat = Strat;
-    Config.Sockets = Sockets;
-    ExecutionPlan Plan = buildPlan(M.Program, Grid, Uv, Config);
-    return simulate(Plan, M.Program, Uv, Steps);
+  TrafficReport report(Strategy Strat, int Sockets, int Steps = 10,
+                       int Depth = 1) {
+    return accountTraffic(plan(Strat, Sockets, Depth), M.Program, Uv, Steps);
+  }
+
+  SimResult sim(Strategy Strat, int Sockets, int Steps = 10, int Depth = 1) {
+    return simulate(plan(Strat, Sockets, Depth), M.Program, Uv, Steps);
   }
 };
 
@@ -46,6 +47,15 @@ TEST_F(TrafficFixture, TotalsMatchSimulatorAccounting) {
                 static_cast<double>(S.DramBytesPerStep) * 10.0,
                 0.01 * static_cast<double>(R.totalBytes()))
         << strategyName(Strat);
+  }
+  // Temporal epochs: the same per-epoch rules, scaled by steps / depth.
+  for (int Depth : {2, 4}) {
+    TrafficReport R = report(Strategy::IslandsOfCores, 2, 8, Depth);
+    SimResult S = sim(Strategy::IslandsOfCores, 2, 8, Depth);
+    EXPECT_NEAR(static_cast<double>(R.totalBytes()),
+                static_cast<double>(S.DramBytesPerStep) * 8.0,
+                0.01 * static_cast<double>(R.totalBytes()))
+        << "T=" << Depth;
   }
 }
 

@@ -194,6 +194,23 @@ TEST(WorkloadRegistryTest, NonNeutralIdentityIsAContractFinding) {
             std::vector<std::string>{"identity-neutral"});
 }
 
+TEST(WorkloadRegistryTest, DisagreeingRowFoldIsAContractFinding) {
+  // The threaded runtime folds whole k-rows through FoldRow while the
+  // serial scan uses Combine, so a row fold that drops the row's cells
+  // would diverge even though Combine itself keeps every law.
+  WorkloadSpec Spec = makeTinySpec();
+  Spec.Program.addReduction({"peak", makeTinyApp().Out});
+  ReductionBinding B(
+      "peak", [](double A, double V) { return std::max(A, V); }, 0.0);
+  B.FoldRow = [](double Acc, const double *, int) { return Acc; };
+  Spec.Reductions.push_back(B);
+  WorkloadRegistry R;
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(R.add(Spec, Diags));
+  EXPECT_EQ(R.size(), 0u);
+  EXPECT_EQ(contractLaws(Diags), std::vector<std::string>{"row-fold"});
+}
+
 TEST(WorkloadRegistryTest, BindingForUndeclaredReductionIsAFinding) {
   WorkloadSpec Spec = makeTinySpec();
   Spec.Reductions.push_back(

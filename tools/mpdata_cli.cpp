@@ -556,6 +556,19 @@ int main(int Argc, char **Argv) {
                   formatSeconds(Stats.teamBarrierWaitSeconds()).c_str(),
                   formatSeconds(Stats.GlobalBarrierWaitSeconds).c_str(),
                   Stats.barrierShare() * 100.0);
+      if (!Prog.reductions().empty()) {
+        int Threads = 0;
+        for (const IslandStat &Island : Stats.Islands)
+          Threads += Island.NumThreads;
+        const double ThreadSeconds = Stats.WallSeconds * Threads;
+        std::printf("profile: reduction fold %s across threads (%.1f%% of "
+                    "thread time, %zu reductions)\n",
+                    formatSeconds(Stats.foldSeconds()).c_str(),
+                    ThreadSeconds > 0.0
+                        ? 100.0 * Stats.foldSeconds() / ThreadSeconds
+                        : 0.0,
+                    Prog.reductions().size());
+      }
       std::printf("profile: %lld barriers elided; %lld spin wakes, %lld "
                   "sleep wakes\n",
                   static_cast<long long>(Stats.barriersElided()),
