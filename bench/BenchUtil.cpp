@@ -5,35 +5,18 @@
 #include "exec/ProgramExecutor.h"
 #include "mpdata/InitialConditions.h"
 #include "mpdata/Kernels.h"
+#include "sim/ModelCompare.h"
 #include "support/Format.h"
 #include "support/OStream.h"
+#include "support/Table.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
 
 using namespace icores;
 using namespace icores::bench;
-
-namespace {
-
-/// The toy machine both sides of the model check target: enough sockets
-/// for the requested island count, host-friendly team sizes.
-MachineModel hostCheckMachine(int Islands) {
-  MachineModel M = makeToyMachine();
-  M.NumSockets = Islands;
-  return M;
-}
-
-ExecutionPlan hostCheckPlan(const MpdataProgram &M, Strategy Strat,
-                            int Islands, const Box3 &Grid) {
-  PlanConfig Config;
-  Config.Strat = Strat;
-  Config.Sockets = Islands;
-  return buildPlan(M.Program, Grid, hostCheckMachine(Islands), Config);
-}
-
-} // namespace
 
 // Table 1 / Table 3 of the paper (seconds for 50 steps, P = 1..14).
 const std::array<double, 14> icores::bench::PaperOriginalSerialInit = {
@@ -96,20 +79,42 @@ int icores::bench::shapeCheck(bool Ok, const char *Description) {
   return Ok ? 0 : 1;
 }
 
-std::string
-icores::bench::writeBenchJson(const std::string &BenchName,
-                              const std::vector<BenchJsonRow> &Rows) {
+namespace {
+
+/// Opens BENCH_<name>.json in $ICORES_BENCH_DIR (default: the current
+/// directory) and writes the icores.bench.v1 envelope up to the rows
+/// list. Returns null, after a note, when the file cannot be created.
+std::FILE *openBenchJson(const std::string &BenchName, std::string &Path) {
   const char *Dir = std::getenv("ICORES_BENCH_DIR");
-  std::string Path = formatString("%s/BENCH_%s.json", Dir ? Dir : ".",
-                                  BenchName.c_str());
+  Path = formatString("%s/BENCH_%s.json", Dir ? Dir : ".",
+                      BenchName.c_str());
   std::FILE *F = std::fopen(Path.c_str(), "w");
   if (!F) {
     std::printf("note: could not write %s\n", Path.c_str());
-    return std::string();
+    return nullptr;
   }
   std::fprintf(F, "{\n  \"schema\": \"icores.bench.v1\",\n");
   std::fprintf(F, "  \"bench\": \"%s\",\n", BenchName.c_str());
   std::fprintf(F, "  \"rows\": [");
+  return F;
+}
+
+std::string closeBenchJson(std::FILE *F, const std::string &Path) {
+  std::fprintf(F, "\n  ]\n}\n");
+  std::fclose(F);
+  std::printf("wrote %s\n", Path.c_str());
+  return Path;
+}
+
+} // namespace
+
+std::string
+icores::bench::writeBenchJson(const std::string &BenchName,
+                              const std::vector<BenchJsonRow> &Rows) {
+  std::string Path;
+  std::FILE *F = openBenchJson(BenchName, Path);
+  if (!F)
+    return std::string();
   for (size_t I = 0; I != Rows.size(); ++I) {
     const BenchJsonRow &R = Rows[I];
     std::fprintf(F, "%s\n    {\"strategy\": \"%s\", \"p\": %d, "
@@ -121,26 +126,16 @@ icores::bench::writeBenchJson(const std::string &BenchName,
                  static_cast<long long>(R.ElidedBarriers),
                  R.OptimizedSeconds, R.Gflops);
   }
-  std::fprintf(F, "\n  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", Path.c_str());
-  return Path;
+  return closeBenchJson(F, Path);
 }
 
 std::string icores::bench::writeKernelBenchJson(
     const std::string &BenchName,
     const std::vector<KernelBenchJsonRow> &Rows) {
-  const char *Dir = std::getenv("ICORES_BENCH_DIR");
-  std::string Path = formatString("%s/BENCH_%s.json", Dir ? Dir : ".",
-                                  BenchName.c_str());
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::printf("note: could not write %s\n", Path.c_str());
+  std::string Path;
+  std::FILE *F = openBenchJson(BenchName, Path);
+  if (!F)
     return std::string();
-  }
-  std::fprintf(F, "{\n  \"schema\": \"icores.bench.v1\",\n");
-  std::fprintf(F, "  \"bench\": \"%s\",\n", BenchName.c_str());
-  std::fprintf(F, "  \"rows\": [");
   for (size_t I = 0; I != Rows.size(); ++I) {
     const KernelBenchJsonRow &R = Rows[I];
     std::fprintf(F,
@@ -150,190 +145,96 @@ std::string icores::bench::writeKernelBenchJson(
                  I ? "," : "", R.Variant.c_str(), R.Stage.c_str(),
                  R.Region.c_str(), R.Seconds, R.Gflops, R.GBps);
   }
-  std::fprintf(F, "\n  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", Path.c_str());
-  return Path;
+  return closeBenchJson(F, Path);
 }
 
-std::string icores::bench::writeTemporalBenchJson(
-    const std::string &BenchName,
-    const std::vector<TemporalBenchJsonRow> &Rows) {
-  const char *Dir = std::getenv("ICORES_BENCH_DIR");
-  std::string Path = formatString("%s/BENCH_%s.json", Dir ? Dir : ".",
-                                  BenchName.c_str());
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::printf("note: could not write %s\n", Path.c_str());
-    return std::string();
-  }
-  std::fprintf(F, "{\n  \"schema\": \"icores.bench.v2\",\n");
-  std::fprintf(F, "  \"bench\": \"%s\",\n", BenchName.c_str());
-  std::fprintf(F, "  \"rows\": [");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const TemporalBenchJsonRow &R = Rows[I];
-    std::fprintf(F,
-                 "%s\n    {\"workload\": \"%s\", \"strategy\": \"%s\", "
-                 "\"temporal_depth\": %d, "
-                 "\"measured_bytes_per_step\": %lld, "
-                 "\"projected_bytes_per_step\": %lld, "
-                 "\"seconds\": %.9g}",
-                 I ? "," : "", R.Workload.c_str(), R.Strategy.c_str(),
-                 R.TemporalDepth,
-                 static_cast<long long>(R.MeasuredBytesPerStep),
-                 static_cast<long long>(R.ProjectedBytesPerStep),
-                 R.Seconds);
-  }
-  std::fprintf(F, "\n  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", Path.c_str());
-  return Path;
+namespace {
+
+constexpr int CheckNI = 64, CheckNJ = 32, CheckNK = 16, CheckSteps = 5;
+/// One 5-step run's measured share swings several-fold on a busy or
+/// oversubscribed host; the median of this many runs is stable enough to
+/// read the model error's sign on most rows (EXPERIMENTS.md, "Model
+/// check").
+constexpr int ModelCheckRuns = 9;
+
+/// The toy machine both sides of the model check target: enough sockets
+/// for the requested island count, host-friendly team sizes.
+MachineModel hostCheckMachine(int Islands) {
+  MachineModel M = makeToyMachine();
+  M.NumSockets = Islands;
+  return M;
 }
 
-std::string icores::bench::writeNumaBenchJson(
-    const std::string &BenchName,
-    const std::vector<NumaBenchJsonRow> &Rows) {
-  const char *Dir = std::getenv("ICORES_BENCH_DIR");
-  std::string Path = formatString("%s/BENCH_%s.json", Dir ? Dir : ".",
-                                  BenchName.c_str());
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::printf("note: could not write %s\n", Path.c_str());
-    return std::string();
-  }
-  std::fprintf(F, "{\n  \"schema\": \"icores.bench.v2\",\n");
-  std::fprintf(F, "  \"bench\": \"%s\",\n", BenchName.c_str());
-  std::fprintf(F, "  \"rows\": [");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const NumaBenchJsonRow &R = Rows[I];
-    std::fprintf(F,
-                 "%s\n    {\"workload\": \"%s\", \"strategy\": \"%s\", "
-                 "\"temporal_depth\": %d, \"placement\": \"%s\", "
-                 "\"remote_bytes_per_step\": %lld, "
-                 "\"projected_remote_bytes_per_step\": %lld, "
-                 "\"pages_first_touched\": %lld, "
-                 "\"pin_failures\": %lld, "
-                 "\"seconds\": %.9g}",
-                 I ? "," : "", R.Workload.c_str(), R.Strategy.c_str(),
-                 R.TemporalDepth, R.Placement.c_str(),
-                 static_cast<long long>(R.RemoteBytesPerStep),
-                 static_cast<long long>(R.ProjectedRemoteBytesPerStep),
-                 static_cast<long long>(R.PagesFirstTouched),
-                 static_cast<long long>(R.PinFailures), R.Seconds);
-  }
-  std::fprintf(F, "\n  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", Path.c_str());
-  return Path;
-}
-
-std::string icores::bench::writeBalanceBenchJson(
-    const std::string &BenchName,
-    const std::vector<BalanceBenchJsonRow> &Rows) {
-  const char *Dir = std::getenv("ICORES_BENCH_DIR");
-  std::string Path = formatString("%s/BENCH_%s.json", Dir ? Dir : ".",
-                                  BenchName.c_str());
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::printf("note: could not write %s\n", Path.c_str());
-    return std::string();
-  }
-  std::fprintf(F, "{\n  \"schema\": \"icores.bench.v2\",\n");
-  std::fprintf(F, "  \"bench\": \"%s\",\n", BenchName.c_str());
-  std::fprintf(F, "  \"rows\": [");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const BalanceBenchJsonRow &R = Rows[I];
-    std::fprintf(F,
-                 "%s\n    {\"workload\": \"%s\", \"balance\": \"%s\", "
-                 "\"stealing\": %s, "
-                 "\"temporal_depth\": %d, \"islands\": %d, "
-                 "\"predicted_skew_sim\": %.9g, "
-                 "\"predicted_skew_exec\": %.9g, "
-                 "\"measured_skew\": %.9g, \"max_imbalance\": %.9g, "
-                 "\"steals\": %lld, \"steal_failures\": %lld, "
-                 "\"idle_seconds\": %.9g, \"seconds\": %.9g}",
-                 I ? "," : "", R.Workload.c_str(), R.Balance.c_str(),
-                 R.Stealing ? "true" : "false", R.TemporalDepth, R.Islands,
-                 R.PredictedSkewSim, R.PredictedSkewExec, R.MeasuredSkew,
-                 R.MaxImbalance, static_cast<long long>(R.Steals),
-                 static_cast<long long>(R.StealFailures), R.IdleSeconds,
-                 R.Seconds);
-  }
-  std::fprintf(F, "\n  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", Path.c_str());
-  return Path;
-}
-
-MeasuredProfile icores::bench::measureHostRun(const MpdataProgram &M,
-                                              Strategy Strat, int Islands,
-                                              int NI, int NJ, int NK,
-                                              int Steps, bool Optimize) {
-  Domain Dom(NI, NJ, NK, mpdataHaloDepth());
-  ExecutionPlan Plan = hostCheckPlan(M, Strat, Islands, Dom.coreBox());
-  if (Optimize)
+ExecutionPlan hostCheckPlan(const MpdataProgram &M, const ModelCheckCase &C,
+                            const Box3 &Grid) {
+  PlanConfig Config;
+  Config.Strat = C.Strat;
+  Config.Sockets = C.Islands;
+  ExecutionPlan Plan =
+      buildPlan(M.Program, Grid, hostCheckMachine(C.Islands), Config);
+  if (C.Optimize)
     optimizeBarriers(M.Program, Plan);
+  return Plan;
+}
+
+/// Runs the case's plan on the real threaded executor with profiling on
+/// and compares the measured barrier share against \p Predicted.
+BarrierShareComparison measureHostRun(const MpdataProgram &M,
+                                      const ModelCheckCase &C,
+                                      const SimBreakdown &Predicted) {
+  Domain Dom(CheckNI, CheckNJ, CheckNK, mpdataHaloDepth());
   ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
-                       std::move(Plan));
+                       hostCheckPlan(M, C, Dom.coreBox()));
   seedMpdata(Exec, M, 42, 0.1, 2.0, 0.25, -0.2, 0.15);
   Exec.enableProfiling(true);
-  Exec.run(Steps);
-
+  Exec.run(CheckSteps);
   const ExecStats &Stats = Exec.stats();
-  MeasuredProfile P;
-  P.KernelSeconds = Stats.kernelSeconds();
-  P.TeamBarrierWaitSeconds = Stats.teamBarrierWaitSeconds();
-  P.WallSeconds = Stats.WallSeconds;
-  P.ThreadsSpawned = Stats.ThreadsSpawned;
-  P.RunCalls = Stats.RunCalls;
-  P.ElidedBarriers = Stats.barriersElided();
-  P.SpinWakes = Stats.spinWakes();
-  P.SleepWakes = Stats.sleepWakes();
-  return P;
+  return compareBarrierShare(Predicted, Stats.kernelSeconds(),
+                             Stats.teamBarrierWaitSeconds());
 }
 
-SimResult icores::bench::simulateHostRun(const MpdataProgram &M,
-                                         Strategy Strat, int Islands,
-                                         int NI, int NJ, int NK, int Steps,
-                                         bool Optimize) {
-  ExecutionPlan Plan =
-      hostCheckPlan(M, Strat, Islands, Box3::fromExtents(NI, NJ, NK));
-  if (Optimize)
-    optimizeBarriers(M.Program, Plan);
-  return simulate(Plan, M.Program, hostCheckMachine(Islands), Steps);
-}
+} // namespace
 
-int icores::bench::printBarrierShareModelCheck(const MpdataProgram &M,
-                                               int Islands, int Steps) {
-  constexpr int NI = 64, NJ = 32, NK = 16;
-  std::printf("\nmodel check: predicted vs measured barrier share "
-              "(real executor, %dx%dx%d, %d steps, %d islands on this "
-              "host)\n",
-              NI, NJ, NK, Steps, Islands);
+void icores::bench::printBarrierShareModelCheck(
+    const MpdataProgram &M, const std::string &Title,
+    const std::vector<ModelCheckCase> &Cases) {
+  std::printf("\nmodel check: predicted vs measured barrier share for %s "
+              "(real executor, %dx%dx%d, %d steps, median of %d runs)\n",
+              Title.c_str(), CheckNI, CheckNJ, CheckNK, CheckSteps,
+              ModelCheckRuns);
   unsigned HostThreads = std::thread::hardware_concurrency();
-  int PlanThreads = Islands * hostCheckMachine(Islands).CoresPerSocket;
+  int PlanThreads = 0;
+  for (const ModelCheckCase &C : Cases)
+    PlanThreads = std::max(PlanThreads,
+                           C.Islands * hostCheckMachine(C.Islands)
+                                           .CoresPerSocket);
   if (HostThreads != 0 && PlanThreads > static_cast<int>(HostThreads))
-    std::printf("note: plan runs %d threads on %u hardware threads — "
-                "oversubscription inflates the measured share\n",
+    std::printf("note: plans run up to %d threads on %u hardware threads "
+                "— oversubscription inflates the measured share\n",
                 PlanThreads, HostThreads);
-  std::vector<ModelCompareRow> Rows;
-  for (Strategy Strat : {Strategy::Original, Strategy::Block31D,
-                         Strategy::IslandsOfCores}) {
-    for (bool Optimize : {false, true}) {
-      SimResult Predicted =
-          simulateHostRun(M, Strat, Islands, NI, NJ, NK, Steps, Optimize);
-      MeasuredProfile Measured =
-          measureHostRun(M, Strat, Islands, NI, NJ, NK, Steps, Optimize);
-      ModelCompareRow Row;
-      Row.Label = Optimize
-                      ? formatString("%s+elide", strategyName(Strat))
-                      : std::string(strategyName(Strat));
-      Row.Comparison = compareBarrierShare(Predicted.CriticalIsland,
-                                           Measured.KernelSeconds,
-                                           Measured.TeamBarrierWaitSeconds);
-      Rows.push_back(Row);
-    }
+  TablePrinter Table({"Configuration", "Predicted barrier [%]",
+                      "Measured barrier [%]", "Measured min-max [%]",
+                      "Model error [pts]"});
+  for (const ModelCheckCase &C : Cases) {
+    SimResult Predicted =
+        simulate(hostCheckPlan(M, C,
+                               Box3::fromExtents(CheckNI, CheckNJ, CheckNK)),
+                 M.Program, hostCheckMachine(C.Islands), CheckSteps);
+    std::vector<BarrierShareComparison> Runs;
+    for (int R = 0; R != ModelCheckRuns; ++R)
+      Runs.push_back(measureHostRun(M, C, Predicted.CriticalIsland));
+    std::sort(Runs.begin(), Runs.end(),
+              [](const BarrierShareComparison &A,
+                 const BarrierShareComparison &B) {
+                return A.MeasuredShare < B.MeasuredShare;
+              });
+    const BarrierShareComparison &Median = Runs[Runs.size() / 2];
+    Table.addRow({C.Label, formatFixed(Median.PredictedShare * 100.0, 2),
+                  formatFixed(Median.MeasuredShare * 100.0, 2),
+                  formatFixed(Runs.front().MeasuredShare * 100.0, 2) +
+                      "-" +
+                      formatFixed(Runs.back().MeasuredShare * 100.0, 2),
+                  formatFixed(Median.errorPoints(), 2)});
   }
-  printModelCompareTable(Rows, outs());
-  return static_cast<int>(Rows.size());
+  Table.print(outs());
 }

@@ -19,7 +19,6 @@
 #include "core/ScheduleOptimizer.h"
 #include "machine/MachineModel.h"
 #include "mpdata/MpdataProgram.h"
-#include "sim/ModelCompare.h"
 #include "sim/Simulator.h"
 
 #include <array>
@@ -103,111 +102,25 @@ std::string
 writeKernelBenchJson(const std::string &BenchName,
                      const std::vector<KernelBenchJsonRow> &Rows);
 
-/// One row of the temporal-blocking traffic record (schema
-/// icores.bench.v2): per (strategy, temporal depth), the DRAM traffic per
-/// time step between the islands and shared memory — once measured by the
-/// real executor's transfer accounting, once projected by the simulator
-/// from the plan alone — plus the measured wall time of the run.
-struct TemporalBenchJsonRow {
-  std::string Strategy;        ///< strategyName() of the plan.
-  int TemporalDepth = 1;       ///< Fused steps per epoch (T).
-  int64_t MeasuredBytesPerStep = 0;  ///< Executor sharedBytesPerStep().
-  int64_t ProjectedBytesPerStep = 0; ///< Simulator projection.
-  double Seconds = 0.0;        ///< Measured wall seconds for the run.
-  std::string Workload = "mpdata"; ///< Registered workload name.
+/// One configuration of the barrier-share model check: a strategy and
+/// island count planned on the toy host machine, stock or with barrier
+/// elision applied.
+struct ModelCheckCase {
+  std::string Label;
+  Strategy Strat = Strategy::IslandsOfCores;
+  int Islands = 1;
+  bool Optimize = false;
 };
 
-/// writeBenchJson() for temporal-blocking rows (schema icores.bench.v2).
-std::string
-writeTemporalBenchJson(const std::string &BenchName,
-                       const std::vector<TemporalBenchJsonRow> &Rows);
-
-/// One row of the NUMA-placement study (schema icores.bench.v2,
-/// distinguished from the temporal rows by the "placement" field): per
-/// (strategy, temporal depth, placement policy), the remote-socket DRAM
-/// traffic per time step — once from the executor's placement map (the
-/// "measured" side: the estimate armed in the real run, validated by the
-/// placed() invariant), once from the simulator's projection — plus the
-/// first-touch page count, pin failures, and wall time.
-struct NumaBenchJsonRow {
-  std::string Strategy;         ///< strategyName() of the plan.
-  int TemporalDepth = 1;        ///< Fused steps per epoch (T).
-  std::string Placement;        ///< placementPolicyName() of the policy.
-  int64_t RemoteBytesPerStep = 0; ///< Executor remoteBytesPerStep().
-  int64_t ProjectedRemoteBytesPerStep = 0; ///< Simulator projection.
-  int64_t PagesFirstTouched = 0; ///< Pages zeroed by the init epoch.
-  int64_t PinFailures = 0;       ///< sched_setaffinity rejections.
-  double Seconds = 0.0;          ///< Measured wall seconds for the run.
-  std::string Workload = "mpdata"; ///< Registered workload name.
-};
-
-/// writeBenchJson() for NUMA-placement rows (schema icores.bench.v2).
-std::string writeNumaBenchJson(const std::string &BenchName,
-                               const std::vector<NumaBenchJsonRow> &Rows);
-
-/// One row of the load-balance study (schema icores.bench.v2,
-/// distinguished from the other v2 rows by the "balance" field): per
-/// (balance policy, stealing flag, temporal depth), the predicted island
-/// skew — from the simulator and from the executor, equal by
-/// construction (core/BalanceModel.h) — the measured skew and per-team
-/// imbalance, the steal counters, and the wall time.
-struct BalanceBenchJsonRow {
-  std::string Balance;     ///< balancePolicyName() of the plan.
-  bool Stealing = false;   ///< Work-stealing block scheduler armed.
-  int TemporalDepth = 1;   ///< Fused steps per epoch (T).
-  int Islands = 0;         ///< Island count of the plan.
-  double PredictedSkewSim = 1.0;  ///< Simulator predictedIslandSkew().
-  double PredictedSkewExec = 1.0; ///< Executor's ExecStats copy.
-  double MeasuredSkew = 1.0;      ///< ExecStats measuredIslandSkew().
-  double MaxImbalance = 1.0; ///< Max per-island team imbalance().
-  int64_t Steals = 0;        ///< Chunks claimed from teammates.
-  int64_t StealFailures = 0; ///< Lost steal races.
-  double IdleSeconds = 0.0;  ///< Out-of-work seconds, all threads.
-  double Seconds = 0.0;      ///< Measured wall seconds for the run.
-  std::string Workload = "mpdata"; ///< Registered workload name.
-};
-
-/// writeBenchJson() for load-balance rows (schema icores.bench.v2).
-std::string
-writeBalanceBenchJson(const std::string &BenchName,
-                      const std::vector<BalanceBenchJsonRow> &Rows);
-
-/// Aggregate timings measured by running the real threaded executor with
-/// profiling enabled (exec/ExecStats) on this host.
-struct MeasuredProfile {
-  double KernelSeconds = 0.0;
-  double TeamBarrierWaitSeconds = 0.0;
-  double WallSeconds = 0.0;
-  int64_t ThreadsSpawned = 0;
-  int64_t RunCalls = 0;
-  int64_t ElidedBarriers = 0; ///< Team-level elided pass barriers.
-  int64_t SpinWakes = 0;
-  int64_t SleepWakes = 0;
-};
-
-/// Plans (Strat, Islands) on a toy host-sized machine over a small
-/// NIxNJxNK grid, runs \p Steps real threaded steps with profiling on,
-/// and returns the measured aggregates. The same plan simulated on the
-/// same toy machine gives the predicted side for compareBarrierShare().
-/// With \p Optimize set, the plan is barrier-elision optimized first.
-MeasuredProfile measureHostRun(const MpdataProgram &M, Strategy Strat,
-                               int Islands, int NI, int NJ, int NK,
-                               int Steps, bool Optimize = false);
-
-/// Simulates the same toy-machine configuration measureHostRun() ran,
-/// returning the predicted per-step breakdown of the critical island.
-SimResult simulateHostRun(const MpdataProgram &M, Strategy Strat,
-                          int Islands, int NI, int NJ, int NK, int Steps,
-                          bool Optimize = false);
-
-/// Prints the predicted-vs-measured barrier-share table for the three
-/// strategies on a small host grid — each both stock and barrier-elision
-/// optimized ("+elide" rows) — so the sim-vs-measured comparison covers
-/// the optimized schedules too. The "model error" column quantifies sim/
-/// drift against the real executor. Purely informational (host timings
-/// are noisy); returns the number of rows printed.
-int printBarrierShareModelCheck(const MpdataProgram &M, int Islands,
-                                int Steps);
+/// Prints the predicted-vs-measured barrier-share table for \p Cases on
+/// a small host grid (64x32x16, 5 steps). The predicted share comes from
+/// the simulator on the toy machine; the measured share is the median of
+/// 9 profiled runs of the real threaded executor on the same plan,
+/// printed with its min-max spread so host noise is visible next to the
+/// "model error" column. Purely informational: host timings are noisy.
+void printBarrierShareModelCheck(const MpdataProgram &M,
+                                 const std::string &Title,
+                                 const std::vector<ModelCheckCase> &Cases);
 
 } // namespace bench
 } // namespace icores

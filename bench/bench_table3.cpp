@@ -144,9 +144,17 @@ int main() {
   writeBenchJson("table3", JsonRows);
 
   // Close the loop against the real executor: the barrier share the
-  // simulator predicts for each strategy vs the share ExecStats measures
-  // on this host (informational; host timings vary run to run).
-  printBarrierShareModelCheck(M, /*Islands=*/2, /*Steps=*/5);
+  // simulator predicts for each strategy, stock and barrier-elision
+  // optimized, vs the share ExecStats measures on this host
+  // (informational; host timings vary run to run).
+  std::vector<ModelCheckCase> Cases;
+  for (Strategy Strat : {Strategy::Original, Strategy::Block31D,
+                         Strategy::IslandsOfCores})
+    for (bool Optimize : {false, true})
+      Cases.push_back({formatString(Optimize ? "%s+elide" : "%s",
+                                    strategyName(Strat)),
+                       Strat, /*Islands=*/2, Optimize});
+  printBarrierShareModelCheck(M, "each strategy on 2 islands", Cases);
 
   return Failures == 0 ? 0 : 1;
 }

@@ -107,27 +107,14 @@ int main() {
   // Model-error column against the real executor (see bench_table3 for
   // the strategy sweep; here the islands count varies instead), covering
   // both the stock and the barrier-elision-optimized schedules.
-  std::printf("\nmodel check: predicted vs measured barrier share for "
-              "islands-of-cores (real executor, 64x32x16, 5 steps)\n");
-  std::vector<ModelCompareRow> Rows;
-  for (int Islands : {1, 2, 4}) {
-    for (bool Optimize : {false, true}) {
-      SimResult Predicted = simulateHostRun(M, Strategy::IslandsOfCores,
-                                            Islands, 64, 32, 16, 5, Optimize);
-      MeasuredProfile Measured = measureHostRun(M, Strategy::IslandsOfCores,
-                                                Islands, 64, 32, 16, 5,
-                                                Optimize);
-      ModelCompareRow Row;
-      Row.Label = formatString(Optimize ? "islands P=%d+elide"
-                                        : "islands P=%d",
-                               Islands);
-      Row.Comparison = compareBarrierShare(Predicted.CriticalIsland,
-                                           Measured.KernelSeconds,
-                                           Measured.TeamBarrierWaitSeconds);
-      Rows.push_back(Row);
-    }
-  }
-  printModelCompareTable(Rows, outs());
+  std::vector<ModelCheckCase> Cases;
+  for (int Islands : {1, 2, 4})
+    for (bool Optimize : {false, true})
+      Cases.push_back({formatString(Optimize ? "islands P=%d+elide"
+                                             : "islands P=%d",
+                                    Islands),
+                       Strategy::IslandsOfCores, Islands, Optimize});
+  printBarrierShareModelCheck(M, "islands-of-cores", Cases);
 
   return Failures == 0 ? 0 : 1;
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the table-reproduction benches and collects their machine-readable
-# BENCH_*.json records (schema icores.bench.v1) into one directory, then
-# validates them against the schema. Usage:
+# BENCH_*.json records (schema icores.bench.v1) into one directory, next
+# to the exec_stats records of three `mpdata_cli execute --profile`
+# smokes, then validates them all against their schemas. Usage:
 #
 #   bench/run_benches.sh [BUILD_DIR] [OUT_DIR]
 #
@@ -24,7 +25,7 @@ export ICORES_BENCH_DIR=$OUT_DIR
 
 STATUS=0
 for BENCH in bench_table1 bench_table2 bench_table3 bench_table4 \
-             bench_kernels bench_temporal bench_numa bench_balance; do
+             bench_kernels; do
   BIN=$BUILD_DIR/bench/$BENCH
   [ -x "$BIN" ] || continue
   LOG=$OUT_DIR/$BENCH.log
@@ -36,59 +37,34 @@ for BENCH in bench_table1 bench_table2 bench_table3 bench_table4 \
   fi
 done
 
-# Smoke slice: a short temporally blocked execute run must stay bit-exact
-# and its --profile record (exec_stats v3 with temporal_depth) must
-# validate with everything else below.
+# Execute smokes: each run must stay bit-exact against the serial
+# reference and its --profile record must validate with everything else
+# below. One covers temporal blocking, one first-touch placement, one
+# cost cuts plus work stealing.
 CLI=$BUILD_DIR/tools/mpdata_cli
+smoke() {
+  local NAME=$1
+  shift
+  echo "== $NAME smoke (mpdata_cli execute $*)"
+  if ! "$CLI" execute --strategy=islands --steps=4 "$@" \
+       --profile="$OUT_DIR/exec_stats_$NAME.json" \
+       > "$OUT_DIR/${NAME}_smoke.log" 2>&1; then
+    echo "   FAILED — tail of $OUT_DIR/${NAME}_smoke.log:"
+    tail -5 "$OUT_DIR/${NAME}_smoke.log"
+    STATUS=1
+  fi
+}
 if [ -x "$CLI" ]; then
-  echo "== temporal smoke (mpdata_cli execute --temporal=2)"
-  if ! "$CLI" execute --strategy=islands --islands=2 --steps=4 \
-       --temporal=2 --profile="$OUT_DIR/exec_stats_temporal.json" \
-       > "$OUT_DIR/temporal_smoke.log" 2>&1; then
-    echo "   FAILED — tail of $OUT_DIR/temporal_smoke.log:"
-    tail -5 "$OUT_DIR/temporal_smoke.log"
-    STATUS=1
-  fi
-
-  # NUMA smoke: a first-touch placed run must stay bit-exact and its
-  # --profile record (exec_stats v4 with the placement fields) must
-  # validate with everything else below.
-  echo "== numa smoke (mpdata_cli execute --place=firsttouch)"
-  if ! "$CLI" execute --strategy=islands --islands=2 --steps=4 \
-       --place=firsttouch --profile="$OUT_DIR/exec_stats_numa.json" \
-       > "$OUT_DIR/numa_smoke.log" 2>&1; then
-    echo "   FAILED — tail of $OUT_DIR/numa_smoke.log:"
-    tail -5 "$OUT_DIR/numa_smoke.log"
-    STATUS=1
-  fi
-
-  # Balance smoke: cost cuts plus work stealing must stay bit-exact and
-  # the --profile record (exec_stats v5 with the balance fields) must
-  # validate with everything else below.
-  echo "== balance smoke (mpdata_cli execute --balance=cost --steal)"
-  if ! "$CLI" execute --strategy=islands --islands=4 --steps=4 \
-       --temporal=2 --balance=cost --steal \
-       --profile="$OUT_DIR/exec_stats_balance.json" \
-       > "$OUT_DIR/balance_smoke.log" 2>&1; then
-    echo "   FAILED — tail of $OUT_DIR/balance_smoke.log:"
-    tail -5 "$OUT_DIR/balance_smoke.log"
-    STATUS=1
-  fi
-fi
-
-# The workload manifest pins every bench row's "workload" field to a
-# name the CLI actually registers.
-MANIFEST_ARGS=()
-if [ -x "$CLI" ] && "$CLI" list-workloads > "$OUT_DIR/workloads.txt" 2>&1; then
-  MANIFEST_ARGS=(--manifest="$OUT_DIR/workloads.txt")
+  smoke temporal --islands=2 --temporal=2
+  smoke numa --islands=2 --place=firsttouch
+  smoke balance --islands=4 --temporal=2 --balance=cost --steal
 fi
 
 JSONS=("$OUT_DIR"/BENCH_*.json "$OUT_DIR"/exec_stats_*.json)
 JSONS=($(ls "${JSONS[@]}" 2> /dev/null || true))
 if [ -e "${JSONS[0]}" ]; then
   if command -v python3 > /dev/null 2>&1; then
-    python3 "$SCRIPT_DIR/validate_bench_json.py" "${MANIFEST_ARGS[@]}" \
-      "${JSONS[@]}" || STATUS=1
+    python3 "$SCRIPT_DIR/validate_bench_json.py" "${JSONS[@]}" || STATUS=1
   else
     echo "note: python3 not found; skipping BENCH_*.json schema validation"
   fi

@@ -186,19 +186,21 @@ Array3D referenceResult() {
   return Result;
 }
 
-/// Runs the stealing scheduler over a TestMatrix plan; the plan-building
+/// Runs the stealing scheduler (or, with \p Stealing off, the static
+/// split) over a TestMatrix plan; the plan-building
 /// conventions (toy machine, socket raising) live in makeTestPlan.
 Array3D stealingResult(Strategy Strat, int Sockets,
                        PartitionVariant Variant, BalancePolicy Balance,
                        int Depth, KernelVariant Kernels,
-                       FaultInjector *Chaos = nullptr) {
+                       FaultInjector *Chaos = nullptr,
+                       bool Stealing = true) {
   MpdataProgram M = buildMpdataProgram();
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
   ExecutionPlan Plan =
       makeTestPlan(M.Program, Dom, Strat, Depth, /*ElideBarriers=*/false,
                    Sockets, Balance, Variant);
   ExecutorOptions Opts;
-  Opts.Stealing = true;
+  Opts.Stealing = Stealing;
   Opts.Chaos = Chaos;
   ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
                        std::move(Plan), Opts);
@@ -258,55 +260,98 @@ TEST(StealingEquivalenceTest, BitExactUnderChaosStalls) {
   EXPECT_EQ(Result.maxAbsDiff(Reference, Core), 0.0);
 }
 
+TEST(StealingEquivalenceTest, BalanceCellsAreBitExactAtDepthFour) {
+  // The four (balance, stealing) cells on the skewed T = 4 plan, where
+  // cost cuts move the island boundaries furthest from uniform.
+  const Array3D Reference = referenceResult();
+  const Box3 Core = Box3::fromExtents(GridNI, GridNJ, GridNK);
+  for (BalancePolicy Balance : {BalancePolicy::Uniform, BalancePolicy::Cost})
+    for (bool Stealing : {false, true}) {
+      Array3D Result = stealingResult(
+          Strategy::IslandsOfCores, /*Sockets=*/4, PartitionVariant::A,
+          Balance, /*Depth=*/4, KernelVariant::Reference, nullptr, Stealing);
+      EXPECT_EQ(Result.maxAbsDiff(Reference, Core), 0.0)
+          << balancePolicyName(Balance) << " stealing " << Stealing;
+    }
+}
+
+namespace {
+
+/// The islands plan on \p Sockets toy sockets over the 48x16x8 grid the
+/// skew tests share.
+ExecutionPlan skewPlan(const MpdataProgram &M, const MachineModel &Machine,
+                       int Sockets, int Depth, BalancePolicy Balance) {
+  PlanConfig Config;
+  Config.Strat = Strategy::IslandsOfCores;
+  Config.Sockets = Sockets;
+  Config.TemporalDepth = Depth;
+  Config.Balance = Balance;
+  return buildPlan(M.Program, Box3::fromExtents(48, 16, 8), Machine, Config);
+}
+
+} // namespace
+
 TEST(BalanceSkewParityTest, SimulatorAndExecutorAgreeExactly) {
   MpdataProgram M = buildMpdataProgram();
-  for (BalancePolicy Balance : {BalancePolicy::Uniform, BalancePolicy::Cost}) {
-    MachineModel Machine = makeToyMachine();
-    Machine.NumSockets = 4;
-    PlanConfig Config;
-    Config.Strat = Strategy::IslandsOfCores;
-    Config.Sockets = 4;
-    Config.TemporalDepth = 2;
-    Config.Balance = Balance;
-    const Box3 Grid = Box3::fromExtents(48, 16, 8);
-    ExecutionPlan Plan = buildPlan(M.Program, Grid, Machine, Config);
+  MachineModel Machine = makeToyMachine();
+  Machine.NumSockets = 4;
+  for (int Depth : {2, 4})
+    for (BalancePolicy Balance :
+         {BalancePolicy::Uniform, BalancePolicy::Cost}) {
+      SimResult Sim =
+          simulate(skewPlan(M, Machine, 4, Depth, Balance), M.Program,
+                   Machine, TimeSteps);
+      EXPECT_GE(Sim.PredictedIslandSkew, 1.0);
 
-    SimResult Sim = simulate(Plan, M.Program, Machine, TimeSteps);
-    EXPECT_GE(Sim.PredictedIslandSkew, 1.0);
-
-    Domain Dom(48, 16, 8, mpdataHaloDepth());
-    ExecutorOptions Opts;
-    Opts.Machine = &Machine;
-    ExecutionPlan ExecPlan = buildPlan(M.Program, Grid, Machine, Config);
-    ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
-                         std::move(ExecPlan), Opts);
-    // Parity by construction: both sides called predictedIslandSkew() on
-    // the same plan, so the values are identical, not merely close.
-    EXPECT_EQ(Exec.stats().PredictedIslandSkew, Sim.PredictedIslandSkew)
-        << balancePolicyName(Balance);
-    EXPECT_EQ(Exec.stats().Balance, balancePolicyName(Balance));
-  }
+      Domain Dom(48, 16, 8, mpdataHaloDepth());
+      ExecutorOptions Opts;
+      Opts.Machine = &Machine;
+      ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                           skewPlan(M, Machine, 4, Depth, Balance), Opts);
+      // Parity by construction: both sides called predictedIslandSkew()
+      // on the same plan, so the values are identical, not merely close.
+      EXPECT_EQ(Exec.stats().PredictedIslandSkew, Sim.PredictedIslandSkew)
+          << balancePolicyName(Balance) << " T=" << Depth;
+      EXPECT_EQ(Exec.stats().Balance, balancePolicyName(Balance));
+    }
 }
 
 TEST(BalanceSkewParityTest, CostCutsPredictLessSkewThanUniform) {
   MpdataProgram M = buildMpdataProgram();
   MachineModel Machine = makeToyMachine();
   Machine.NumSockets = 4;
-  const Box3 Grid = Box3::fromExtents(48, 16, 8);
-  double Skew[2];
-  for (BalancePolicy Balance :
-       {BalancePolicy::Uniform, BalancePolicy::Cost}) {
-    PlanConfig Config;
-    Config.Strat = Strategy::IslandsOfCores;
-    Config.Sockets = 4;
-    Config.TemporalDepth = 4;
-    Config.Balance = Balance;
-    ExecutionPlan Plan = buildPlan(M.Program, Grid, Machine, Config);
-    Skew[Balance == BalancePolicy::Cost] =
-        predictedIslandSkew(Plan, M.Program, Machine);
+  for (int Depth : {2, 4}) {
+    double Skew[2];
+    for (BalancePolicy Balance :
+         {BalancePolicy::Uniform, BalancePolicy::Cost})
+      Skew[Balance == BalancePolicy::Cost] = predictedIslandSkew(
+          skewPlan(M, Machine, 4, Depth, Balance), M.Program, Machine);
+    EXPECT_GE(Skew[0], 1.0) << "T=" << Depth;
+    EXPECT_LT(Skew[1], Skew[0]) << "T=" << Depth;
   }
-  EXPECT_GE(Skew[0], 1.0);
-  EXPECT_LT(Skew[1], Skew[0]);
+}
+
+TEST(BalanceSkewParityTest, SingleIslandSkewIsExactlyOne) {
+  // Nothing to balance: the simulator's prediction, the executor's copy
+  // and the measured skew of a profiled cost + stealing run all read 1.
+  MpdataProgram M = buildMpdataProgram();
+  MachineModel Machine = makeToyMachine();
+  Machine.NumSockets = 1;
+  EXPECT_EQ(simulate(skewPlan(M, Machine, 1, 1, BalancePolicy::Cost),
+                     M.Program, Machine, TimeSteps)
+                .PredictedIslandSkew,
+            1.0);
+  Domain Dom(48, 16, 8, mpdataHaloDepth());
+  ExecutorOptions Opts;
+  Opts.Machine = &Machine;
+  Opts.Stealing = true;
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       skewPlan(M, Machine, 1, 1, BalancePolicy::Cost), Opts);
+  Exec.enableProfiling(true);
+  seedMpdata(Exec, M, 321, 0.1, 2.0, 0.3, -0.25, 0.2);
+  Exec.run(2);
+  EXPECT_EQ(Exec.stats().PredictedIslandSkew, 1.0);
+  EXPECT_EQ(Exec.stats().measuredIslandSkew(), 1.0);
 }
 
 TEST(BalanceStatsTest, ImbalanceEdgeCasesPinToOne) {

@@ -289,33 +289,6 @@ TEST(ExecStatsTest, JsonReportIsWellFormed) {
   EXPECT_EQ(Brackets, 0);
 }
 
-TEST(ExecStatsTest, CheckedInV2GoldenStaysAGenuineV2Document) {
-  // bench/validate_bench_json.py keeps accepting exec_stats v2; this
-  // guards the checked-in fixture it is tested against: the fixture must
-  // keep declaring v2 and must not grow the v3-only fault counters
-  // (otherwise the backward-compat path is silently testing v3 twice).
-  std::string Path =
-      std::string(ICORES_TEST_DATA_DIR) + "/golden/exec_stats.v2.json";
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  ASSERT_NE(F, nullptr) << "missing golden file " << Path;
-  std::string Golden;
-  char Chunk[4096];
-  for (size_t N; (N = std::fread(Chunk, 1, sizeof(Chunk), F)) > 0;)
-    Golden.append(Chunk, N);
-  std::fclose(F);
-
-  EXPECT_NE(Golden.find("\"schema\": \"icores.exec_stats.v2\""),
-            std::string::npos);
-  EXPECT_EQ(Golden.find("faults_injected"), std::string::npos);
-  EXPECT_EQ(Golden.find("\"timeouts\""), std::string::npos);
-  // Fields shared by v2 and v3 are present, so the validator's common
-  // checks run against real content.
-  for (const char *Key :
-       {"\"islands\"", "\"barrier_share\"", "\"spin_wakes\"",
-        "\"sleep_wakes\"", "\"elided_barriers\""})
-    EXPECT_NE(Golden.find(Key), std::string::npos) << Key;
-}
-
 TEST(ExecStatsTest, CsvReportHasOneRowPerActiveIslandStage) {
   MpdataProgram M = buildMpdataProgram();
   auto Exec = makeExecutor(M, 2);

@@ -140,17 +140,19 @@ TEST(TemporalExecutorTest, SharedTrafficPerStepShrinksWithDepth) {
   // tiny boxes would make redundant imports outweigh the saved re-reads.
   const WorkloadSpec &M = mpdata();
   Domain Dom = workloadDomain(M, 64, 48, 48);
-  auto bytesPerStep = [&](int T) {
-    auto Exec = makeWorkloadExecutor(
-        M, Dom, makeTestPlan(M.Program, Dom, Strategy::IslandsOfCores, T));
-    return Exec->sharedBytesPerStep();
-  };
-  int64_t B1 = bytesPerStep(1);
-  int64_t B2 = bytesPerStep(2);
-  int64_t B4 = bytesPerStep(4);
-  EXPECT_GT(B1, 0);
-  EXPECT_LT(B2, B1);
-  EXPECT_LT(B4, B2);
+  for (Strategy Strat : {Strategy::Block31D, Strategy::IslandsOfCores}) {
+    auto bytesPerStep = [&](int T) {
+      auto Exec = makeWorkloadExecutor(M, Dom,
+                                       makeTestPlan(M.Program, Dom, Strat, T));
+      return Exec->sharedBytesPerStep();
+    };
+    int64_t B1 = bytesPerStep(1);
+    int64_t B2 = bytesPerStep(2);
+    int64_t B4 = bytesPerStep(4);
+    EXPECT_GT(B1, 0) << strategyName(Strat);
+    EXPECT_LT(B2, B1) << strategyName(Strat);
+    EXPECT_LT(B4, B2) << strategyName(Strat);
+  }
 }
 
 TEST(TemporalExecutorTest, SimulatorProjectionMatchesExecutorAccounting) {

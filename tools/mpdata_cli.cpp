@@ -116,7 +116,7 @@ void printUsage() {
       "                              maxstall= (seconds). A bare seed arms\n"
       "                              a default mixed plan. Results stay\n"
       "                              bit-exact; counters land in the\n"
-      "                              --profile JSON (exec_stats v3)\n"
+      "                              --profile JSON (icores.exec_stats.v5)\n"
       "  --json                      lint mode: emit icores.lint.v1 JSON\n"
       "  --no-audit                  lint mode: skip the kernel access "
       "audit\n");
@@ -176,7 +176,7 @@ int main(int Argc, char **Argv) {
   const WorkloadRegistry &Registry = builtinWorkloads();
   if (Mode == "list-workloads" || Mode == "--list-workloads") {
     // The workload manifest: one name per line (first token), then the
-    // description. bench/validate_bench_json.py consumes this.
+    // description. The CI smoke job executes every name it lists.
     for (const WorkloadSpec &Spec : Registry.workloads())
       std::printf("%-12s %s\n", Spec.Name.c_str(), Spec.Description.c_str());
     return 0;
@@ -211,6 +211,36 @@ int main(int Argc, char **Argv) {
   int NK = static_cast<int>(CL.getInt("nk", Execute ? 16 : 64));
   int Steps = static_cast<int>(CL.getInt("steps", Execute ? 10 : 50));
   int Temporal = static_cast<int>(CL.getInt("temporal", 1));
+  // Reject what the library would otherwise abort on in an ICORES_CHECK.
+  if (NI < 1 || NJ < 1 || NK < 1) {
+    std::fprintf(stderr,
+                 "error: grid %dx%dx%d: --ni, --nj and --nk must be at "
+                 "least 1\n",
+                 NI, NJ, NK);
+    return 1;
+  }
+  if (Sockets < 1) {
+    std::fprintf(stderr, "error: --sockets/--islands=%d must be at least 1\n",
+                 Sockets);
+    return 1;
+  }
+  // Execute mode sizes its toy host machine to the request, so only the
+  // model modes have an upper bound.
+  if (!Execute && Sockets > Machine.NumSockets) {
+    std::fprintf(stderr,
+                 "error: --sockets/--islands=%d exceeds the %d sockets of "
+                 "the %s machine\n",
+                 Sockets, Machine.NumSockets, Machine.Name.c_str());
+    return 1;
+  }
+  // Model modes price at least one step; execute may run zero.
+  bool ModelSteps =
+      Mode == "simulate" || Mode == "traffic" || Mode == "advise";
+  if (Steps < (ModelSteps ? 1 : 0)) {
+    std::fprintf(stderr, "error: --steps=%d must be at least %d\n", Steps,
+                 ModelSteps ? 1 : 0);
+    return 1;
+  }
   if (Temporal < 1) {
     std::fprintf(stderr, "error: --temporal must be at least 1\n");
     return 1;
@@ -493,15 +523,15 @@ int main(int Argc, char **Argv) {
     std::printf("executed %d steps of %s/%s on %dx%dx%d with %d islands\n",
                 Steps, Workload->Name.c_str(), strategyName(Strat), NI, NJ,
                 NK, Sockets);
-    if (Config.Balance == BalancePolicy::Cost || ExecOpts.Stealing) {
+    if (CL.hasOption("balance") || ExecOpts.Stealing) {
       const ExecStats &BS = Exec.stats();
       std::printf("balance: %s cuts, stealing %s, predicted island skew "
                   "%.4f, measured %.4f\n",
                   BS.Balance.c_str(), BS.Stealing ? "on" : "off",
                   BS.PredictedIslandSkew, BS.measuredIslandSkew());
     }
-    if (Temporal > 1)
-      std::printf("temporal blocking: depth %d (%d fused epochs), shared "
+    if (CL.hasOption("temporal"))
+      std::printf("temporal blocking: depth %d (%d epochs), shared "
                   "traffic %s/step\n",
                   Temporal, Steps / Temporal,
                   formatBytes(static_cast<uint64_t>(
