@@ -5,7 +5,6 @@
 #include "exec/ProgramExecutor.h"
 #include "mpdata/InitialConditions.h"
 #include "mpdata/Kernels.h"
-#include "sim/ModelCompare.h"
 #include "support/Format.h"
 #include "support/OStream.h"
 #include "support/Table.h"
@@ -163,6 +162,35 @@ MachineModel hostCheckMachine(int Islands) {
   MachineModel M = makeToyMachine();
   M.NumSockets = Islands;
   return M;
+}
+
+/// Predicted vs measured share of barrier time for one configuration.
+/// The executor's team-barrier waits correspond to the simulator's Barrier
+/// term; its kernel time covers Compute + Dram + Remote (the kernels both
+/// compute and stream); the global barriers and turnover (Overhead) are
+/// excluded from both shares.
+struct BarrierShareComparison {
+  double PredictedShare = 0.0; ///< Barrier / (Compute+Dram+Remote+Barrier).
+  double MeasuredShare = 0.0;  ///< Barrier wait / (kernel + barrier wait).
+
+  /// Model error in percentage points (positive: model over-predicts).
+  double errorPoints() const {
+    return (PredictedShare - MeasuredShare) * 100.0;
+  }
+};
+
+BarrierShareComparison compareBarrierShare(const SimBreakdown &Predicted,
+                                           double MeasuredKernelSeconds,
+                                           double MeasuredBarrierWaitSeconds) {
+  BarrierShareComparison C;
+  double PredictedTotal = Predicted.Compute + Predicted.Dram +
+                          Predicted.Remote + Predicted.Barrier;
+  if (PredictedTotal > 0.0)
+    C.PredictedShare = Predicted.Barrier / PredictedTotal;
+  double MeasuredTotal = MeasuredKernelSeconds + MeasuredBarrierWaitSeconds;
+  if (MeasuredTotal > 0.0)
+    C.MeasuredShare = MeasuredBarrierWaitSeconds / MeasuredTotal;
+  return C;
 }
 
 ExecutionPlan hostCheckPlan(const MpdataProgram &M, const ModelCheckCase &C,

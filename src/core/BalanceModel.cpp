@@ -126,30 +126,6 @@ int64_t icores::partConeFlops(const StencilProgram &Program, const Box3 &Part,
                        globalStepRequirements(Program, GlobalSteps));
 }
 
-int64_t icores::partRemoteEpochBytes(const StencilProgram &Program,
-                                     const Box3 &Part,
-                                     const Box3 &GlobalTarget,
-                                     const std::vector<Box3> &GlobalSteps,
-                                     PagePlacement Placement, bool OnHomeNode,
-                                     int ActiveSockets) {
-  return remoteEpochBytesImpl(Program, Part, GlobalTarget,
-                              globalStepRequirements(Program, GlobalSteps),
-                              Placement, OnHomeNode, ActiveSockets);
-}
-
-double icores::predictedPartSeconds(const StencilProgram &Program,
-                                    const Box3 &Part, const Box3 &GlobalTarget,
-                                    const std::vector<Box3> &GlobalSteps,
-                                    int NumThreads,
-                                    const MachineModel &Machine,
-                                    PagePlacement Placement, bool OnHomeNode,
-                                    int ActiveSockets) {
-  return partSecondsImpl(Program, Part, GlobalTarget,
-                         globalStepRequirements(Program, GlobalSteps),
-                         NumThreads, Machine, Placement, OnHomeNode,
-                         ActiveSockets);
-}
-
 std::vector<double>
 icores::predictedIslandSeconds(const ExecutionPlan &Plan,
                                const StencilProgram &Program,

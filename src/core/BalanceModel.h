@@ -65,35 +65,16 @@ inline constexpr int MinIslandPlanes = 1;
 int64_t partConeFlops(const StencilProgram &Program, const Box3 &Part,
                       const std::vector<Box3> &GlobalSteps);
 
-/// Remote-DRAM bytes one island streams per epoch for \p Part under
-/// \p Placement, from part geometry alone (no neighbor list needed:
-/// first-touch arena segments tile space, so everything outside the
-/// part's own extended segment is remote regardless of who owns it).
-/// \p OnHomeNode marks the island living on the serial-init home node;
-/// \p ActiveSockets is the S of the interleave model.
-int64_t partRemoteEpochBytes(const StencilProgram &Program, const Box3 &Part,
-                             const Box3 &GlobalTarget,
-                             const std::vector<Box3> &GlobalSteps,
-                             PagePlacement Placement, bool OnHomeNode,
-                             int ActiveSockets);
-
-/// The shared per-part cost: predicted seconds one island of
-/// \p NumThreads cores spends on one fused epoch of \p Part (see the file
-/// comment for the formula). Deterministic plan geometry + machine model.
-double predictedPartSeconds(const StencilProgram &Program, const Box3 &Part,
-                            const Box3 &GlobalTarget,
-                            const std::vector<Box3> &GlobalSteps,
-                            int NumThreads, const MachineModel &Machine,
-                            PagePlacement Placement, bool OnHomeNode,
-                            int ActiveSockets);
-
-/// predictedPartSeconds() for every island of a built plan, in plan order.
+/// The shared per-part cost for every island of a built plan, in plan
+/// order: predicted seconds the island's team spends on one fused epoch of
+/// its part (see the file comment for the formula). Deterministic plan
+/// geometry + machine model.
 std::vector<double> predictedIslandSeconds(const ExecutionPlan &Plan,
                                            const StencilProgram &Program,
                                            const MachineModel &Machine);
 
 /// Predicted island skew of \p Plan: max over islands of
-/// predictedPartSeconds divided by the mean. 1.0 for perfectly balanced
+/// predictedIslandSeconds() divided by the mean. 1.0 for perfectly balanced
 /// plans and for single-island plans; always >= 1.0. This is THE skew
 /// formula — simulator and executor both report it, so they agree
 /// exactly by construction.
@@ -102,7 +83,7 @@ double predictedIslandSkew(const ExecutionPlan &Plan,
                            const MachineModel &Machine);
 
 /// Splits \p Target into \p Parts slabs along \p Dim so the per-slab
-/// predictedPartSeconds() are equalized, via monotone bisection: an outer
+/// part costs are equalized, via monotone bisection: an outer
 /// binary search on the per-island cost ceiling, an inner binary search
 /// per cut plane (cost is monotone in slab width, so each search is
 /// exact). The cuts tile \p Target exactly by construction and every slab

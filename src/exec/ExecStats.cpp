@@ -7,7 +7,6 @@
 #include "support/Error.h"
 #include "support/Format.h"
 #include "support/OStream.h"
-#include "support/Table.h"
 
 #include <algorithm>
 
@@ -354,28 +353,6 @@ void ExecStats::writeJson(OStream &OS) const {
     OS << "\n     ]}";
   }
   OS << "\n  ]\n}\n";
-}
-
-void ExecStats::writeCsv(OStream &OS) const {
-  TablePrinter Table({"island", "stage", "temporal_depth", "passes",
-                      "elided_barriers", "kernel_seconds",
-                      "barrier_wait_seconds"});
-  for (const IslandStat &Island : Islands)
-    for (size_t S = 0; S != Island.Stages.size(); ++S) {
-      const StageStat &Stage = Island.Stages[S];
-      if (Stage.Passes == 0)
-        continue;
-      Table.addRow({formatString("%d", Island.Island),
-                    formatString("%d", static_cast<int>(S)),
-                    formatString("%d", TemporalDepth),
-                    formatString("%lld",
-                                 static_cast<long long>(Stage.Passes)),
-                    formatString("%lld",
-                                 static_cast<long long>(Stage.BarriersElided)),
-                    formatString("%.9g", Stage.KernelSeconds),
-                    formatString("%.9g", Stage.BarrierWaitSeconds)});
-    }
-  Table.printCsv(OS);
 }
 
 std::string ExecStats::toJsonString() const {

@@ -31,10 +31,8 @@
 /// load-balance fields balance / stealing / steals / steal_failures /
 /// idle_seconds / predicted_island_skew / measured_island_skew and the
 /// per-island imbalance_per_step array; fold_seconds, top level and per
-/// thread, came later without a version bump); writeCsv() renders
-/// per-(island, stage) rows through support/Table for
-/// spreadsheet-friendly dumps. v2..v4 documents remain parseable by
-/// bench/validate_bench_json.py.
+/// thread, came later without a version bump). v2..v4 documents remain
+/// parseable by bench/validate_bench_json.py.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -237,9 +235,6 @@ struct ExecStats {
 
   /// Emits the icores.exec_stats.v5 JSON document.
   void writeJson(OStream &OS) const;
-
-  /// Emits per-(island, stage) rows as CSV via support/Table.
-  void writeCsv(OStream &OS) const;
 
   std::string toJsonString() const;
 };

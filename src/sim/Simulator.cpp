@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 using namespace icores;
 
@@ -30,7 +31,8 @@ int haloDepthAlong(const StencilProgram &Program, const StagePass &Pass,
 struct IslandCosts {
   SimBreakdown Breakdown;
   int64_t Flops = 0;
-  int64_t DramBytes = 0;
+  /// Per epoch (all fused steps), indexed by ArrayId.
+  std::vector<ArrayDramBytes> DramByArray;
   int64_t RemoteBytes = 0;
   int64_t Barriers = 0; ///< Team barriers charged per epoch.
   int64_t Elided = 0;   ///< Pass barriers skipped via BarrierAfter=false.
@@ -47,22 +49,35 @@ IslandCosts simulateIsland(const IslandPlan &Island,
                            double KernelThroughput,
                            const EpochScript &Script) {
   IslandCosts Costs;
+  Costs.DramByArray.resize(Program.numArrays());
   bool Blocked = Plan.Strat != Strategy::Original;
   const int Depth = std::max(1, Plan.TemporalDepth);
   double TeamFlopRate = static_cast<double>(Island.NumThreads) *
                         Machine.peakFlopsPerCore() *
                         Machine.KernelEfficiency * KernelThroughput;
   double WriteFactor = Machine.NonTemporalStores ? 1.0 : 2.0;
+  auto spilled = [&Machine](int64_t Bytes) {
+    return static_cast<int64_t>(Machine.CacheSpillFraction *
+                                static_cast<double>(Bytes));
+  };
   double RemoteRate = Machine.LinkBandwidth * Machine.RemoteAccessEfficiency;
   // Cache-resident halo lines prefetch well; cold DRAM-backed halos
   // (Original) do not.
   double RemoteVisible = Blocked ? (1.0 - Machine.RemoteOverlapFactor) : 1.0;
 
   double ComputeTotal = 0.0;
+  // A pass's cache-resident reads per array: only the spill fraction of
+  // them reaches DRAM, rounded once per (pass, array).
+  std::vector<int64_t> ResidentReads(Program.numArrays(), 0);
 
   for (const BlockTask &Block : Island.Blocks) {
     double BlockCompute = 0.0;
     int64_t BlockDramBytes = 0;
+    auto toDram = [&BlockDramBytes](int64_t &Slot, int64_t Bytes) {
+      Slot += Bytes;
+      BlockDramBytes += Bytes;
+    };
+    const bool FinalStep = Block.StepInEpoch == Depth - 1;
 
     for (const StagePass &Pass : Block.Passes) {
       const StageDef &Stage = Program.stage(Pass.Stage);
@@ -75,45 +90,40 @@ IslandCosts simulateIsland(const IslandPlan &Island,
           static_cast<double>(Points * Stage.FlopsPerPoint) / TeamFlopRate;
 
       // --- Main-memory traffic ----------------------------------------
-      int64_t IntermediateBytes = 0;
+      // Original streams every read in full. Blocked strategies keep
+      // intermediates cache-resident, and temporal epochs read step inputs
+      // from the island-private import buffer (cache-resident too), so
+      // only the spill fraction of those reads reaches DRAM. Blocked T = 1
+      // step-input reads are the island's footprint stream, charged at
+      // island level below.
       for (const StageInput &In : Stage.Inputs) {
         const ArrayInfo &Info = Program.array(In.Array);
         int64_t ReadBytes =
             In.readRegion(Pass.Region).numPoints() * Info.ElementBytes;
-        if (Info.Role == ArrayRole::StepInput) {
-          // Blocked strategies stream step inputs once per island (charged
-          // at island level below). Temporal epochs read them from the
-          // island-private import buffer: the per-pass re-reads are cache
-          // hits for the blocked strategies, full streams for Original.
-          if (Depth > 1 && Blocked)
-            IntermediateBytes += ReadBytes;
-          else if (!Blocked)
-            BlockDramBytes += ReadBytes;
-        } else if (Blocked) {
-          IntermediateBytes += ReadBytes;
-        } else {
-          BlockDramBytes += ReadBytes;
-        }
+        size_t A = static_cast<size_t>(In.Array);
+        if (!Blocked)
+          toDram(Costs.DramByArray[A].Read, ReadBytes);
+        else if (Info.Role != ArrayRole::StepInput || Depth > 1)
+          ResidentReads[A] += ReadBytes;
       }
-      bool FinalStep = Block.StepInEpoch == Depth - 1;
+      for (const StageInput &In : Stage.Inputs) {
+        size_t A = static_cast<size_t>(In.Array);
+        if (int64_t Bytes = std::exchange(ResidentReads[A], 0))
+          toDram(Costs.DramByArray[A].Read, spilled(Bytes));
+      }
       for (ArrayId Out : Stage.Outputs) {
         const ArrayInfo &Info = Program.array(Out);
         int64_t WriteBytes = static_cast<int64_t>(
             static_cast<double>(Points * Info.ElementBytes) * WriteFactor);
-        if (Info.Role == ArrayRole::Intermediate && Blocked)
-          IntermediateBytes += WriteBytes;
-        else if (Depth > 1 && !FinalStep && Blocked)
-          // Intermediate fused steps write the island-private scratch
-          // buffer, not the shared array: cache-resident for blocked
-          // strategies, so it spills rather than streams.
-          IntermediateBytes += WriteBytes;
+        ArrayDramBytes &Dram = Costs.DramByArray[static_cast<size_t>(Out)];
+        // Intermediate fused steps write the island-private scratch
+        // buffer, not the shared array: cache-resident for blocked
+        // strategies, so it spills rather than streams.
+        if (Blocked && (Info.Role == ArrayRole::Intermediate || !FinalStep))
+          toDram(Dram.Write, spilled(WriteBytes));
         else
-          BlockDramBytes += WriteBytes;
+          toDram(Dram.Write, WriteBytes);
       }
-      if (Blocked)
-        BlockDramBytes += static_cast<int64_t>(
-            Machine.CacheSpillFraction *
-            static_cast<double>(IntermediateBytes));
 
       // --- Remote (interconnect) halo traffic --------------------------
       if (Island.NumSockets > 1) {
@@ -134,7 +144,6 @@ IslandCosts simulateIsland(const IslandPlan &Island,
       Costs.Elided += !Pass.BarrierAfter;
     }
 
-    Costs.DramBytes += BlockDramBytes;
     double BlockDram = StreamRate > 0.0
                            ? static_cast<double>(BlockDramBytes) / StreamRate
                            : 0.0;
@@ -166,11 +175,17 @@ IslandCosts simulateIsland(const IslandPlan &Island,
   int64_t RemoteInputBytes = 0;
   bool FirstTouchMargins = Map.Policy == PlacementPolicy::FirstTouch &&
                            Island.NumSockets == 1 && MultipleIslands;
-  if (Blocked || Depth > 1)
-    InputBytes = islandFootprint(Program, Plan, Island).readBytes(Program);
+  if (Blocked || Depth > 1) {
+    const IslandFootprint F = islandFootprint(Program, Plan, Island);
+    for (ArrayId In : Program.stepInputs()) {
+      int64_t Bytes = F.Reads[static_cast<size_t>(In)].numPoints() *
+                      Program.array(In).ElementBytes;
+      Costs.DramByArray[static_cast<size_t>(In)].Read += Bytes;
+      InputBytes += Bytes;
+    }
+  }
   if (FirstTouchMargins)
     RemoteInputBytes = std::min(RemoteTraffic.ReadBytes, InputBytes);
-  Costs.DramBytes += InputBytes;
   Costs.RemoteBytes += RemoteInputBytes;
   double InputSeconds =
       StreamRate > 0.0
@@ -203,7 +218,6 @@ IslandCosts simulateIsland(const IslandPlan &Island,
     Costs.Breakdown.Barrier *= Inv;
     Costs.Breakdown.Overhead *= Inv;
     Costs.Flops /= Depth;
-    Costs.DramBytes /= Depth;
     Costs.RemoteBytes /= Depth;
     Costs.Elided /= Depth;
   }
@@ -257,6 +271,7 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
 
   SimResult Result;
   Result.TimeSteps = TimeSteps;
+  Result.DramBytesByArray.resize(Program.numArrays());
   Result.ActiveSockets = ActiveSockets;
   Result.SharedBytesPerStep = projectedSharedBytesPerStep(Plan, Program);
   Result.PredictedIslandSkew = predictedIslandSkew(Plan, Program, Machine);
@@ -304,7 +319,10 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
         PMap, estimateIslandRemoteEpochTraffic(Island, Plan, Program, PMap),
         kernelThroughputFactor(Options.Kernels), Scripts[I]);
     Result.FlopsPerStep += Costs.Flops;
-    Result.DramBytesPerStep += Costs.DramBytes;
+    for (size_t A = 0; A != Costs.DramByArray.size(); ++A) {
+      Result.DramBytesByArray[A].Read += Costs.DramByArray[A].Read;
+      Result.DramBytesByArray[A].Write += Costs.DramByArray[A].Write;
+    }
     Result.RemoteBytesPerStep += Costs.RemoteBytes;
     Result.TeamBarriersPerEpoch += Costs.Barriers;
     Result.ElidedBarriersPerStep += Costs.Elided;
@@ -315,13 +333,22 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
     }
   }
 
+  // The islands' epoch traffic, averaged over the fused steps once per
+  // array.
+  const int Depth = std::max(1, Plan.TemporalDepth);
+  for (ArrayDramBytes &Dram : Result.DramBytesByArray) {
+    Dram.Read /= Depth;
+    Dram.Write /= Depth;
+    Result.DramBytesPerStep += Dram.total();
+  }
+
   // Shared per-step costs: the epoch's global barriers across every
   // active socket plus the fixed turnover (scheduler), both amortised over
   // the fused steps.
   double Shared = (static_cast<double>(Result.GlobalBarriersPerEpoch) *
                        Machine.barrierCost(ActiveSockets) +
                    Machine.StepOverheadSeconds) /
-                  static_cast<double>(std::max(1, Plan.TemporalDepth));
+                  static_cast<double>(Depth);
   Result.CriticalIsland.Overhead += Shared;
 
   Result.StepSeconds = WorstIslandSeconds + Shared;

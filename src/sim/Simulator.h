@@ -19,7 +19,9 @@
 ///  - DRAM: per block, streamed bytes / team stream rate, overlapped with
 ///    that block's compute (max, not sum). Original streams every array
 ///    every pass; blocked strategies stream step inputs once per block
-///    plus a calibrated spill fraction of the intermediate sweeps.
+///    plus a calibrated spill fraction of the intermediate sweeps. This
+///    is the one place that decides which bytes reach DRAM; it records
+///    them per array, and sim/TrafficReport.h only renders that record.
 ///    Serial-init placement funnels all traffic through the home node's
 ///    saturating contention curve (Table 1's first row);
 ///  - remote: for teams spanning >1 socket, the per-link halo planes
@@ -56,6 +58,7 @@
 #include "stencil/StencilIR.h"
 
 #include <cstdint>
+#include <vector>
 
 namespace icores {
 
@@ -71,6 +74,14 @@ struct SimBreakdown {
   double total() const { return Compute + Dram + Remote + Barrier + Overhead; }
 };
 
+/// Main-memory bytes one array reads and writes.
+struct ArrayDramBytes {
+  int64_t Read = 0;
+  int64_t Write = 0;
+
+  int64_t total() const { return Read + Write; }
+};
+
 /// Result of simulating a plan for a number of homogeneous time steps.
 struct SimResult {
   int TimeSteps = 0;
@@ -81,6 +92,9 @@ struct SimResult {
   int64_t FlopsPerStep = 0;      ///< Includes redundant island work.
   int64_t DramBytesPerStep = 0;  ///< Main-memory traffic, all islands
                                  ///< (likwid-perfctr analogue).
+  /// DramBytesPerStep split by array (indexed by ArrayId): the entries sum
+  /// to it exactly. sim/TrafficReport.h renders this split.
+  std::vector<ArrayDramBytes> DramBytesByArray;
   int64_t RemoteBytesPerStep = 0; ///< Interconnect halo traffic.
 
   /// Team barriers per epoch across all islands: the TeamBarrier ops of

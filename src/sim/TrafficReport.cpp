@@ -3,6 +3,7 @@
 #include "sim/TrafficReport.h"
 
 #include "core/PlacementMap.h"
+#include "sim/Simulator.h"
 #include "support/Error.h"
 #include "support/Format.h"
 #include "support/OStream.h"
@@ -85,76 +86,23 @@ TrafficReport icores::accountTraffic(const ExecutionPlan &Plan,
                                      const StencilProgram &Program,
                                      const MachineModel &Machine,
                                      int TimeSteps) {
-  ICORES_CHECK(TimeSteps >= 1, "need at least one time step");
+  // The simulator's own per-array DRAM accounting, scaled to the run.
+  const SimResult Sim = simulate(Plan, Program, Machine, TimeSteps);
   TrafficReport Report;
   Report.TimeSteps = TimeSteps;
   Report.PerArray.resize(Program.numArrays());
-  for (unsigned A = 0; A != Program.numArrays(); ++A) {
-    Report.PerArray[A].Name = Program.array(static_cast<ArrayId>(A)).Name;
-    Report.PerArray[A].Role = Program.array(static_cast<ArrayId>(A)).Role;
-  }
-
-  // One temporal epoch (Depth fused steps) under the simulator's rules,
-  // then scaled to the run. Blocked strategies keep intermediates
-  // cache-resident (only the spill fraction reaches DRAM) and stream each
-  // step input once per island: its footprint, the import buffer at
-  // T > 1. Within an epoch, the passes' step-input reads hit that import
-  // buffer and the non-final fused steps write island-private scratch,
-  // both cache-resident too.
-  const bool Blocked = Plan.Strat != Strategy::Original;
-  const int Depth = std::max(1, Plan.TemporalDepth);
-  const double WriteFactor = Machine.NonTemporalStores ? 1.0 : 2.0;
-  auto spill = [&Machine](int64_t Bytes) {
-    return static_cast<int64_t>(Machine.CacheSpillFraction *
-                                static_cast<double>(Bytes));
-  };
-
-  for (const IslandPlan &Island : Plan.Islands) {
-    for (const BlockTask &Block : Island.Blocks) {
-      const bool FinalStep = Block.StepInEpoch == Depth - 1;
-      for (const StagePass &Pass : Block.Passes) {
-        const StageDef &Stage = Program.stage(Pass.Stage);
-        int64_t Points = Pass.Region.numPoints();
-        if (Points == 0)
-          continue;
-        for (const StageInput &In : Stage.Inputs) {
-          const ArrayInfo &Info = Program.array(In.Array);
-          int64_t ReadBytes =
-              In.readRegion(Pass.Region).numPoints() * Info.ElementBytes;
-          ArrayTraffic &T = Report.PerArray[static_cast<size_t>(In.Array)];
-          if (!Blocked)
-            T.ReadBytes += ReadBytes;
-          else if (Info.Role != ArrayRole::StepInput || Depth > 1)
-            T.ReadBytes += spill(ReadBytes);
-          // Blocked T = 1 step-input reads are the footprint stream below.
-        }
-        for (ArrayId Out : Stage.Outputs) {
-          const ArrayInfo &Info = Program.array(Out);
-          int64_t WriteBytes = static_cast<int64_t>(
-              static_cast<double>(Points * Info.ElementBytes) * WriteFactor);
-          ArrayTraffic &T = Report.PerArray[static_cast<size_t>(Out)];
-          if (Blocked && (Info.Role == ArrayRole::Intermediate || !FinalStep))
-            T.WriteBytes += spill(WriteBytes);
-          else
-            T.WriteBytes += WriteBytes;
-        }
-      }
-    }
-    if (Blocked || Depth > 1) {
-      const IslandFootprint F = islandFootprint(Program, Plan, Island);
-      for (ArrayId In : Program.stepInputs())
-        Report.PerArray[static_cast<size_t>(In)].ReadBytes +=
-            F.Reads[static_cast<size_t>(In)].numPoints() *
-            Program.array(In).ElementBytes;
-    }
-  }
-  for (ArrayTraffic &A : Report.PerArray) {
-    A.ReadBytes = A.ReadBytes * TimeSteps / Depth;
-    A.WriteBytes = A.WriteBytes * TimeSteps / Depth;
+  for (size_t A = 0; A != Report.PerArray.size(); ++A) {
+    const ArrayInfo &Info = Program.array(static_cast<ArrayId>(A));
+    ArrayTraffic &T = Report.PerArray[A];
+    T.Name = Info.Name;
+    T.Role = Info.Role;
+    T.ReadBytes = Sim.DramBytesByArray[A].Read * TimeSteps;
+    T.WriteBytes = Sim.DramBytesByArray[A].Write * TimeSteps;
   }
 
   // Remote slice of the shared-array traffic under the plan's placement
   // policy, from the same per-array split the executor and simulator use.
+  const int Depth = std::max(1, Plan.TemporalDepth);
   PlacementMap PMap = buildPlacementMap(Plan, Plan.Placement);
   for (const IslandPlan &Island : Plan.Islands) {
     IslandRemoteTraffic RT =

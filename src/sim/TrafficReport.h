@@ -57,12 +57,10 @@ struct TrafficReport {
   void print(OStream &OS) const;
 };
 
-/// Accounts the DRAM traffic of running \p Plan for \p TimeSteps steps,
-/// using the same model as the simulator: one temporal epoch is accounted
-/// (blocked strategies keep intermediates, the import buffer and the
-/// non-final fused steps' scratch cache-resident up to the machine's
-/// spill fraction, and stream step inputs once per island) and scaled by
-/// TimeSteps / TemporalDepth.
+/// Accounts the DRAM traffic of running \p Plan for \p TimeSteps steps:
+/// the simulator's per-array accounting (SimResult::DramBytesByArray)
+/// scaled to the run, so totalBytes() equals simulate()'s totalDramBytes()
+/// exactly, plus each array's remote slice under the plan's placement.
 TrafficReport accountTraffic(const ExecutionPlan &Plan,
                              const StencilProgram &Program,
                              const MachineModel &Machine, int TimeSteps);

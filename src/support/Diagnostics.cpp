@@ -90,10 +90,7 @@ void DiagnosticEngine::printText(OStream &OS) const {
   }
 }
 
-namespace {
-
-/// Writes \p S as a JSON string literal (quotes included).
-void writeJsonString(OStream &OS, const std::string &S) {
+void icores::writeJsonString(OStream &OS, const std::string &S) {
   OS << '"';
   for (char C : S) {
     switch (C) {
@@ -122,8 +119,6 @@ void writeJsonString(OStream &OS, const std::string &S) {
   }
   OS << '"';
 }
-
-} // namespace
 
 void DiagnosticEngine::printJson(OStream &OS) const {
   OS << "{\n";

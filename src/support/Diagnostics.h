@@ -39,6 +39,11 @@ enum class Severity {
 /// Lowercase severity name ("error", "warning", "note").
 const char *severityName(Severity Sev);
 
+/// Writes \p S as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control characters. Shared by the
+/// `icores.lint.v1` and `icores.prove.v1` writers.
+void writeJsonString(OStream &OS, const std::string &S);
+
 /// One finding of one analysis.
 struct Finding {
   /// Stable dotted identifier, e.g. "race.intra.read-write". Tests and

@@ -1,4 +1,4 @@
-//===- support/Table.cpp - ASCII/CSV table rendering ---------------------===//
+//===- support/Table.cpp - ASCII table rendering -------------------------===//
 
 #include "support/Table.h"
 
@@ -53,37 +53,6 @@ void TablePrinter::print(OStream &OS) const {
     OS << std::string(Widths[Col], '-') << "-|";
   }
   OS << '\n';
-  for (const auto &Row : Rows)
-    printRow(Row);
-}
-
-void TablePrinter::printCsv(OStream &OS) const {
-  // RFC 4180 quoting: a field containing a comma, a double quote or a
-  // line break is wrapped in double quotes, with embedded quotes doubled.
-  // Without this, cells like a plan label "islands, 2 per socket" used to
-  // shift every following column of the row.
-  auto printField = [&](const std::string &Cell) {
-    if (Cell.find_first_of(",\"\r\n") == std::string::npos) {
-      OS << Cell;
-      return;
-    }
-    OS << '"';
-    for (char C : Cell) {
-      if (C == '"')
-        OS << '"';
-      OS << C;
-    }
-    OS << '"';
-  };
-  auto printRow = [&](const std::vector<std::string> &Cells) {
-    for (size_t Col = 0; Col != Cells.size(); ++Col) {
-      if (Col)
-        OS << ',';
-      printField(Cells[Col]);
-    }
-    OS << '\n';
-  };
-  printRow(Headers);
   for (const auto &Row : Rows)
     printRow(Row);
 }

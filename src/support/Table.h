@@ -1,12 +1,12 @@
-//===- support/Table.h - ASCII/CSV table rendering --------------*- C++ -*-===//
+//===- support/Table.h - ASCII table rendering ------------------*- C++ -*-===//
 //
 // Part of the icores project: islands-of-cores for heterogeneous stencils.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// TablePrinter renders the paper-style result tables (Tables 1-4) either as
-/// aligned ASCII or as CSV. Benchmarks build one row per configuration and
+/// TablePrinter renders the paper-style result tables (Tables 1-4) as
+/// aligned ASCII. Benchmarks build one row per configuration and
 /// print to stdout so runs can be diffed against EXPERIMENTS.md.
 ///
 //===----------------------------------------------------------------------===//
@@ -41,12 +41,6 @@ public:
 
   /// Renders as aligned ASCII with a header separator line.
   void print(OStream &OS) const;
-
-  /// Renders as CSV (no alignment padding), quoting per RFC 4180: fields
-  /// containing commas, quotes or line breaks are double-quoted with
-  /// embedded quotes doubled, so cells round-trip through any compliant
-  /// parser.
-  void printCsv(OStream &OS) const;
 
   /// Renders to a string using print().
   std::string toString() const;

@@ -312,41 +312,6 @@ ProofReport icores::runProofSuite(const ProofOptions &Opts) {
   return Report;
 }
 
-namespace {
-
-/// Writes \p S as a JSON string literal (quotes included).
-void writeJsonString(OStream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        const char *Hex = "0123456789abcdef";
-        char Buf[7] = {'\\', 'u', '0', '0', Hex[(C >> 4) & 0xf],
-                       Hex[C & 0xf], 0};
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
-
-} // namespace
-
 void icores::writeProveJson(const ProofReport &Report, OStream &OS) {
   const ProofOptions &Opts = Report.Opts;
   OS << "{\n";

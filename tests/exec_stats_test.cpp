@@ -4,8 +4,8 @@
 // (threads spawn once and are reused by every run()), and ExecStats
 // (pass/barrier counts match the plan with and without stealing, elision
 // and an armed observer, profiling never perturbs the numerics, reduction
-// folds are booked as neither kernel nor idle time, the JSON/CSV reports
-// are well formed).
+// folds are booked as neither kernel nor idle time, the JSON report
+// is well formed).
 //
 //===----------------------------------------------------------------------===//
 
@@ -287,26 +287,6 @@ TEST(ExecStatsTest, JsonReportIsWellFormed) {
   }
   EXPECT_EQ(Braces, 0);
   EXPECT_EQ(Brackets, 0);
-}
-
-TEST(ExecStatsTest, CsvReportHasOneRowPerActiveIslandStage) {
-  MpdataProgram M = buildMpdataProgram();
-  auto Exec = makeExecutor(M, 2);
-  Exec->enableProfiling(true);
-  Exec->run(1);
-
-  std::string Csv;
-  StringOStream OS(Csv);
-  Exec->stats().writeCsv(OS);
-
-  size_t Lines = 0;
-  for (char C : Csv)
-    Lines += C == '\n';
-  size_t ActiveStages = 0;
-  for (const IslandStat &Island : Exec->stats().Islands)
-    for (const StageStat &Stage : Island.Stages)
-      ActiveStages += Stage.Passes > 0;
-  EXPECT_EQ(Lines, ActiveStages + 1); // Rows plus the header.
 }
 
 TEST(ExecStatsTest, ReductionFoldsAreNeitherKernelNorIdleTime) {

@@ -68,77 +68,6 @@ TEST(TableTest, AlignedRendering) {
   EXPECT_EQ(Table.numColumns(), 2u);
 }
 
-TEST(TableTest, CsvRendering) {
-  TablePrinter Table({"a", "b"});
-  Table.addRow({"1", "2"});
-  std::string Buf;
-  StringOStream OS(Buf);
-  Table.printCsv(OS);
-  EXPECT_EQ(Buf, "a,b\n1,2\n");
-}
-
-namespace {
-
-/// Minimal RFC 4180 parser: splits \p Csv into rows of unescaped fields.
-std::vector<std::vector<std::string>> parseCsv(const std::string &Csv) {
-  std::vector<std::vector<std::string>> Rows;
-  std::vector<std::string> Row;
-  std::string Field;
-  bool Quoted = false;
-  for (size_t I = 0; I != Csv.size(); ++I) {
-    char C = Csv[I];
-    if (Quoted) {
-      if (C == '"') {
-        if (I + 1 != Csv.size() && Csv[I + 1] == '"') {
-          Field += '"';
-          ++I;
-        } else {
-          Quoted = false;
-        }
-      } else {
-        Field += C;
-      }
-    } else if (C == '"') {
-      Quoted = true;
-    } else if (C == ',') {
-      Row.push_back(std::move(Field));
-      Field.clear();
-    } else if (C == '\n') {
-      Row.push_back(std::move(Field));
-      Field.clear();
-      Rows.push_back(std::move(Row));
-      Row.clear();
-    } else {
-      Field += C;
-    }
-  }
-  return Rows;
-}
-
-} // namespace
-
-TEST(TableTest, CsvQuotesAndEscapesSpecialCells) {
-  // Cells with commas, quotes and newlines must round-trip through a
-  // compliant CSV parser; the emitter used to print them verbatim, which
-  // shifted every following column.
-  TablePrinter Table({"label", "note", "plain"});
-  Table.addRow({"islands, 2 per socket", "says \"hi\"", "ok"});
-  Table.addRow({"line\nbreak", ",,,", "\""});
-  std::string Buf;
-  StringOStream OS(Buf);
-  Table.printCsv(OS);
-
-  auto Rows = parseCsv(Buf);
-  ASSERT_EQ(Rows.size(), 3u);
-  EXPECT_EQ(Rows[0],
-            (std::vector<std::string>{"label", "note", "plain"}));
-  EXPECT_EQ(Rows[1], (std::vector<std::string>{"islands, 2 per socket",
-                                               "says \"hi\"", "ok"}));
-  EXPECT_EQ(Rows[2], (std::vector<std::string>{"line\nbreak", ",,,", "\""}));
-  // Unquoted simple cells stay verbatim.
-  EXPECT_EQ(Buf.substr(0, Buf.find('\n')), "label,note,plain");
-}
-
 TEST(TableTest, IncrementalRows) {
   TablePrinter Table({"c1", "c2", "c3"});
   Table.startRow();

@@ -43,19 +43,13 @@ TEST_F(TrafficFixture, TotalsMatchSimulatorAccounting) {
                          Strategy::IslandsOfCores}) {
     TrafficReport R = report(Strat, 2);
     SimResult S = sim(Strat, 2);
-    EXPECT_NEAR(static_cast<double>(R.totalBytes()),
-                static_cast<double>(S.DramBytesPerStep) * 10.0,
-                0.01 * static_cast<double>(R.totalBytes()))
-        << strategyName(Strat);
+    EXPECT_EQ(R.totalBytes(), S.totalDramBytes()) << strategyName(Strat);
   }
-  // Temporal epochs: the same per-epoch rules, scaled by steps / depth.
+  // Temporal epochs: one epoch's accounting, averaged over its steps.
   for (int Depth : {2, 4}) {
     TrafficReport R = report(Strategy::IslandsOfCores, 2, 8, Depth);
     SimResult S = sim(Strategy::IslandsOfCores, 2, 8, Depth);
-    EXPECT_NEAR(static_cast<double>(R.totalBytes()),
-                static_cast<double>(S.DramBytesPerStep) * 8.0,
-                0.01 * static_cast<double>(R.totalBytes()))
-        << "T=" << Depth;
+    EXPECT_EQ(R.totalBytes(), S.totalDramBytes()) << "T=" << Depth;
   }
 }
 

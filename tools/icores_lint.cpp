@@ -11,7 +11,8 @@
 //  - kernel access audit of every kernel variant against the declared
 //    IR windows (`access.*`),
 //  - plan dataflow verification (`plan.*`) and schedule race checking
-//    (`race.*`) for each selected strategy's plan.
+//    (`race.*`) for each selected strategy's plan, both as built and
+//    after barrier elision ("<strategy>+elide").
 //
 // Every workload of the built-in WorkloadRegistry is linted by default;
 // kernel sets and plans are labelled "<workload>/<name>" so findings
@@ -24,6 +25,7 @@
 
 #include "apps/Workloads.h"
 #include "core/PlanBuilder.h"
+#include "core/ScheduleOptimizer.h"
 #include "exec/LintSuite.h"
 #include "machine/MachineModel.h"
 #include "stencil/WorkloadRegistry.h"
@@ -165,10 +167,13 @@ int main(int Argc, char **Argv) {
       // to audit, but the plans below are still checked.
       Opts.RunAccessAudit = false;
 
+    // Each strategy is linted twice: the stock plan, and a copy with the
+    // schedule optimizer's barrier elision applied ("<name>+elide"), the
+    // plan every execution actually runs.
     std::vector<ExecutionPlan> Plans;
-    Plans.reserve(Strategies.size());
+    Plans.reserve(Strategies.size() * 2);
     std::vector<std::string> PlanNames;
-    PlanNames.reserve(Strategies.size());
+    PlanNames.reserve(Strategies.size() * 2);
     std::vector<LintPlanSet> PlanSets;
     for (const auto &S : Strategies) {
       PlanConfig Config;
@@ -176,6 +181,10 @@ int main(int Argc, char **Argv) {
       Config.Sockets = Sockets;
       Plans.push_back(buildPlan(Spec->Program, Grid, Machine, Config));
       PlanNames.push_back(Prefix + S.first);
+      PlanSets.push_back({PlanNames.back(), &Plans.back()});
+      Plans.push_back(Plans.back());
+      optimizeBarriers(Spec->Program, Plans.back());
+      PlanNames.push_back(Prefix + S.first + "+elide");
       PlanSets.push_back({PlanNames.back(), &Plans.back()});
     }
 

@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Workloads.h"
+#include "core/Partition.h"
 #include "core/PlanBuilder.h"
 #include "core/PlanPrinter.h"
 #include "core/PlanVerifier.h"
@@ -271,6 +272,21 @@ int main(int Argc, char **Argv) {
                  VariantName.c_str());
     return 1;
   }
+  // The islands strategy cuts the grid into one slab per island along the
+  // variant's split dimension, and every slab needs at least one plane.
+  // (The advisor skips such candidates itself.)
+  bool BuildsPlan = Mode == "simulate" || Mode == "traffic" ||
+                    Mode == "plan" || Mode == "execute" || Mode == "lint";
+  int SplitDim = partitionDim(Config.Variant);
+  if (BuildsPlan && Strat == Strategy::IslandsOfCores &&
+      Grid.extent(SplitDim) < Sockets) {
+    std::fprintf(stderr,
+                 "error: grid %dx%dx%d: --%s=%d is narrower than the %d "
+                 "islands of the variant %s split\n",
+                 NI, NJ, NK, SplitDim == 0 ? "ni" : "nj",
+                 Grid.extent(SplitDim), Sockets, VariantName.c_str());
+    return 1;
+  }
   // The plan models first-touch pages unless --place says otherwise; a
   // given --place also arms the executor's placement init epoch in
   // execute mode.
@@ -421,6 +437,14 @@ int main(int Argc, char **Argv) {
   }
 
   if (Mode == "execute") {
+    // The periodic halo wraps once: every extent must cover its depth.
+    if (std::min({NI, NJ, NK}) < Workload->HaloDepth) {
+      std::fprintf(stderr,
+                   "error: grid %dx%dx%d: workload '%s' needs every extent "
+                   "to be at least its halo depth %d\n",
+                   NI, NJ, NK, Workload->Name.c_str(), Workload->HaloDepth);
+      return 1;
+    }
     MachineModel Host = makeToyMachine();
     Host.NumSockets = Sockets;
     ExecutorOptions ExecOpts;
