@@ -133,9 +133,9 @@ estimateIslandRemoteEpochTraffic(const IslandPlan &Island,
                                  const PlacementMap &Map);
 
 /// Plan-wide remote bytes per time step under \p Policy: the per-epoch
-/// island totals summed and divided by the temporal depth. This is the
-/// single source of both ExecStats::RemoteBytesEst and the simulator's
-/// SimResult::PlacementRemoteBytesPerStep.
+/// island totals summed and divided by the temporal depth, as the
+/// executor's ExecStats::RemoteBytesEst and the simulator's
+/// SimResult::PlacementRemoteBytesPerStep sum them.
 int64_t estimateRemoteBytesPerStep(const ExecutionPlan &Plan,
                                    const StencilProgram &Program,
                                    PlacementPolicy Policy);

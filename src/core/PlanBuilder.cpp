@@ -7,6 +7,7 @@
 #include "machine/MachineModel.h"
 #include "stencil/HaloAnalysis.h"
 #include "support/Error.h"
+#include "support/Format.h"
 
 using namespace icores;
 
@@ -43,14 +44,62 @@ std::vector<BlockTask> planTemporalBlocks(const StencilProgram &Program,
 
 } // namespace
 
+std::string icores::checkPlanConfig(const Box3 &Grid,
+                                    const MachineModel &Machine,
+                                    const PlanConfig &Config) {
+  const int NI = Grid.extent(0), NJ = Grid.extent(1), NK = Grid.extent(2);
+  if (Grid.empty())
+    return formatString("grid %dx%dx%d is empty: every extent must be at "
+                        "least 1",
+                        NI, NJ, NK);
+  if (Config.Sockets < 1)
+    return formatString("socket count %d must be at least 1", Config.Sockets);
+  if (Config.Sockets > Machine.NumSockets)
+    return formatString("socket count %d exceeds the %d sockets of the %s "
+                        "machine",
+                        Config.Sockets, Machine.NumSockets,
+                        Machine.Name.c_str());
+  if (Config.TemporalDepth < 1)
+    return formatString("temporal depth %d must be at least 1",
+                        Config.TemporalDepth);
+  if (Config.Strat != Strategy::IslandsOfCores)
+    return "";
+
+  if (Config.IslandsPerSocket < 1 ||
+      Machine.CoresPerSocket % Config.IslandsPerSocket != 0)
+    return formatString("%d islands per socket do not divide the %d cores "
+                        "per socket",
+                        Config.IslandsPerSocket, Machine.CoresPerSocket);
+  const int Islands = Config.Sockets * Config.IslandsPerSocket;
+  if (Config.GridPartsI > 0 && Config.GridPartsJ > 0) {
+    if (static_cast<int64_t>(Config.GridPartsI) * Config.GridPartsJ !=
+        Islands)
+      return formatString("2D island grid %dx%d does not hold the plan's "
+                          "%d islands",
+                          Config.GridPartsI, Config.GridPartsJ, Islands);
+    if (static_cast<int64_t>(Config.GridPartsI) * MinIslandPlanes > NI ||
+        static_cast<int64_t>(Config.GridPartsJ) * MinIslandPlanes > NJ)
+      return formatString("grid %dx%dx%d: ni=%d, nj=%d are narrower than "
+                          "the 2D island grid %dx%d",
+                          NI, NJ, NK, NI, NJ, Config.GridPartsI,
+                          Config.GridPartsJ);
+    return "";
+  }
+  const int Dim = partitionDim(Config.Variant);
+  if (static_cast<int64_t>(Islands) * MinIslandPlanes > Grid.extent(Dim))
+    return formatString("grid %dx%dx%d: n%c=%d is narrower than the %d "
+                        "islands of the variant %c split",
+                        NI, NJ, NK, Dim == 0 ? 'i' : 'j', Grid.extent(Dim),
+                        Islands, Dim == 0 ? 'A' : 'B');
+  return "";
+}
+
 ExecutionPlan icores::buildPlan(const StencilProgram &Program,
                                 const Box3 &GlobalTarget,
                                 const MachineModel &Machine,
                                 const PlanConfig &Config) {
-  ICORES_CHECK(Config.Sockets >= 1 && Config.Sockets <= Machine.NumSockets,
-               "socket count exceeds the machine");
-  ICORES_CHECK(Config.TemporalDepth >= 1,
-               "temporal depth must be at least 1");
+  const std::string Reason = checkPlanConfig(GlobalTarget, Machine, Config);
+  ICORES_CHECK(Reason.empty(), Reason.c_str());
 
   ExecutionPlan Plan;
   Plan.Strat = Config.Strat;
@@ -86,15 +135,10 @@ ExecutionPlan icores::buildPlan(const StencilProgram &Program,
   // Islands-of-cores: IslandsPerSocket islands per socket (one by
   // default); neighbor parts land on adjacent islands, and thus on
   // adjacent sockets (affinity-aware placement along NUMAlink).
-  ICORES_CHECK(Config.IslandsPerSocket >= 1 &&
-                   Machine.CoresPerSocket % Config.IslandsPerSocket == 0,
-               "islands per socket must divide the cores per socket");
   int NumIslands = Config.Sockets * Config.IslandsPerSocket;
   int ThreadsPerIsland = Machine.CoresPerSocket / Config.IslandsPerSocket;
   std::vector<Box3> Parts;
   if (Config.GridPartsI > 0 && Config.GridPartsJ > 0) {
-    ICORES_CHECK(Config.GridPartsI * Config.GridPartsJ == NumIslands,
-                 "2D island grid must use exactly the configured islands");
     // Cost balancing sizes 1D cut planes; 2D grids keep uniform cuts.
     Parts = partition2D(GlobalTarget, Config.GridPartsI, Config.GridPartsJ);
   } else if (Config.Balance == BalancePolicy::Cost) {

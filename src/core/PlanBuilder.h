@@ -18,6 +18,8 @@
 #include "core/ExecutionPlan.h"
 #include "core/Partition.h"
 
+#include <string>
+
 namespace icores {
 
 struct MachineModel;
@@ -53,7 +55,23 @@ struct PlanConfig {
   int TemporalDepth = 1;
 };
 
-/// Builds the per-time-step plan for \p Config over \p GlobalTarget.
+/// Whether \p Config can be planned over \p Grid on \p Machine. This is
+/// the one statement of the plan-request rules:
+///  - the grid is not empty;
+///  - the socket count is in [1, machine sockets];
+///  - the temporal depth is at least 1;
+///  - for islands, the islands per socket divide the cores per socket, a
+///    2D island grid has exactly the island count and fits the extents,
+///    and a 1D split gives every slab at least MinIslandPlanes planes.
+/// Returns an empty string when the request can be planned (allocating
+/// nothing), otherwise a one-line reason naming the first rule it breaks.
+/// buildPlan() checks it at entry; drivers call it first and report the
+/// reason instead of aborting.
+std::string checkPlanConfig(const Box3 &Grid, const MachineModel &Machine,
+                            const PlanConfig &Config);
+
+/// Builds the per-time-step plan for \p Config over \p GlobalTarget, which
+/// must pass checkPlanConfig().
 ExecutionPlan buildPlan(const StencilProgram &Program,
                         const Box3 &GlobalTarget, const MachineModel &Machine,
                         const PlanConfig &Config);

@@ -9,8 +9,7 @@
 /// application: program validation (`program.*`), the kernel access audit
 /// for each kernel variant (`access.*`), and per execution plan the
 /// dataflow verifier (`plan.*`) and the schedule race check (`race.*`).
-/// Shared by the `icores_lint` tool and `mpdata_cli lint` so both report
-/// identical findings.
+/// Driven by `mpdata_cli lint` (one workload, or `--workload=all`).
 ///
 //===----------------------------------------------------------------------===//
 

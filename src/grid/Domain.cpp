@@ -4,6 +4,7 @@
 
 #include "grid/Array3D.h"
 #include "support/Error.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cstring>
@@ -49,15 +50,24 @@ void fillHaloWith(const Domain &Dom, Array3D &A, int PlaneLo, int PlaneHi,
 
 } // namespace
 
+std::string Domain::checkHalo() const {
+  if (Boundary == BoundaryMode::Periodic &&
+      (Halo > NI || Halo > NJ || Halo > NK))
+    return formatString("grid %dx%dx%d is shallower than its periodic halo "
+                        "depth %d: the wrap would alias twice",
+                        NI, NJ, NK, Halo);
+  return "";
+}
+
 void Domain::fillHalo(Array3D &A) const {
   Box3 Alloc = allocBox();
   fillHaloPlanes(A, Alloc.Lo[0], Alloc.Hi[0]);
 }
 
 void Domain::fillHaloPlanes(Array3D &A, int PlaneLo, int PlaneHi) const {
+  const std::string Reason = checkHalo();
+  ICORES_CHECK(Reason.empty(), Reason.c_str());
   if (Boundary == BoundaryMode::Periodic) {
-    ICORES_CHECK(Halo <= NI && Halo <= NJ && Halo <= NK,
-                 "halo deeper than the domain; wrap would alias twice");
     fillHaloWith(*this, A, PlaneLo, PlaneHi, [](int Index, int Extent) {
       return wrapIndex(Index, Extent);
     });

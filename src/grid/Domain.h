@@ -20,6 +20,7 @@
 #include "grid/Box3.h"
 
 #include <cassert>
+#include <string>
 
 namespace icores {
 
@@ -76,6 +77,12 @@ public:
                                               : clampIndex(Index, Extent);
   }
 
+  /// Why the halo cannot be filled under the boundary mode, or an empty
+  /// string when it can: a periodic halo wraps once, so every extent must
+  /// cover the halo depth (a deeper halo would alias a core cell twice).
+  /// Allocates nothing when the domain passes.
+  std::string checkHalo() const;
+
   /// Fills every halo cell of \p A (cells of allocBox() outside coreBox())
   /// according to the domain's boundary mode: fillHaloPlanes() over every
   /// plane of the alloc box. The array must cover allocBox().
@@ -85,7 +92,8 @@ public:
   /// (clipped to allocBox()) with their boundarySource() core cells. Every
   /// write lands in a halo cell and every read comes from a core cell, so
   /// disjoint plane ranges may be filled concurrently, and any split of
-  /// the planes yields the same bits as fillHalo().
+  /// the planes yields the same bits as fillHalo(). The domain must pass
+  /// checkHalo().
   void fillHaloPlanes(Array3D &A, int PlaneLo, int PlaneHi) const;
 
 private:

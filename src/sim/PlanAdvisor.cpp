@@ -11,22 +11,23 @@
 
 using namespace icores;
 
-namespace {
-
-/// Whether fusing \p Depth steps is worth pricing on this grid: the
-/// widened step-0 dependence cone must not dwarf the grid itself (beyond
-/// 2x per dimension the redundant overlap work certainly loses), and the
-/// run must consist of whole epochs.
-bool temporalDepthFeasible(const StencilProgram &Program, const Box3 &Grid,
-                           int Depth, int TimeSteps) {
+std::string icores::temporalPruneReason(const StencilProgram &Program,
+                                        const Box3 &Grid, int Depth,
+                                        int TimeSteps) {
   if (TimeSteps % Depth != 0)
-    return false;
+    return formatString("time steps %d not divisible by temporal depth %d",
+                        TimeSteps, Depth);
   Box3 Widest = temporalStepTargets(Program, Grid, Depth).front();
   for (int D = 0; D != 3; ++D)
     if (Widest.extent(D) > 2 * Grid.extent(D))
-      return false;
-  return true;
+      return formatString(
+          "widened step-0 cone extent %d exceeds 2x grid extent %d "
+          "along dim %d",
+          Widest.extent(D), Grid.extent(D), D);
+  return "";
 }
+
+namespace {
 
 /// Temporal depths worth pricing for this run: every divisor of
 /// \p TimeSteps (runs consist of whole epochs only) that survives the
@@ -40,7 +41,7 @@ std::vector<int> temporalDepthCandidates(const StencilProgram &Program,
   for (int Depth = 1; Depth <= TimeSteps; ++Depth) {
     if (TimeSteps % Depth != 0)
       continue;
-    if (!temporalDepthFeasible(Program, Grid, Depth, TimeSteps))
+    if (!temporalPruneReason(Program, Grid, Depth, TimeSteps).empty())
       break; // The cone only widens with depth; deeper cannot pass.
     Depths.push_back(Depth);
   }
@@ -49,24 +50,13 @@ std::vector<int> temporalDepthCandidates(const StencilProgram &Program,
   return Depths;
 }
 
-/// Adds one candidate if it is feasible on this grid/machine.
+/// Adds one candidate if checkPlanConfig() accepts it.
 void tryCandidate(std::vector<AdvisorCandidate> &Out,
                   const StencilProgram &Program, const Box3 &Grid,
                   const MachineModel &Machine, int TimeSteps,
                   const PlanConfig &Config, std::string Label) {
-  // Feasibility: enough planes along each partitioned dimension.
-  int Islands = Config.Sockets * Config.IslandsPerSocket;
-  if (Config.Strat == Strategy::IslandsOfCores) {
-    if (Config.GridPartsI > 0) {
-      if (Config.GridPartsI > Grid.extent(0) ||
-          Config.GridPartsJ > Grid.extent(1))
-        return;
-    } else if (Islands > Grid.extent(partitionDim(Config.Variant))) {
-      return;
-    }
-    if (Machine.CoresPerSocket % Config.IslandsPerSocket != 0)
-      return;
-  }
+  if (!checkPlanConfig(Grid, Machine, Config).empty())
+    return;
   ExecutionPlan Plan = buildPlan(Program, Grid, Machine, Config);
   AdvisorCandidate Candidate;
   Candidate.Config = Config;
@@ -81,8 +71,6 @@ AdvisorReport icores::adviseBestPlan(const StencilProgram &Program,
                                      const Box3 &Grid,
                                      const MachineModel &Machine, int Sockets,
                                      int TimeSteps) {
-  ICORES_CHECK(Sockets >= 1 && Sockets <= Machine.NumSockets,
-               "socket count exceeds the machine");
   AdvisorReport Report;
 
   PlanConfig Base;

@@ -46,9 +46,19 @@ struct AdvisorReport {
   }
 };
 
+/// Why fusing \p Depth steps of \p Program over \p Grid is not worth
+/// pricing for a \p TimeSteps-step run, or an empty string when it is:
+/// the run must consist of whole epochs, and the widened step-0 dependence
+/// cone must not exceed 2x the grid per dimension (beyond that the
+/// redundant overlap work certainly loses). The advisor and the proof
+/// driver's plan space (verify/PlanSpace.h) both prune with it.
+std::string temporalPruneReason(const StencilProgram &Program,
+                                const Box3 &Grid, int Depth, int TimeSteps);
+
 /// Enumerates and prices candidate plans for running \p TimeSteps steps of
-/// \p Program over \p Grid on \p Sockets sockets of \p Machine. Invalid
-/// candidates (e.g. more parts than grid planes) are skipped silently.
+/// \p Program over \p Grid on \p Sockets sockets of \p Machine.
+/// Candidates checkPlanConfig() rejects (e.g. more islands than grid
+/// planes) are skipped silently; the request must admit at least one.
 AdvisorReport adviseBestPlan(const StencilProgram &Program, const Box3 &Grid,
                              const MachineModel &Machine, int Sockets,
                              int TimeSteps);

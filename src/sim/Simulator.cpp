@@ -276,13 +276,13 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
   Result.SharedBytesPerStep = projectedSharedBytesPerStep(Plan, Program);
   Result.PredictedIslandSkew = predictedIslandSkew(Plan, Program, Machine);
 
-  // The plan-derived page-ownership map under the plan's policy: the
-  // remote-byte projection it yields matches the executor's
-  // remote_bytes_est exactly (same function), and FirstTouch islands'
+  // The plan-derived page-ownership map under the plan's policy: each
+  // island's remote-byte estimate from it is the one the executor sums
+  // into remote_bytes_est (same function), and FirstTouch islands'
   // cone-margin remoteness is priced from its per-socket split.
   PlacementMap PMap = buildPlacementMap(Plan, Plan.Placement);
-  Result.PlacementRemoteBytesPerStep =
-      estimateRemoteBytesPerStep(Plan, Program, Plan.Placement);
+  const int Depth = std::max(1, Plan.TemporalDepth);
+  int64_t RemotePlacementBytesPerEpoch = 0;
 
   // The epoch protocol the executor runs: its barrier ops are what the
   // islands and the run pay for synchronisation.
@@ -314,10 +314,16 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
       StreamRate = Machine.DramBandwidthPerSocket * Island.NumSockets /
                    std::max(1, Sharers);
     }
+    const IslandRemoteTraffic RemoteTraffic =
+        estimateIslandRemoteEpochTraffic(Island, Plan, Program, PMap);
+    RemotePlacementBytesPerEpoch += RemoteTraffic.total();
+    for (const auto &[Array, Bytes] : RemoteTraffic.BytesByArray)
+      Result.DramBytesByArray[static_cast<size_t>(Array)].Remote +=
+          Bytes / Depth;
     IslandCosts Costs = simulateIsland(
         Island, Plan, Program, Machine, StreamRate, Plan.Islands.size() > 1,
-        PMap, estimateIslandRemoteEpochTraffic(Island, Plan, Program, PMap),
-        kernelThroughputFactor(Options.Kernels), Scripts[I]);
+        PMap, RemoteTraffic, kernelThroughputFactor(Options.Kernels),
+        Scripts[I]);
     Result.FlopsPerStep += Costs.Flops;
     for (size_t A = 0; A != Costs.DramByArray.size(); ++A) {
       Result.DramBytesByArray[A].Read += Costs.DramByArray[A].Read;
@@ -334,8 +340,8 @@ SimResult icores::simulate(const ExecutionPlan &Plan,
   }
 
   // The islands' epoch traffic, averaged over the fused steps once per
-  // array.
-  const int Depth = std::max(1, Plan.TemporalDepth);
+  // array (the remote slices were averaged per island above).
+  Result.PlacementRemoteBytesPerStep = RemotePlacementBytesPerEpoch / Depth;
   for (ArrayDramBytes &Dram : Result.DramBytesByArray) {
     Dram.Read /= Depth;
     Dram.Write /= Depth;

@@ -78,6 +78,11 @@ struct SimBreakdown {
 struct ArrayDramBytes {
   int64_t Read = 0;
   int64_t Write = 0;
+  /// The slice of the array's shared traffic served from pages the plan's
+  /// placement homes on another socket than the accessing island
+  /// (core/PlacementMap.h): each island's epoch estimate divided by the
+  /// temporal depth. Zero for island-private intermediates.
+  int64_t Remote = 0;
 
   int64_t total() const { return Read + Write; }
 };
@@ -115,10 +120,11 @@ struct SimResult {
   int64_t SharedBytesPerStep = 0;
 
   /// Projected remote-DRAM bytes per step under the plan's placement
-  /// policy, from core/PlacementMap.h — the same function that feeds the
-  /// executor's ExecStats remote_bytes_est, so projection and measurement
-  /// agree exactly by construction (the placement analogue of
-  /// SharedBytesPerStep).
+  /// policy: the islands' epoch estimates from core/PlacementMap.h summed
+  /// and divided by the temporal depth, as the executor's ExecStats
+  /// remote_bytes_est sums them, so projection and measurement agree
+  /// exactly by construction (the placement analogue of
+  /// SharedBytesPerStep). DramBytesByArray splits it by array.
   int64_t PlacementRemoteBytesPerStep = 0;
 
   /// Predicted island skew (max over islands of predicted seconds over

@@ -2,7 +2,6 @@
 
 #include "sim/TrafficReport.h"
 
-#include "core/PlacementMap.h"
 #include "sim/Simulator.h"
 #include "support/Error.h"
 #include "support/Format.h"
@@ -86,7 +85,8 @@ TrafficReport icores::accountTraffic(const ExecutionPlan &Plan,
                                      const StencilProgram &Program,
                                      const MachineModel &Machine,
                                      int TimeSteps) {
-  // The simulator's own per-array DRAM accounting, scaled to the run.
+  // The simulator's own per-array DRAM accounting, remote slice included,
+  // scaled to the run.
   const SimResult Sim = simulate(Plan, Program, Machine, TimeSteps);
   TrafficReport Report;
   Report.TimeSteps = TimeSteps;
@@ -98,18 +98,7 @@ TrafficReport icores::accountTraffic(const ExecutionPlan &Plan,
     T.Role = Info.Role;
     T.ReadBytes = Sim.DramBytesByArray[A].Read * TimeSteps;
     T.WriteBytes = Sim.DramBytesByArray[A].Write * TimeSteps;
-  }
-
-  // Remote slice of the shared-array traffic under the plan's placement
-  // policy, from the same per-array split the executor and simulator use.
-  const int Depth = std::max(1, Plan.TemporalDepth);
-  PlacementMap PMap = buildPlacementMap(Plan, Plan.Placement);
-  for (const IslandPlan &Island : Plan.Islands) {
-    IslandRemoteTraffic RT =
-        estimateIslandRemoteEpochTraffic(Island, Plan, Program, PMap);
-    for (const auto &[Array, Bytes] : RT.BytesByArray)
-      Report.PerArray[static_cast<size_t>(Array)].RemoteBytes +=
-          Bytes / Depth * TimeSteps;
+    T.RemoteBytes = Sim.DramBytesByArray[A].Remote * TimeSteps;
   }
   return Report;
 }

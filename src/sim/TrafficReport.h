@@ -60,7 +60,7 @@ struct TrafficReport {
 /// Accounts the DRAM traffic of running \p Plan for \p TimeSteps steps:
 /// the simulator's per-array accounting (SimResult::DramBytesByArray)
 /// scaled to the run, so totalBytes() equals simulate()'s totalDramBytes()
-/// exactly, plus each array's remote slice under the plan's placement.
+/// exactly, remote slices included: a view that keeps no rules of its own.
 TrafficReport accountTraffic(const ExecutionPlan &Plan,
                              const StencilProgram &Program,
                              const MachineModel &Machine, int TimeSteps);

@@ -7,11 +7,12 @@
 /// \file
 /// Findings infrastructure shared by the static analyses (program
 /// validation, plan verification, access audit, schedule race check) and
-/// the `icores_lint` driver. A Finding carries a stable machine-readable
-/// id ("access.read.outside-window"), a severity, a human-readable message
-/// and ordered key/value context notes. A DiagnosticEngine accumulates
-/// findings — analyses report everything they see instead of stopping at
-/// the first error — and renders them as text or as `icores.lint.v1` JSON.
+/// the `mpdata_cli lint` driver. A Finding carries a stable
+/// machine-readable id ("access.read.outside-window"), a severity, a
+/// human-readable message and ordered key/value context notes. A
+/// DiagnosticEngine accumulates findings — analyses report everything they
+/// see instead of stopping at the first error — and renders them as text
+/// or as `icores.lint.v1` JSON.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +28,9 @@ namespace icores {
 
 class OStream;
 
-/// How bad a finding is. Errors make `icores_lint` exit nonzero; warnings
-/// flag quantified inefficiencies (e.g. over-declared windows inflating the
-/// Table 2 redundancy budget); notes are informational.
+/// How bad a finding is. Errors make `mpdata_cli lint` exit nonzero;
+/// warnings flag quantified inefficiencies (e.g. over-declared windows
+/// inflating the Table 2 redundancy budget); notes are informational.
 enum class Severity {
   Note,
   Warning,

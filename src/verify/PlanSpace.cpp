@@ -3,10 +3,9 @@
 #include "verify/PlanSpace.h"
 
 #include "apps/Workloads.h"
-#include "core/Partition.h"
 #include "core/PlanBuilder.h"
 #include "core/ScheduleOptimizer.h"
-#include "stencil/HaloAnalysis.h"
+#include "sim/PlanAdvisor.h"
 #include "stencil/WorkloadRegistry.h"
 #include "support/Error.h"
 #include "support/Format.h"
@@ -34,41 +33,6 @@ const char *icores::strategyKey(Strategy S) {
   }
   return "?";
 }
-
-namespace {
-
-/// PlanAdvisor's temporal prune, mirrored verbatim: whole epochs only, and
-/// the widened step-0 cone must not exceed 2x the grid per dimension.
-std::string temporalPruneReason(const StencilProgram &Program,
-                                const Box3 &Grid, int Depth, int TimeSteps) {
-  if (TimeSteps % Depth != 0)
-    return formatString("time steps %d not divisible by temporal depth %d",
-                        TimeSteps, Depth);
-  Box3 Widest = temporalStepTargets(Program, Grid, Depth).front();
-  for (int D = 0; D != 3; ++D)
-    if (Widest.extent(D) > 2 * Grid.extent(D))
-      return formatString(
-          "widened step-0 cone extent %d exceeds 2x grid extent %d "
-          "along dim %d",
-          Widest.extent(D), Grid.extent(D), D);
-  return "";
-}
-
-/// PlanAdvisor's islands prune: enough planes along the partitioned
-/// dimension for every island.
-std::string islandsPruneReason(const Box3 &Grid, const PlanConfig &Config,
-                               const MachineModel &Machine) {
-  int Islands = Config.Sockets * Config.IslandsPerSocket;
-  if (Islands > Grid.extent(partitionDim(Config.Variant)))
-    return formatString("%d islands exceed the %d planes of the partition "
-                        "dimension",
-                        Islands, Grid.extent(partitionDim(Config.Variant)));
-  if (Machine.CoresPerSocket % Config.IslandsPerSocket != 0)
-    return "islands per socket does not divide the cores per socket";
-  return "";
-}
-
-} // namespace
 
 PlanSpaceEnumeration
 icores::enumeratePlanSpace(const PlanSpaceOptions &Opts) {
@@ -108,10 +72,10 @@ icores::enumeratePlanSpace(const PlanSpaceOptions &Opts) {
           Config.Sockets = Teams;
           Config.TemporalDepth = Depth;
 
-          std::string Prune =
-              temporalPruneReason(Program, Grid, Depth, Opts.TimeSteps);
-          if (Prune.empty() && Strat == Strategy::IslandsOfCores)
-            Prune = islandsPruneReason(Grid, Config, Machine);
+          std::string Prune = checkPlanConfig(Grid, Machine, Config);
+          if (Prune.empty())
+            Prune =
+                temporalPruneReason(Program, Grid, Depth, Opts.TimeSteps);
 
           ExecutionPlan Built;
           if (Prune.empty())

@@ -10,11 +10,11 @@
 /// WorkloadRegistry roster — MPDATA, the advection-diffusion app, the
 /// reduction-carrying CFL advection, ...) x all three strategies x team
 /// counts {1, 2, 4} x temporal depths {1, 2, 4} x barrier elision on/off.
-/// Infeasible points are pruned by the same rules PlanAdvisor uses
-/// (whole-epoch step counts, widened cones bounded by 2x the grid, enough
-/// planes along the partition dimension) but are still *emitted*, tagged
-/// with the prune reason, so the prover's record set covers the whole
-/// space — a pruned point in BENCH_prove.json is a decision, not a gap.
+/// Infeasible points are pruned by the rules PlanAdvisor uses
+/// (checkPlanConfig(), then temporalPruneReason(): whole-epoch step counts
+/// and widened cones bounded by 2x the grid) but are still *emitted*,
+/// tagged with the prune reason, so the prover's record set covers the
+/// whole space — a pruned point in BENCH_prove.json is a decision, not a gap.
 ///
 //===----------------------------------------------------------------------===//
 

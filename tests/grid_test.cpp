@@ -239,6 +239,15 @@ TEST(DomainTest, WrapIndex) {
   EXPECT_EQ(Domain::wrapIndex(17, 8), 1);
 }
 
+TEST(DomainTest, PeriodicHaloMustNotBeDeeperThanTheDomain) {
+  EXPECT_EQ(Domain(4, 4, 2, 2).checkHalo(), "");
+  EXPECT_EQ(Domain(4, 4, 1, 2).checkHalo(),
+            "grid 4x4x1 is shallower than its periodic halo depth 2: the "
+            "wrap would alias twice");
+  // A clamped halo reads the nearest core cell however deep it is.
+  EXPECT_EQ(Domain(4, 4, 1, 2, BoundaryMode::ZeroGradient).checkHalo(), "");
+}
+
 TEST(DomainTest, PeriodicHaloFill) {
   Domain D(4, 4, 4, 2);
   Array3D A(D.allocBox());

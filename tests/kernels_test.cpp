@@ -173,7 +173,7 @@ namespace {
 /// and it cannot see over-declared windows or writes outside the region.
 /// The authoritative check is the perturbation-probing audit in
 /// stencil/AccessAudit.h (exercised in lint_test.cpp and by the
-/// `icores_lint` tool), which this test complements, not replaces.
+/// `mpdata_cli lint` mode), which this test complements, not replaces.
 class StageAccessPattern
     : public ::testing::TestWithParam<std::tuple<int, KernelVariant>> {};
 

@@ -1,6 +1,7 @@
 //===- tests/plan_builder_test.cpp - Strategy plan construction tests -----===//
 
 #include "core/PlanBuilder.h"
+#include "core/PlanVerifier.h"
 #include "machine/MachineModel.h"
 #include "mpdata/MpdataProgram.h"
 #include "stencil/ExtraElements.h"
@@ -133,6 +134,102 @@ TEST_F(PlanFixture, RejectsTooManySockets) {
   Config.Sockets = 3; // Toy machine has 2.
   EXPECT_DEATH(buildPlan(M.Program, Target, Machine, Config),
                "socket count");
+}
+
+TEST_F(PlanFixture, CheckPlanConfigNamesTheFirstBrokenRule) {
+  PlanConfig Config;
+  Config.Sockets = 2;
+  EXPECT_EQ(checkPlanConfig(Target, Machine, Config), "");
+  EXPECT_EQ(checkPlanConfig(Box3::fromExtents(64, 0, 8), Machine, Config),
+            "grid 64x0x8 is empty: every extent must be at least 1");
+  Config.Sockets = 0;
+  EXPECT_EQ(checkPlanConfig(Target, Machine, Config),
+            "socket count 0 must be at least 1");
+  Config.Sockets = 3;
+  EXPECT_EQ(checkPlanConfig(Target, Machine, Config),
+            "socket count 3 exceeds the 2 sockets of the " + Machine.Name +
+                " machine");
+  Config.Sockets = 2;
+  Config.TemporalDepth = 0;
+  EXPECT_EQ(checkPlanConfig(Target, Machine, Config),
+            "temporal depth 0 must be at least 1");
+  Config.TemporalDepth = 1;
+  Config.IslandsPerSocket = 3;
+  EXPECT_EQ(checkPlanConfig(Target, Machine, Config),
+            "3 islands per socket do not divide the 2 cores per socket");
+  Config.IslandsPerSocket = 1;
+  Config.GridPartsI = 1;
+  Config.GridPartsJ = 3;
+  EXPECT_EQ(checkPlanConfig(Target, Machine, Config),
+            "2D island grid 1x3 does not hold the plan's 2 islands");
+  Config.GridPartsJ = 2;
+  EXPECT_EQ(checkPlanConfig(Box3::fromExtents(64, 1, 8), Machine, Config),
+            "grid 64x1x8: ni=64, nj=1 are narrower than the 2D island grid "
+            "1x2");
+  Config.GridPartsI = Config.GridPartsJ = 0;
+  Config.Variant = PartitionVariant::B;
+  EXPECT_EQ(checkPlanConfig(Box3::fromExtents(64, 1, 8), Machine, Config),
+            "grid 64x1x8: nj=1 is narrower than the 2 islands of the "
+            "variant B split");
+  // The islands-only rules do not bind the single-team strategies.
+  Config.Strat = Strategy::Block31D;
+  EXPECT_EQ(checkPlanConfig(Box3::fromExtents(64, 1, 8), Machine, Config),
+            "");
+}
+
+// Every toy-machine request the gate accepts builds a plan the verifier
+// accepts on the machine's sockets; every request it refuses comes with a
+// reason. The sweep covers
+// split extents 0-5, sockets 0 to N+1, islands per socket 1-3, temporal
+// depths 0-2, both balance policies, both 1D variants and 2D grids.
+TEST_F(PlanFixture, CheckPlanConfigAcceptsExactlyWhatBuilds) {
+  int Accepted = 0, Rejected = 0;
+  const std::pair<int, int> Grids2D[] = {{0, 0}, {2, 1}, {1, 3}};
+  for (Strategy Strat : {Strategy::Original, Strategy::Block31D,
+                         Strategy::IslandsOfCores})
+    for (PartitionVariant Variant : {PartitionVariant::A, PartitionVariant::B})
+      for (int Extent = 0; Extent <= 5; ++Extent)
+        for (int Sockets = 0; Sockets <= Machine.NumSockets + 1; ++Sockets)
+          for (int PerSocket = 1; PerSocket <= 3; ++PerSocket)
+            for (int Depth = 0; Depth <= 2; ++Depth)
+              for (BalancePolicy Balance :
+                   {BalancePolicy::Uniform, BalancePolicy::Cost})
+                for (auto [PartsI, PartsJ] : Grids2D) {
+                  PlanConfig Config;
+                  Config.Strat = Strat;
+                  Config.Variant = Variant;
+                  Config.Sockets = Sockets;
+                  Config.IslandsPerSocket = PerSocket;
+                  Config.TemporalDepth = Depth;
+                  Config.Balance = Balance;
+                  Config.GridPartsI = PartsI;
+                  Config.GridPartsJ = PartsJ;
+                  Box3 Grid = Variant == PartitionVariant::A
+                                  ? Box3::fromExtents(Extent, 4, 3)
+                                  : Box3::fromExtents(4, Extent, 3);
+                  std::string Reason =
+                      checkPlanConfig(Grid, Machine, Config);
+                  SCOPED_TRACE(testing::Message()
+                               << strategyName(Strat) << " extent "
+                               << Extent << " sockets " << Sockets
+                               << " per-socket " << PerSocket << " T "
+                               << Depth << " grid " << PartsI << "x"
+                               << PartsJ << ": " << Reason);
+                  if (!Reason.empty()) {
+                    ++Rejected;
+                    continue;
+                  }
+                  ++Accepted;
+                  ExecutionPlan Plan =
+                      buildPlan(M.Program, Grid, Machine, Config);
+                  PlanVerification V = verifyPlan(Plan, M.Program);
+                  EXPECT_TRUE(V.Ok) << V.FirstError;
+                  for (const IslandPlan &Island : Plan.Islands)
+                    EXPECT_LE(Island.HomeSocket + Island.NumSockets,
+                              Machine.NumSockets);
+                }
+  EXPECT_GT(Accepted, 0);
+  EXPECT_GT(Rejected, 0);
 }
 
 TEST_F(PlanFixture, StrategyNames) {

@@ -1,5 +1,6 @@
 //===- tests/traffic_report_test.cpp - Per-array traffic accounting -------===//
 
+#include "core/PlacementMap.h"
 #include "core/PlanBuilder.h"
 #include "machine/MachineModel.h"
 #include "mpdata/MpdataProgram.h"
@@ -34,6 +35,21 @@ struct TrafficFixture : public ::testing::Test {
   SimResult sim(Strategy Strat, int Sockets, int Steps = 10, int Depth = 1) {
     return simulate(plan(Strat, Sockets, Depth), M.Program, Uv, Steps);
   }
+
+  /// The remote column's reference: each island's placement estimate per
+  /// array, averaged over the epoch and scaled to the run.
+  int64_t remoteReference(Strategy Strat, int Sockets, int Steps,
+                          int Depth) {
+    ExecutionPlan Plan = plan(Strat, Sockets, Depth);
+    PlacementMap Map = buildPlacementMap(Plan, Plan.Placement);
+    int64_t Total = 0;
+    for (const IslandPlan &Island : Plan.Islands)
+      for (const auto &[Array, Bytes] :
+           estimateIslandRemoteEpochTraffic(Island, Plan, M.Program, Map)
+               .BytesByArray)
+        Total += Bytes / Depth * Steps;
+    return Total;
+  }
 };
 
 } // namespace
@@ -44,12 +60,19 @@ TEST_F(TrafficFixture, TotalsMatchSimulatorAccounting) {
     TrafficReport R = report(Strat, 2);
     SimResult S = sim(Strat, 2);
     EXPECT_EQ(R.totalBytes(), S.totalDramBytes()) << strategyName(Strat);
+    EXPECT_EQ(R.remoteBytes(), S.PlacementRemoteBytesPerStep * 10)
+        << strategyName(Strat);
+    EXPECT_EQ(R.remoteBytes(), remoteReference(Strat, 2, 10, 1));
   }
   // Temporal epochs: one epoch's accounting, averaged over its steps.
   for (int Depth : {2, 4}) {
     TrafficReport R = report(Strategy::IslandsOfCores, 2, 8, Depth);
     SimResult S = sim(Strategy::IslandsOfCores, 2, 8, Depth);
     EXPECT_EQ(R.totalBytes(), S.totalDramBytes()) << "T=" << Depth;
+    EXPECT_GT(R.remoteBytes(), 0) << "T=" << Depth;
+    EXPECT_EQ(R.remoteBytes(),
+              remoteReference(Strategy::IslandsOfCores, 2, 8, Depth))
+        << "T=" << Depth;
   }
 }
 

@@ -11,19 +11,23 @@
 //   mpdata_cli advise    --machine=uv2000 [--sockets --ni --nj --nk --steps]
 //   mpdata_cli traffic   --strategy=original [--machine ...]
 //   mpdata_cli plan      --strategy=islands [--sockets ...]  (dump the plan)
-//   mpdata_cli lint      [--strategy=...] [--json] [--no-audit]
+//   mpdata_cli lint      [--workload=all|NAME] [--strategy=...] [--json]
+//                        [--no-audit] [--kernels=ref|opt|simd]
 //
 // `simulate`, `advise`, `traffic` and `plan` are instantaneous model
 // queries; `execute` runs the real threaded numerics on this host and
-// verifies them against the serial reference; `lint` runs the
-// static-analysis suite — see tools/icores_lint.cpp for the standalone
-// driver and DESIGN.md §7 for the finding taxonomy. The plan-space proof
-// suite has its own driver, tools/icores_verify.cpp.
+// verifies them against the serial reference; `lint` is the repository's
+// static-analysis driver (program validation, kernel access audit, plan
+// dataflow and race checks of each strategy's stock and barrier-elided
+// plans; DESIGN.md §7 has the finding taxonomy) and exits nonzero on any
+// error finding. Every mode checks its plan request with
+// checkPlanConfig() first, so an unplannable grid, socket count, variant,
+// balance or temporal depth ends in an `error:` line and exit 1. The
+// plan-space proof suite has its own driver, tools/icores_verify.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Workloads.h"
-#include "core/Partition.h"
 #include "core/PlanBuilder.h"
 #include "core/PlanPrinter.h"
 #include "core/PlanVerifier.h"
@@ -59,11 +63,13 @@ void printUsage() {
       "  --workload=NAME             registered workload to drive (default\n"
       "                              mpdata; `mpdata_cli list-workloads`\n"
       "                              prints the manifest). Applies to every\n"
-      "                              mode; execute runs the workload's\n"
-      "                              program through the generic runtime,\n"
-      "                              checks it bit-exact against the serial\n"
-      "                              stepper, and reports each declared\n"
-      "                              per-step reduction\n"
+      "                              mode; lint also takes `all` (every\n"
+      "                              workload, labels prefixed\n"
+      "                              `<workload>/`). execute runs the\n"
+      "                              workload's program through the generic\n"
+      "                              runtime, checks it bit-exact against\n"
+      "                              the serial stepper, and reports each\n"
+      "                              declared per-step reduction\n"
       "  --seed=N                    seed for the workload's registered\n"
       "                              initial conditions (default 7)\n"
       "  --machine=uv2000|knc|xeon   machine model (default uv2000)\n"
@@ -91,8 +97,9 @@ void printUsage() {
       "                              arenas are first-touched per island\n"
       "  --kernels=ref|opt|simd      kernel variant: execute mode runs\n"
       "                              it, simulate mode scales the model's\n"
-      "                              compute term (default: execute ref,\n"
-      "                              simulate simd)\n"
+      "                              compute term, lint audits only it\n"
+      "                              (default: execute ref, simulate simd,\n"
+      "                              lint every backend)\n"
       "  --ni --nj --nk              grid (default 1024x512x64; execute\n"
       "                              mode defaults to 32x24x16)\n"
       "  --steps=N                   time steps (default 50; execute: 10)\n"
@@ -182,15 +189,23 @@ int main(int Argc, char **Argv) {
       std::printf("%-12s %s\n", Spec.Name.c_str(), Spec.Description.c_str());
     return 0;
   }
+  // lint alone takes --workload=all: every registered workload, labels
+  // prefixed "<workload>/".
   std::string WorkloadName = CL.getString("workload", "mpdata");
-  const WorkloadSpec *Workload = Registry.find(WorkloadName);
-  if (!Workload) {
+  std::vector<const WorkloadSpec *> Workloads;
+  if (Mode == "lint" && WorkloadName == "all") {
+    for (const WorkloadSpec &Spec : Registry.workloads())
+      Workloads.push_back(&Spec);
+  } else if (const WorkloadSpec *Spec = Registry.find(WorkloadName)) {
+    Workloads.push_back(Spec);
+  } else {
     std::fprintf(stderr,
                  "error: unknown workload '%s' (mpdata_cli list-workloads "
                  "prints the manifest)\n",
                  WorkloadName.c_str());
     return 1;
   }
+  const WorkloadSpec *Workload = Workloads.front();
 
   MachineModel Machine;
   if (!parseMachine(CL.getString("machine", "uv2000"), Machine)) {
@@ -212,49 +227,6 @@ int main(int Argc, char **Argv) {
   int NK = static_cast<int>(CL.getInt("nk", Execute ? 16 : 64));
   int Steps = static_cast<int>(CL.getInt("steps", Execute ? 10 : 50));
   int Temporal = static_cast<int>(CL.getInt("temporal", 1));
-  // Reject what the library would otherwise abort on in an ICORES_CHECK.
-  if (NI < 1 || NJ < 1 || NK < 1) {
-    std::fprintf(stderr,
-                 "error: grid %dx%dx%d: --ni, --nj and --nk must be at "
-                 "least 1\n",
-                 NI, NJ, NK);
-    return 1;
-  }
-  if (Sockets < 1) {
-    std::fprintf(stderr, "error: --sockets/--islands=%d must be at least 1\n",
-                 Sockets);
-    return 1;
-  }
-  // Execute mode sizes its toy host machine to the request, so only the
-  // model modes have an upper bound.
-  if (!Execute && Sockets > Machine.NumSockets) {
-    std::fprintf(stderr,
-                 "error: --sockets/--islands=%d exceeds the %d sockets of "
-                 "the %s machine\n",
-                 Sockets, Machine.NumSockets, Machine.Name.c_str());
-    return 1;
-  }
-  // Model modes price at least one step; execute may run zero.
-  bool ModelSteps =
-      Mode == "simulate" || Mode == "traffic" || Mode == "advise";
-  if (Steps < (ModelSteps ? 1 : 0)) {
-    std::fprintf(stderr, "error: --steps=%d must be at least %d\n", Steps,
-                 ModelSteps ? 1 : 0);
-    return 1;
-  }
-  if (Temporal < 1) {
-    std::fprintf(stderr, "error: --temporal must be at least 1\n");
-    return 1;
-  }
-  bool ModeSteps =
-      Mode == "execute" || Mode == "simulate" || Mode == "traffic";
-  if (ModeSteps && Steps % Temporal != 0) {
-    std::fprintf(stderr,
-                 "error: --steps=%d is not a multiple of --temporal=%d "
-                 "(epochs fuse exactly T steps)\n",
-                 Steps, Temporal);
-    return 1;
-  }
 
   const StencilProgram &Prog = Workload->Program;
   Box3 Grid = Box3::fromExtents(NI, NJ, NK);
@@ -270,21 +242,6 @@ int main(int Argc, char **Argv) {
   } else {
     std::fprintf(stderr, "error: unknown variant '%s' (expected A or B)\n",
                  VariantName.c_str());
-    return 1;
-  }
-  // The islands strategy cuts the grid into one slab per island along the
-  // variant's split dimension, and every slab needs at least one plane.
-  // (The advisor skips such candidates itself.)
-  bool BuildsPlan = Mode == "simulate" || Mode == "traffic" ||
-                    Mode == "plan" || Mode == "execute" || Mode == "lint";
-  int SplitDim = partitionDim(Config.Variant);
-  if (BuildsPlan && Strat == Strategy::IslandsOfCores &&
-      Grid.extent(SplitDim) < Sockets) {
-    std::fprintf(stderr,
-                 "error: grid %dx%dx%d: --%s=%d is narrower than the %d "
-                 "islands of the variant %s split\n",
-                 NI, NJ, NK, SplitDim == 0 ? "ni" : "nj",
-                 Grid.extent(SplitDim), Sockets, VariantName.c_str());
     return 1;
   }
   // The plan models first-touch pages unless --place says otherwise; a
@@ -311,60 +268,104 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  // The plans this run asks for, each of which checkPlanConfig() must
+  // accept. Execute plans for a toy host sized to the request. Lint
+  // without --strategy checks all three strategies; advise prices every
+  // strategy and skips what it cannot plan, but always the original one.
+  MachineModel PlanMachine = Machine;
+  if (Execute) {
+    PlanMachine = makeToyMachine();
+    PlanMachine.NumSockets = Sockets;
+  }
+  std::vector<std::pair<std::string, Strategy>> Strategies = {
+      {CL.getString("strategy", "islands"), Strat}};
+  if (Mode == "lint" && !CL.hasOption("strategy"))
+    Strategies = {{"original", Strategy::Original},
+                  {"31d", Strategy::Block31D},
+                  {"islands", Strategy::IslandsOfCores}};
+  else if (Mode == "advise")
+    Strategies = {{"original", Strategy::Original}};
+  for (const auto &S : Strategies) {
+    PlanConfig Request = Config;
+    Request.Strat = S.second;
+    std::string Why = checkPlanConfig(Grid, PlanMachine, Request);
+    if (!Why.empty()) {
+      std::fprintf(stderr, "error: %s\n", Why.c_str());
+      return 1;
+    }
+  }
+  // Model modes price at least one step; execute may run zero.
+  bool ModelSteps =
+      Mode == "simulate" || Mode == "traffic" || Mode == "advise";
+  if (Steps < (ModelSteps ? 1 : 0)) {
+    std::fprintf(stderr, "error: --steps=%d must be at least %d\n", Steps,
+                 ModelSteps ? 1 : 0);
+    return 1;
+  }
+  bool ModeSteps =
+      Mode == "execute" || Mode == "simulate" || Mode == "traffic";
+  if (ModeSteps && Steps % Temporal != 0) {
+    std::fprintf(stderr,
+                 "error: --steps=%d is not a multiple of --temporal=%d "
+                 "(epochs fuse exactly T steps)\n",
+                 Steps, Temporal);
+    return 1;
+  }
+
   if (Mode == "lint") {
-    // One kernel set per backend the workload advertises.
-    std::vector<KernelTable> Tables;
-    Tables.reserve(Workload->Variants.size());
-    std::vector<LintKernelSet> KernelSets;
-    for (KernelVariant V : Workload->Variants) {
-      Tables.push_back(Workload->Kernels(V));
-      KernelSets.push_back({kernelVariantName(V), &Tables.back()});
+    // --kernels=<v> restricts the audit to one backend; a workload
+    // without it is only plan-checked.
+    const bool OneBackend = CL.hasOption("kernels");
+    KernelVariant Only = KernelVariant::Reference;
+    if (OneBackend &&
+        !parseKernelVariant(CL.getString("kernels", "ref"), Only)) {
+      std::fprintf(stderr, "error: unknown kernel variant\n");
+      return 1;
     }
-    // --kernels=<v> restricts the audit to one backend.
-    if (CL.hasOption("kernels")) {
-      KernelVariant Only;
-      if (!parseKernelVariant(CL.getString("kernels", "ref"), Only)) {
-        std::fprintf(stderr, "error: unknown kernel variant\n");
-        return 1;
-      }
-      std::vector<LintKernelSet> Filtered;
-      for (const LintKernelSet &Set : KernelSets)
-        if (Set.Label == kernelVariantName(Only))
-          Filtered.push_back(Set);
-      if (Filtered.empty()) {
-        std::fprintf(stderr,
-                     "error: workload '%s' has no '%s' kernel backend\n",
-                     Workload->Name.c_str(), kernelVariantName(Only));
-        return 1;
-      }
-      KernelSets = Filtered;
-    }
-    // Without an explicit --strategy, lint the plans of all three.
-    std::vector<std::pair<std::string, Strategy>> Strategies;
-    if (CL.hasOption("strategy"))
-      Strategies.push_back({CL.getString("strategy", "islands"), Strat});
-    else
-      Strategies = {{"original", Strategy::Original},
-                    {"31d", Strategy::Block31D},
-                    {"islands", Strategy::IslandsOfCores}};
-    // Each strategy is linted twice: the stock plan, and a copy with the
-    // schedule optimizer's barrier elision applied ("<name>+elide") so
-    // the lint suite certifies every plan execution would actually use.
-    std::vector<ExecutionPlan> Plans;
-    Plans.reserve(Strategies.size() * 2);
-    std::vector<LintPlanSet> PlanSets;
-    for (const auto &S : Strategies) {
-      Config.Strat = S.second;
-      Plans.push_back(buildPlan(Prog, Grid, Machine, Config));
-      PlanSets.push_back({S.first, &Plans.back()});
-      Plans.push_back(Plans.back());
-      optimizeBarriers(Prog, Plans.back());
-      PlanSets.push_back({S.first + "+elide", &Plans.back()});
+    auto hasBackend = [&](const WorkloadSpec *Spec) {
+      return std::find(Spec->Variants.begin(), Spec->Variants.end(),
+                       Only) != Spec->Variants.end();
+    };
+    if (OneBackend &&
+        std::none_of(Workloads.begin(), Workloads.end(), hasBackend)) {
+      std::fprintf(stderr,
+                   "error: workload '%s' has no '%s' kernel backend\n",
+                   WorkloadName.c_str(), kernelVariantName(Only));
+      return 1;
     }
     LintSuiteOptions Opts;
     Opts.RunAccessAudit = !CL.hasOption("no-audit");
     DiagnosticEngine Diags;
-    runLintSuite(Prog, KernelSets, PlanSets, Diags, Opts);
+    for (const WorkloadSpec *Spec : Workloads) {
+      // Labels carry the workload name only when several are linted.
+      std::string Prefix =
+          Workloads.size() > 1 ? Spec->Name + "/" : std::string();
+      // One kernel set per backend the workload advertises.
+      std::vector<KernelTable> Tables;
+      Tables.reserve(Spec->Variants.size());
+      std::vector<LintKernelSet> KernelSets;
+      for (KernelVariant V : Spec->Variants) {
+        if (OneBackend && V != Only)
+          continue;
+        Tables.push_back(Spec->Kernels(V));
+        KernelSets.push_back({Prefix + kernelVariantName(V), &Tables.back()});
+      }
+      // Each strategy is linted twice: the stock plan, and a copy with the
+      // schedule optimizer's barrier elision applied ("<name>+elide") so
+      // the lint suite certifies every plan execution would actually use.
+      std::vector<ExecutionPlan> Plans;
+      Plans.reserve(Strategies.size() * 2);
+      std::vector<LintPlanSet> PlanSets;
+      for (const auto &S : Strategies) {
+        Config.Strat = S.second;
+        Plans.push_back(buildPlan(Spec->Program, Grid, Machine, Config));
+        PlanSets.push_back({Prefix + S.first, &Plans.back()});
+        Plans.push_back(Plans.back());
+        optimizeBarriers(Spec->Program, Plans.back());
+        PlanSets.push_back({Prefix + S.first + "+elide", &Plans.back()});
+      }
+      runLintSuite(Spec->Program, KernelSets, PlanSets, Diags, Opts);
+    }
     if (CL.hasOption("json")) {
       Diags.printJson(outs());
     } else {
@@ -437,22 +438,19 @@ int main(int Argc, char **Argv) {
   }
 
   if (Mode == "execute") {
-    // The periodic halo wraps once: every extent must cover its depth.
-    if (std::min({NI, NJ, NK}) < Workload->HaloDepth) {
-      std::fprintf(stderr,
-                   "error: grid %dx%dx%d: workload '%s' needs every extent "
-                   "to be at least its halo depth %d\n",
-                   NI, NJ, NK, Workload->Name.c_str(), Workload->HaloDepth);
+    Domain Dom = workloadDomain(*Workload, NI, NJ, NK);
+    std::string Why = Dom.checkHalo();
+    if (!Why.empty()) {
+      std::fprintf(stderr, "error: workload '%s': %s\n",
+                   Workload->Name.c_str(), Why.c_str());
       return 1;
     }
-    MachineModel Host = makeToyMachine();
-    Host.NumSockets = Sockets;
     ExecutorOptions ExecOpts;
     ExecOpts.Stealing = CL.hasOption("steal");
     // Price the executed plan's predicted island skew with the same
     // machine model the plan was built for, so the --profile JSON's
     // predicted_island_skew matches `simulate` by construction.
-    ExecOpts.Machine = &Host;
+    ExecOpts.Machine = &PlanMachine;
     std::unique_ptr<FaultInjector> Chaos;
     if (CL.hasOption("chaos")) {
       FaultPlan ChaosPlan;
@@ -470,7 +468,7 @@ int main(int Argc, char **Argv) {
       ExecOpts.Chaos = Chaos.get();
       std::printf("chaos: %s\n", faultPlanSummary(ChaosPlan).c_str());
     }
-    ExecutionPlan Plan = buildPlan(Prog, Grid, Host, Config);
+    ExecutionPlan Plan = buildPlan(Prog, Grid, PlanMachine, Config);
     if (!CL.hasOption("no-elide")) {
       ScheduleOptimizerReport Report = optimizeBarriers(Prog, Plan);
       std::printf("barrier elision: %lld of %lld team barriers removed "
@@ -498,14 +496,13 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     uint64_t Seed = static_cast<uint64_t>(CL.getInt("seed", 7));
-    Domain Dom = workloadDomain(*Workload, NI, NJ, NK);
     // A given --place arms the placement init epoch. Placed pages need
     // pinned workers (first touch homes a page on the toucher's socket),
     // so firsttouch and interleave pin as --pin does.
     if (HavePlace)
       ExecOpts.Placement = Place;
     if (CL.hasOption("pin") || ExecOpts.Placement != PlacementPolicy::None)
-      ExecOpts.Pinning = computeThreadPlacement(Plan, Host);
+      ExecOpts.Pinning = computeThreadPlacement(Plan, PlanMachine);
     ExecOpts.Reductions = Workload->Reductions;
     ProgramExecutor Exec(Prog, Workload->Kernels(Kernels), Dom,
                          std::move(Plan), ExecOpts);
