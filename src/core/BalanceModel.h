@@ -23,8 +23,8 @@
 ///
 /// Because simulator and executor call the same predictedIslandSkew() on
 /// the same plan, their predicted skews agree exactly by construction —
-/// the balance analogue of projectedSharedBytesPerStep() and
-/// estimateRemoteBytesPerStep().
+/// the balance analogue of projectedSharedBytesPerStep() and of the
+/// remote-byte sums both take from estimateIslandRemoteEpochTraffic().
 ///
 /// The per-part cost is pure plan geometry plus the machine model:
 ///

@@ -76,6 +76,7 @@ IslandFootprint icores::islandFootprint(const StencilProgram &Program,
                                         const IslandPlan &Island) {
   const int Depth = std::max(1, Plan.TemporalDepth);
   IslandFootprint F;
+  F.Depth = Depth;
   F.Reads.resize(Program.numArrays());
   if (Depth > 1)
     F.Scratch.resize(Program.numArrays());
@@ -111,6 +112,18 @@ IslandFootprint icores::islandFootprint(const StencilProgram &Program,
 int64_t IslandFootprint::readBytes(const StencilProgram &Program) const {
   int64_t Bytes = 0;
   for (ArrayId In : Program.stepInputs())
+    if (readsEachEpoch(Program, In))
+      Bytes += Reads[static_cast<size_t>(In)].numPoints() *
+               Program.array(In).ElementBytes;
+  return Bytes;
+}
+
+int64_t
+IslandFootprint::staticGatherBytes(const StencilProgram &Program) const {
+  if (Depth == 1)
+    return 0;
+  int64_t Bytes = 0;
+  for (ArrayId In : Program.staticInputs())
     Bytes += Reads[static_cast<size_t>(In)].numPoints() *
              Program.array(In).ElementBytes;
   return Bytes;
@@ -186,19 +199,9 @@ IslandRemoteTraffic icores::estimateIslandRemoteEpochTraffic(
 
   const IslandFootprint F = islandFootprint(Program, Plan, Island);
   for (ArrayId In : Program.stepInputs())
-    charge(In, F.Reads[static_cast<size_t>(In)], /*IsWrite=*/false);
+    if (F.readsEachEpoch(Program, In))
+      charge(In, F.Reads[static_cast<size_t>(In)], /*IsWrite=*/false);
   for (ArrayId Out : Program.stepOutputs())
     charge(Out, F.FinalWrites[static_cast<size_t>(Out)], /*IsWrite=*/true);
   return Traffic;
-}
-
-int64_t icores::estimateRemoteBytesPerStep(const ExecutionPlan &Plan,
-                                           const StencilProgram &Program,
-                                           PlacementPolicy Policy) {
-  PlacementMap Map = buildPlacementMap(Plan, Policy);
-  int64_t PerEpoch = 0;
-  for (const IslandPlan &Island : Plan.Islands)
-    PerEpoch +=
-        estimateIslandRemoteEpochTraffic(Island, Plan, Program, Map).total();
-  return PerEpoch / std::max(1, Plan.TemporalDepth);
 }

@@ -20,9 +20,10 @@
 ///    slice of any region is local to each socket.
 ///
 /// On top of the map, estimateIslandRemoteEpochTraffic() takes the
-/// island's shared-array footprint (islandFootprint(): per-epoch import
-/// reads with the feedback-paired boxes for T > 1, final-step output
-/// writes — the executor's own accounting) and splits it into local and
+/// island's per-epoch shared-array traffic (islandFootprint(): the input
+/// reads — at T > 1 only the feedback-paired imports, since static inputs
+/// are gathered once per prepareInputs() — and the final-step output
+/// writes; the executor's own accounting) and splits it into local and
 /// remote bytes, attributed per remote socket (so the
 /// simulator can price each NUMA hop) and per array (so TrafficReport can
 /// print a remote column). The executor's ExecStats remote_bytes_est and
@@ -100,10 +101,22 @@ struct IslandFootprint {
   std::vector<Box3> Scratch;
   /// Step outputs: the region the final fused step writes.
   std::vector<Box3> FinalWrites;
+  /// The plan's temporal depth.
+  int Depth = 1;
+
+  /// True when every epoch reads step input \p In from the shared arrays:
+  /// all inputs at T == 1, only the feedback targets at T > 1. A static
+  /// input's import buffer is gathered once per prepareInputs() (see
+  /// ProgramExecutor) and stays valid across epochs and run() calls.
+  bool readsEachEpoch(const StencilProgram &Program, ArrayId In) const {
+    return Depth == 1 || !Program.isStaticInput(In);
+  }
 
   /// Logical bytes one epoch reads from, and writes to, the shared arrays.
   int64_t readBytes(const StencilProgram &Program) const;
   int64_t writeBytes(const StencilProgram &Program) const;
+  /// Logical bytes of the once-only static-input gather (0 at T == 1).
+  int64_t staticGatherBytes(const StencilProgram &Program) const;
 };
 
 /// \p Island's footprint under \p Plan's temporal depth.
@@ -124,21 +137,14 @@ struct IslandRemoteTraffic {
   int64_t total() const { return ReadBytes + WriteBytes; }
 };
 
-/// Splits one island's per-epoch shared-array footprint
-/// (islandFootprint()) into remote bytes under \p Map.
+/// Splits one island's per-epoch shared-array traffic (the
+/// islandFootprint() inputs it reads each epoch and its final writes)
+/// into remote bytes under \p Map.
 IslandRemoteTraffic
 estimateIslandRemoteEpochTraffic(const IslandPlan &Island,
                                  const ExecutionPlan &Plan,
                                  const StencilProgram &Program,
                                  const PlacementMap &Map);
-
-/// Plan-wide remote bytes per time step under \p Policy: the per-epoch
-/// island totals summed and divided by the temporal depth, as the
-/// executor's ExecStats::RemoteBytesEst and the simulator's
-/// SimResult::PlacementRemoteBytesPerStep sum them.
-int64_t estimateRemoteBytesPerStep(const ExecutionPlan &Plan,
-                                   const StencilProgram &Program,
-                                   PlacementPolicy Policy);
 
 } // namespace icores
 

@@ -5,6 +5,7 @@
 #include "dist/CommSchedule.h"
 #include "grid/Domain.h"
 #include "support/Error.h"
+#include "support/Format.h"
 
 #include <mutex>
 #include <thread>
@@ -38,6 +39,30 @@ void unpackBox(Array3D &A, const Box3 &Region,
 
 } // namespace
 
+std::string icores::checkRankConfig(const WorkloadSpec &Spec, int PI, int PJ,
+                                    int NI, int NJ, int NK) {
+  if (NI < 1 || NJ < 1 || NK < 1)
+    return formatString("grid %dx%dx%d is empty: every extent must be at "
+                        "least 1",
+                        NI, NJ, NK);
+  if (PI < 1 || PJ < 1)
+    return formatString("rank grid %dx%d must have at least one rank along "
+                        "each dimension",
+                        PI, PJ);
+  // rankOwnedBox splits each dimension into near-equal chunks; the
+  // thinnest is the floor of the even share.
+  for (int Dim = 0; Dim != 2; ++Dim) {
+    const int N = Dim == 0 ? NI : NJ, Parts = Dim == 0 ? PI : PJ;
+    if (N / Parts < Spec.HaloDepth)
+      return formatString("grid %dx%dx%d: n%c=%d over %d ranks leaves parts "
+                          "of %d planes, thinner than the halo depth %d of "
+                          "workload '%s'",
+                          NI, NJ, NK, Dim == 0 ? 'i' : 'j', N, Parts,
+                          N / Parts, Spec.HaloDepth, Spec.Name.c_str());
+  }
+  return "";
+}
+
 DistributedRank::DistributedRank(RankComm &Comm, const WorkloadSpec &Spec,
                                  KernelVariant Variant, int NI, int NJ,
                                  int NK, int PI, int PJ, uint64_t Seed)
@@ -49,11 +74,11 @@ DistributedRank::DistributedRank(RankComm &Comm, const WorkloadSpec &Spec,
                 "workload '" + Spec.Name +
                     "' declares reductions, which distributed runs do not "
                     "support");
-  ICORES_CHECK(PI >= 1 && PJ >= 1 && PI * PJ == Comm.numRanks(),
+  const std::string Reason = checkRankConfig(Spec, PI, PJ, NI, NJ, NK);
+  ICORES_CHECK(Reason.empty(), Reason.c_str());
+  ICORES_CHECK(PI * PJ == Comm.numRanks(),
                "rank grid does not match the world size");
   Owned = rankOwnedBox(Comm.rank(), PI, PJ, NI, NJ, NK);
-  ICORES_CHECK(Owned.extent(0) >= Halo && Owned.extent(1) >= Halo,
-               "rank part thinner than the halo depth");
   LocalAlloc = Owned.grownAll(Halo);
 
   // Requirements: this rank's dependence cones, clipped to what the
@@ -160,6 +185,9 @@ DistributedResult icores::runDistributed(const WorkloadSpec &Spec,
                                          int Steps, uint64_t Seed,
                                          FaultInjector *Injector,
                                          const CommTimeouts &Timeouts) {
+  const std::string Reason = checkRankConfig(Spec, PI, PJ, NI, NJ, NK);
+  ICORES_CHECK(Reason.empty(), Reason.c_str());
+  ICORES_CHECK(Steps >= 0, "negative step count");
   CommWorld World(PI * PJ);
   World.arm(Injector);
   World.setTimeouts(Timeouts);

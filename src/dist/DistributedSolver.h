@@ -110,12 +110,27 @@ struct DistributedResult {
   const Array3D &array(ArrayId Id) const { return Arrays.at(Id); }
 };
 
-/// Runs \p Spec on a PI x PJ rank grid of threads for \p Steps steps and
-/// gathers the global state. Degrades gracefully instead of deadlocking:
-/// the world is armed with \p Injector (may be null) and \p Timeouts, a
-/// rank raising a structured icores::Error poisons the world so its peers
-/// fail fast, and every per-rank error is collected into the result
-/// rather than propagated.
+/// Whether \p Spec can run on a \p PI x \p PJ rank grid over an
+/// \p NI x \p NJ x \p NK domain. This is the one statement of the
+/// rank-grid rules:
+///  - the grid is not empty;
+///  - the rank grid has at least one rank along each dimension;
+///  - every rank part is at least the workload's halo depth thick along
+///    ni and nj, so a halo exchange reads only the adjacent rank's part.
+/// Returns an empty string when the request can run (allocating nothing),
+/// otherwise a one-line reason naming the first rule it breaks.
+/// runDistributed() and DistributedRank check it at entry; drivers call
+/// it first and report the reason instead of aborting.
+std::string checkRankConfig(const WorkloadSpec &Spec, int PI, int PJ, int NI,
+                            int NJ, int NK);
+
+/// Runs \p Spec on a PI x PJ rank grid of threads for \p Steps >= 0
+/// steps and gathers the global state; the request must pass
+/// checkRankConfig(). Degrades gracefully instead of deadlocking: the
+/// world is armed with \p Injector (may be null) and \p Timeouts, a rank
+/// raising a structured icores::Error poisons the world so its peers fail
+/// fast, and every per-rank error is collected into the result rather
+/// than propagated.
 DistributedResult runDistributed(const WorkloadSpec &Spec,
                                  KernelVariant Variant, int PI, int PJ,
                                  int NI, int NJ, int NK, int Steps,

@@ -81,12 +81,13 @@ bool claimChunk(std::atomic<uint64_t> &Deque, bool Owner, uint32_t &Chunk,
 
 /// Island-private execution state: the field store (intermediates owned,
 /// step inputs/outputs bound to the shared arrays) and the team barrier.
-/// For temporal plans (TemporalDepth > 1) it additionally owns the
-/// per-epoch import buffers (one per step input, wrap-gathered from the
-/// shared arrays at every epoch start) and the scratch buffers
-/// intermediate fused steps write instead of the shared outputs; feedback
-/// pairs alternate between their import and scratch buffer from step to
-/// step (see rebindForStep).
+/// For temporal plans (TemporalDepth > 1) it additionally owns the import
+/// buffers (one per step input, wrap-gathered from the shared arrays: the
+/// feedback targets' at every epoch start, the static inputs' only in the
+/// first epoch after construction or prepareInputs()) and the scratch
+/// buffers intermediate fused steps write instead of the shared outputs;
+/// feedback pairs alternate between their import and scratch buffer from
+/// step to step (see rebindForStep).
 struct ProgramExecutor::IslandState {
   FieldStore Store;
   TeamBarrier Team;
@@ -311,6 +312,7 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     const IslandFootprint F = islandFootprint(Program, Plan, Island);
     SharedReadBytesPerEpoch += F.readBytes(Program);
     SharedWriteBytesPerEpoch += F.writeBytes(Program);
+    StaticGatherBytes += F.staticGatherBytes(Program);
     if (Plan.TemporalDepth > 1) {
       for (ArrayId In : Program.stepInputs())
         allocate(IS->Imports, In, F.Reads[static_cast<size_t>(In)]);
@@ -348,8 +350,9 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     PinCores.push_back(P.GlobalCore);
   Pool->setPinning(std::move(PinCores));
 
+  int64_t PagesTouched = 0;
   if (Placing) {
-    runPlacementEpoch();
+    PagesTouched = runPlacementEpoch();
     for (auto &[Id, Arr] : External)
       Arr.markPlaced();
   }
@@ -374,8 +377,9 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
 /// PlacementMap), so afterwards every element is zero, exactly as the
 /// serial constructor path leaves it. Interleave: the pages of every
 /// allocation, shared and private alike, round-robin across all workers.
-/// Either way the workers write pairwise-disjoint element ranges.
-void ProgramExecutor::runPlacementEpoch() {
+/// Either way the workers write pairwise-disjoint element ranges. Returns
+/// the pages zeroed.
+int64_t ProgramExecutor::runPlacementEpoch() {
   const Box3 Alloc = Dom.allocBox();
   const int64_t PageBytes = placementPageBytes();
   const int TotalWorkers = static_cast<int>(WorkerCoords.size());
@@ -475,8 +479,10 @@ void ProgramExecutor::runPlacementEpoch() {
     BytesTouched[static_cast<size_t>(Worker)] = Bytes;
   });
 
+  int64_t Pages = 0;
   for (int64_t Bytes : BytesTouched)
-    PagesTouched += (Bytes + PageBytes - 1) / PageBytes;
+    Pages += (Bytes + PageBytes - 1) / PageBytes;
+  return Pages;
 }
 
 ProgramExecutor::~ProgramExecutor() = default;
@@ -503,6 +509,7 @@ const FieldStore &ProgramExecutor::islandStore(size_t Island) const {
 void ProgramExecutor::prepareInputs() {
   for (ArrayId In : Program.stepInputs())
     Dom.fillHalo(array(In));
+  StaticsStale = true;
 }
 
 void ProgramExecutor::enableProfiling(bool On) {
@@ -554,17 +561,23 @@ void ProgramExecutor::rebindForStep(IslandState &IS, int StepInEpoch) {
   }
 }
 
-/// Epoch import: fills this thread's share of every import buffer with
-/// periodically wrapped copies of the shared arrays' core cells. The
+/// Epoch import: fills this thread's share of the feedback targets'
+/// import buffers, and with \p Statics also the static inputs', with
+/// periodically wrapped copies of the shared arrays' core cells. Nothing
+/// the executor runs writes a static input, so its buffer stays valid
+/// until the caller rewrites the input and calls prepareInputs(). The
 /// widened cones only ever read wrapped *core* positions, so the shared
 /// halos (stale after the epoch feedback swap) are never consulted. Each
 /// (i, j) row is copied as contiguous k-runs: a run ends where the
 /// wrapped source index reaches nk and starts over at 0, so a row whose
 /// k-extent exceeds nk takes several runs.
 void ProgramExecutor::importEpochInputs(IslandState &IS, int Worker,
-                                        int ThreadInTeam, int NumThreads) {
+                                        int ThreadInTeam, int NumThreads,
+                                        bool Statics) {
   const int NK = Dom.nk();
   for (auto &[Id, Buf] : IS.Imports) {
+    if (!Statics && Program.isStaticInput(Id))
+      continue;
     const Array3D &Src = array(Id);
     Box3 Sub = teamSubRegion(Buf.indexSpace(), ThreadInTeam, NumThreads);
     if (Sub.empty())
@@ -810,7 +823,8 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           rebindForStep(IS, Op.Step);
         break;
       case EpochOp::Kind::Import:
-        importEpochInputs(IS, Worker, ThreadInTeam, NumThreads);
+        importEpochInputs(IS, Worker, ThreadInTeam, NumThreads,
+                          StaticsStale && Epoch == 0);
         break;
       case EpochOp::Kind::Slide:
         slideWindows(IS, Win, static_cast<size_t>(Op.Index), Worker,
@@ -865,7 +879,13 @@ void ProgramExecutor::run(int Steps) {
   }
   ++Stats.RunCalls;
   int64_t Epochs = Steps / Plan.TemporalDepth;
-  Stats.SharedBytesRead += SharedReadBytesPerEpoch * Epochs;
+  // The workers read StaticsStale during the dispatch and gathered the
+  // static inputs in its first epoch if it was set; the dispatch has
+  // returned, so it is cleared race-free, and the buffers it filled are
+  // published to every later dispatch.
+  Stats.SharedBytesRead += SharedReadBytesPerEpoch * Epochs +
+                          (StaticsStale ? StaticGatherBytes : 0);
+  StaticsStale = false;
   Stats.SharedBytesWritten += SharedWriteBytesPerEpoch * Epochs;
   Stats.RemoteBytesEst += RemoteBytesPerEpoch * Epochs;
   Stats.ThreadsSpawned = Pool->spawnedThreads();

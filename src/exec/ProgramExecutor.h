@@ -121,12 +121,16 @@ struct ExecutorOptions {
 ///
 /// Temporal blocking: a plan with TemporalDepth T > 1 is executed in
 /// epochs of T fused time steps between global barriers. Each epoch every
-/// island imports its step inputs once into island-private buffers
-/// (periodically wrap-gathered from the shared core cells, so the widened
-/// overlap cones are exact — periodic boundaries are required), runs the
-/// T fused steps entirely on private storage with only team-level
-/// synchronization, and writes the shared output arrays only from the
-/// final fused step. Results are bit-identical to the T = 1 schedule.
+/// island imports the state its feedback pairs carry into island-private
+/// buffers (periodically wrap-gathered from the shared core cells, so the
+/// widened overlap cones are exact — periodic boundaries are required),
+/// runs the T fused steps entirely on private storage with only
+/// team-level synchronization, and writes the shared output arrays only
+/// from the final fused step. Static inputs (step inputs no feedback pair
+/// targets, StencilProgram::isStaticInput) never change between epochs:
+/// they are gathered into their import buffers once, in the first epoch
+/// after construction or prepareInputs(), and reused by every later epoch
+/// and run(). Results are bit-identical to the T = 1 schedule.
 class ProgramExecutor {
 public:
   /// \p Plan must target Dom.coreBox(); \p Kernels must cover the program.
@@ -143,7 +147,10 @@ public:
   Array3D &array(ArrayId Id);
   const Array3D &array(ArrayId Id) const;
 
-  /// Refreshes the halos of every step input (call after initialization).
+  /// Refreshes the halos of every step input and marks the static inputs
+  /// for a fresh gather in the next run(). Call after initialization and
+  /// after rewriting any step input: at T > 1 a rewritten static input
+  /// takes effect only here, as SerialStepper's halos do.
   void prepareInputs();
 
   /// Turns per-stage/per-pass timing collection on or off for subsequent
@@ -165,8 +172,10 @@ public:
   /// Logical bytes this executor moves between an island and the shared
   /// arrays per *time step* (averaged over an epoch): for T == 1 every
   /// island streams its input footprint in and its output part out each
-  /// step; for T > 1 one import plus one final write per epoch, divided
-  /// by T. This is the measured side of the simulator's
+  /// step; for T > 1 one import of the feedback targets plus one final
+  /// write per epoch, divided by T. The once-only static-input gather is
+  /// not a per-step cost; ExecStats::SharedBytesRead counts it in the run
+  /// that does it. This is the measured side of the simulator's
   /// SharedBytesPerStep projection.
   int64_t sharedBytesPerStep() const;
 
@@ -206,8 +215,8 @@ private:
                        int StepInEpoch);
   void rebindForStep(IslandState &IS, int StepInEpoch);
   void importEpochInputs(IslandState &IS, int Worker, int ThreadInTeam,
-                         int NumThreads);
-  void runPlacementEpoch();
+                         int NumThreads, bool Statics);
+  int64_t runPlacementEpoch();
   void slideWindows(IslandState &IS, const IslandWindows &Win, size_t Slide,
                     int Worker, int ThreadInTeam, int NumThreads);
   double &partialAt(int Worker, int StepInEpoch, size_t R);
@@ -233,13 +242,14 @@ private:
   /// construction from the plan's pass regions.
   int64_t SharedReadBytesPerEpoch = 0;
   int64_t SharedWriteBytesPerEpoch = 0;
+  /// Logical bytes of the static-input gather (all islands, 0 at T == 1).
+  int64_t StaticGatherBytes = 0;
 
   /// Placement model state: the page-ownership map under Opts.Placement
   /// and the remote slice of the per-epoch shared traffic it implies,
   /// both fixed at construction.
   PlacementMap PMap;
   int64_t RemoteBytesPerEpoch = 0;
-  int64_t PagesTouched = 0; ///< Pages zeroed by the placement epoch.
 
   /// Reduction machinery (empty when the program declares none).
   /// Reductions holds the combiners in ReductionDef order;
@@ -258,6 +268,10 @@ private:
   std::vector<IslandWindows> Windows;
 
   bool Profiling = false;
+  /// Set at construction and by prepareInputs(). The next run()'s workers
+  /// gather the static inputs in its first epoch, and the run clears it
+  /// once the dispatch has returned.
+  bool StaticsStale = true;
   ExecStats Stats;
   std::mutex StatsMutex;
 };

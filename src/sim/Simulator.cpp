@@ -162,7 +162,8 @@ IslandCosts simulateIsland(const IslandPlan &Island,
   // executor gathers: at T = 1 the union of the read regions (one sweep
   // plus the island's cones; consecutive blocks overlap only in
   // cache-resident cone margins), at T > 1 the feedback-paired import
-  // buffers — overlapped with whatever compute headroom the per-block
+  // buffers (static inputs are gathered once per prepareInputs(), not per
+  // epoch) — overlapped with whatever compute headroom the per-block
   // accounting left unused. Under
   // FirstTouch, the slice of the union outside the island's own arena
   // segment lives on neighbor islands' first-touch pages (phase 1 of the
@@ -178,6 +179,8 @@ IslandCosts simulateIsland(const IslandPlan &Island,
   if (Blocked || Depth > 1) {
     const IslandFootprint F = islandFootprint(Program, Plan, Island);
     for (ArrayId In : Program.stepInputs()) {
+      if (!F.readsEachEpoch(Program, In))
+        continue;
       int64_t Bytes = F.Reads[static_cast<size_t>(In)].numPoints() *
                       Program.array(In).ElementBytes;
       Costs.DramByArray[static_cast<size_t>(In)].Read += Bytes;

@@ -115,8 +115,10 @@ struct SimResult {
 
   /// Projected logical traffic between the islands and the shared arrays
   /// per time step, by the same formula the executor measures
-  /// (ProgramExecutor::sharedBytesPerStep): per-epoch import reads plus
-  /// final-step output writes, divided by the temporal depth.
+  /// (ProgramExecutor::sharedBytesPerStep): per-epoch import reads (the
+  /// feedback targets only at T > 1; static inputs are gathered once, not
+  /// per epoch) plus final-step output writes, divided by the temporal
+  /// depth.
   int64_t SharedBytesPerStep = 0;
 
   /// Projected remote-DRAM bytes per step under the plan's placement

@@ -89,6 +89,23 @@ std::vector<ArrayId> StencilProgram::stepInputs() const {
   return Result;
 }
 
+bool StencilProgram::isStaticInput(ArrayId Id) const {
+  if (array(Id).Role != ArrayRole::StepInput)
+    return false;
+  for (const FeedbackPair &FB : Feedbacks)
+    if (FB.Target == Id)
+      return false;
+  return true;
+}
+
+std::vector<ArrayId> StencilProgram::staticInputs() const {
+  std::vector<ArrayId> Result;
+  for (ArrayId In : stepInputs())
+    if (isStaticInput(In))
+      Result.push_back(In);
+  return Result;
+}
+
 std::vector<ArrayId> StencilProgram::stepOutputs() const {
   std::vector<ArrayId> Result;
   for (size_t A = 0; A != Arrays.size(); ++A)

@@ -221,6 +221,13 @@ public:
   /// All step-input array ids in id order.
   std::vector<ArrayId> stepInputs() const;
 
+  /// True for a step input no feedback pair targets: nothing the program
+  /// computes ever changes it, so it is read-only across steps.
+  bool isStaticInput(ArrayId Id) const;
+
+  /// All static step-input array ids in id order.
+  std::vector<ArrayId> staticInputs() const;
+
   /// All step-output array ids in id order.
   std::vector<ArrayId> stepOutputs() const;
 

@@ -46,6 +46,11 @@ TEST(AdvDiffTest, ProgramShape) {
   AdvDiffProgram A = buildAdvDiffProgram();
   EXPECT_EQ(Program.feedbacks()[0].Source, A.PhiOut);
   EXPECT_EQ(Program.feedbacks()[0].Target, A.Phi);
+  // Everything but the advected scalar is read-only across steps.
+  EXPECT_EQ(Program.staticInputs(),
+            (std::vector<ArrayId>{A.U1, A.U2, A.U3, A.Kappa}));
+  EXPECT_FALSE(Program.isStaticInput(A.Phi));
+  EXPECT_FALSE(Program.isStaticInput(A.PhiOut));
 }
 
 TEST(AdvDiffTest, HaloDepthIsTwo) {

@@ -151,6 +151,34 @@ class Distributed2DEquivalence
 
 } // namespace
 
+TEST(DistributedConfigTest, CheckRankConfigNamesTheFirstBrokenRule) {
+  DistWorkload W;
+  const WorkloadSpec &S = W.Spec; // Halo depth 3.
+  EXPECT_EQ(checkRankConfig(S, 2, 1, 24, 10, 6), "");
+  EXPECT_EQ(checkRankConfig(S, 8, 3, 24, 10, 6), ""); // 3x3 parts.
+  EXPECT_EQ(checkRankConfig(S, 2, 1, 0, 10, 6),
+            "grid 0x10x6 is empty: every extent must be at least 1");
+  EXPECT_EQ(checkRankConfig(S, 0, 1, 24, 10, 6),
+            "rank grid 0x1 must have at least one rank along each "
+            "dimension");
+  EXPECT_EQ(checkRankConfig(S, 2, -1, 24, 10, 6),
+            "rank grid 2x-1 must have at least one rank along each "
+            "dimension");
+  EXPECT_EQ(checkRankConfig(S, 9, 1, 24, 10, 6),
+            "grid 24x10x6: ni=24 over 9 ranks leaves parts of 2 planes, "
+            "thinner than the halo depth 3 of workload 'mpdata'");
+  EXPECT_EQ(checkRankConfig(S, 1, 4, 24, 10, 6),
+            "grid 24x10x6: nj=10 over 4 ranks leaves parts of 2 planes, "
+            "thinner than the halo depth 3 of workload 'mpdata'");
+  // A grid of 3-plane-thin parts along nj runs bit-exactly.
+  Array3D Reference = W.reference();
+  DistributedResult R = W.run(4, 3);
+  ASSERT_TRUE(R.Ok) << R.RankErrors.front();
+  EXPECT_EQ(R.array(W.Psi).maxAbsDiff(Reference,
+                                      Box3::fromExtents(W.NI, W.NJ, W.NK)),
+            0.0);
+}
+
 TEST_P(Distributed2DEquivalence, MatchesReferenceBitExactly) {
   // 2D rank grids (the paper's other future-work item): two-phase halo
   // exchange with corners, cone recomputation in both dimensions.

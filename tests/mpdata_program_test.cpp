@@ -24,6 +24,10 @@ TEST(MpdataProgramTest, FiveInputsOneOutput) {
   EXPECT_EQ(M.Program.stepInputs().size(), 5u);
   EXPECT_EQ(M.Program.stepOutputs().size(), 1u);
   EXPECT_EQ(M.Program.stepOutputs()[0], M.XOut);
+  // Only the transported field evolves; velocities and density are static.
+  EXPECT_EQ(M.Program.staticInputs(),
+            (std::vector<ArrayId>{M.U1, M.U2, M.U3, M.H}));
+  EXPECT_FALSE(M.Program.isStaticInput(M.XIn));
 }
 
 TEST(MpdataProgramTest, StageOrder) {

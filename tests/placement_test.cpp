@@ -119,21 +119,24 @@ TEST(PlacementTest, ExecutorEstimatorAndSimulatorAgreeExactly) {
          {PlacementPolicy::None, PlacementPolicy::FirstTouch,
           PlacementPolicy::Interleave})
       for (int Depth : {1, 2}) {
+        // Both sides sum the per-island estimator
+        // (estimateIslandRemoteEpochTraffic) over the same plan.
         MachineModel Host;
         ExecutionPlan Plan = makePlan(Strat, Depth, Place, Host);
-        int64_t Estimated =
-            estimateRemoteBytesPerStep(Plan, M.Program, Place);
         int64_t Projected = simulate(Plan, M.Program, Host, TimeSteps)
                                 .PlacementRemoteBytesPerStep;
         int64_t Measured = 0;
         placedResult(Strat, Depth, Place, KernelVariant::Reference, nullptr,
                      &Measured);
-        EXPECT_EQ(Measured, Estimated) << strategyName(Strat) << " "
+        EXPECT_EQ(Measured, Projected) << strategyName(Strat) << " "
                                        << placementPolicyName(Place)
                                        << " T=" << Depth;
-        EXPECT_EQ(Projected, Estimated) << strategyName(Strat) << " "
-                                        << placementPolicyName(Place)
-                                        << " T=" << Depth;
+        // Two islands on two sockets always cross the interconnect, so the
+        // agreement is not the trivial 0 == 0.
+        if (Strat == Strategy::IslandsOfCores) {
+          EXPECT_GT(Projected, 0) << placementPolicyName(Place)
+                                  << " T=" << Depth;
+        }
       }
 }
 
@@ -194,8 +197,6 @@ TEST(PlacementTest, SingleIslandFallbackProjectsZeroRemoteBytes) {
     MachineModel Host;
     ExecutionPlan Plan = makePlan(Strategy::IslandsOfCores, 1, Place, Host,
                                   /*NumIslands=*/1);
-    EXPECT_EQ(estimateRemoteBytesPerStep(Plan, M.Program, Place), 0)
-        << placementPolicyName(Place);
     EXPECT_EQ(simulate(Plan, M.Program, Host, TimeSteps)
                   .PlacementRemoteBytesPerStep,
               0)

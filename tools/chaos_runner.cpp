@@ -13,7 +13,9 @@
 //   chaos_runner [--seeds=N] [--lethal-every=K] [--pi --pj --ni --nj
 //                 --nk --steps] [--verbose]
 //
-// Exit status 0 iff every seed upholds its contract. CI runs
+// Exit status 0 iff every seed upholds its contract. A request that
+// checkRankConfig refuses, or a negative --seeds or --steps, prints an
+// `error:` line and exits 1 before any run. CI runs
 // `chaos_runner --seeds=16` (the chaos-smoke job); the PR gate is
 // `--seeds=64` locally.
 //
@@ -29,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace icores;
@@ -95,10 +98,23 @@ int main(int Argc, char **Argv) {
   const int NK = static_cast<int>(CL.getInt("nk", 6));
   const int Steps = static_cast<int>(CL.getInt("steps", 2));
   const bool Verbose = CL.hasOption("verbose");
+  // The seed and step loops count up to their bound: a negative one
+  // would never end.
+  for (auto [Name, Value] : {std::pair{"seeds", Seeds}, {"steps", Steps}})
+    if (Value < 0) {
+      std::fprintf(stderr, "error: --%s=%d must be at least 0\n", Name,
+                   Value);
+      return 1;
+    }
 
   // The registered MPDATA workload; every rank seeds its own part from
   // the spec's init, as in a real MPI deployment.
   const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  const std::string Reason = checkRankConfig(Spec, PI, PJ, NI, NJ, NK);
+  if (!Reason.empty()) {
+    std::fprintf(stderr, "error: %s\n", Reason.c_str());
+    return 1;
+  }
   const ArrayId State = Spec.Program.feedbacks().front().Target;
   Box3 Core = Box3::fromExtents(NI, NJ, NK);
   auto runChaos = [&](FaultInjector *Injector, const CommTimeouts &T) {
