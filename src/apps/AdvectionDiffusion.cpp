@@ -83,8 +83,11 @@ namespace {
 // once per row, the neighbour along Dim is a fixed offset taken from that
 // operand's own stride, and the unit-stride k-loop evaluates the same
 // floating-point expression per point as an at()-indexed loop would.
+// Each is an ICORES_ROW_KERNEL: an AVX2 and a baseline clone, bound at
+// load time.
 
 /// Computes one flux stage over \p Region.
+ICORES_ROW_KERNEL
 void kernelFlux(const Array3D &State, const Array3D &U, const Array3D &Kappa,
                 Array3D &F, int Dim, const Box3 &Region) {
   const int NK = Region.extent(2), K0 = Region.Lo[2];
@@ -110,6 +113,7 @@ void kernelFlux(const Array3D &State, const Array3D &U, const Array3D &Kappa,
 }
 
 /// Computes one divergence update over \p Region.
+ICORES_ROW_KERNEL
 void kernelUpdate(const Array3D &Phi, const Array3D &F1, const Array3D &F2,
                   const Array3D &F3, double Scale, Array3D &Out,
                   const Box3 &Region) {

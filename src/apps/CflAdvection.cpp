@@ -87,9 +87,11 @@ namespace {
 // Row kernels: per (i, j) row hoisted operand pointers, the neighbour
 // along Dim as a fixed offset from the operand's own stride, and a
 // unit-stride k-loop with the same per-point expression as an
-// at()-indexed loop.
+// at()-indexed loop. Each is an ICORES_ROW_KERNEL: an AVX2 and a baseline
+// clone, bound at load time.
 
 /// Donor-cell flux through the lower face along \p Dim over \p Region.
+ICORES_ROW_KERNEL
 void kernelFlux(const Array3D &Q, const Array3D &U, Array3D &F, int Dim,
                 const Box3 &Region) {
   const int NK = Region.extent(2), K0 = Region.Lo[2];
@@ -109,6 +111,7 @@ void kernelFlux(const Array3D &Q, const Array3D &U, Array3D &F, int Dim,
 }
 
 /// Per-cell Courant sum over \p Region.
+ICORES_ROW_KERNEL
 void kernelCourant(const Array3D &U1, const Array3D &U2, const Array3D &U3,
                    Array3D &C, const Box3 &Region) {
   const int NK = Region.extent(2), K0 = Region.Lo[2];
@@ -125,6 +128,7 @@ void kernelCourant(const Array3D &U1, const Array3D &U2, const Array3D &U3,
 }
 
 /// Divergence update over \p Region.
+ICORES_ROW_KERNEL
 void kernelUpdate(const Array3D &Q, const Array3D &F1, const Array3D &F2,
                   const Array3D &F3, Array3D &Out, const Box3 &Region) {
   const int NK = Region.extent(2), K0 = Region.Lo[2];

@@ -66,9 +66,11 @@ namespace {
 // Row kernels: per (i, j) row hoisted operand pointers, the neighbour
 // along Dim as a fixed offset from the operand's own stride, and a
 // unit-stride k-loop with the same per-point expression as an
-// at()-indexed loop.
+// at()-indexed loop. Each is an ICORES_ROW_KERNEL: an AVX2 and a baseline
+// clone, bound at load time.
 
 /// Lower-face temperature difference along \p Dim over \p Region.
+ICORES_ROW_KERNEL
 void kernelGrad(const Array3D &T, Array3D &G, int Dim, const Box3 &Region) {
   const int NK = Region.extent(2), K0 = Region.Lo[2];
   const int64_t Back = T.stride(Dim);
@@ -84,6 +86,7 @@ void kernelGrad(const Array3D &T, Array3D &G, int Dim, const Box3 &Region) {
 }
 
 /// Thermal update over \p Region.
+ICORES_ROW_KERNEL
 void kernelUpdate(const Array3D &T, const Array3D &Power, const Array3D &G1,
                   const Array3D &G2, const Array3D &G3, Array3D &Out,
                   const Box3 &Region) {

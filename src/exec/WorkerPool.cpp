@@ -38,15 +38,17 @@ void WorkerPool::ensureSpawned() {
   Spawned += NumThreads;
 }
 
-void WorkerPool::runOnAll(const std::function<void(int)> &AJob) {
+void WorkerPool::dispatch(JobFn Fn, void *Ctx) {
   std::unique_lock<std::mutex> Lock(Mutex);
   ensureSpawned();
-  Job = &AJob;
+  Job = Fn;
+  JobCtx = Ctx;
   Remaining = NumThreads;
   ++Generation;
   JobReady.notify_all();
   JobDone.wait(Lock, [this] { return Remaining == 0; });
   Job = nullptr;
+  JobCtx = nullptr;
   ++Dispatches;
 }
 
@@ -67,7 +69,8 @@ void WorkerPool::workerLoop(int Index) {
 
   uint64_t SeenGeneration = 0;
   for (;;) {
-    const std::function<void(int)> *MyJob;
+    JobFn MyJob;
+    void *MyCtx;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       JobReady.wait(Lock, [&] {
@@ -77,8 +80,9 @@ void WorkerPool::workerLoop(int Index) {
         return;
       SeenGeneration = Generation;
       MyJob = Job;
+      MyCtx = JobCtx;
     }
-    (*MyJob)(Index);
+    MyJob(MyCtx, Index);
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       if (--Remaining == 0)

@@ -15,11 +15,15 @@
 //    by hand (a variable-stride gather loop defeats vectorizers);
 //  * loop nests are plain for-loops — no lambdas on the hot path — and
 //    each k-loop is annotated with ICORES_SIMD_LOOP so the CI
-//    vectorization check can pin a -Rpass=loop-vectorize remark to it.
+//    vectorization check can pin a -Rpass=loop-vectorize remark to it;
+//  * each kernel is an ICORES_ROW_KERNEL: on x86-64 it is compiled for
+//    AVX2 and for the baseline ISA, and the loader binds the AVX2 clone
+//    where the CPU has it.
 //
 // This TU is compiled with -ffp-contract=off (see src/mpdata/
 // CMakeLists.txt) so FMA contraction can never perturb results relative
-// to the other two variants. No fast-math anywhere.
+// to the other two variants, at either clone's vector width. No
+// fast-math anywhere.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +40,7 @@ using namespace icores;
 namespace {
 
 /// S1..S3 and S14..S16: donor-cell flux along Dim.
+ICORES_ROW_KERNEL
 void fluxSimd(const Array3D &X, const Array3D &U, Array3D &F, int Dim,
               const Box3 &Region) {
   const int64_t Back = X.stride(Dim);
@@ -53,6 +58,7 @@ void fluxSimd(const Array3D &X, const Array3D &U, Array3D &F, int Dim,
 }
 
 /// S4 and S17: flux-divergence update.
+ICORES_ROW_KERNEL
 void fluxDivergenceSimd(const Array3D &In, const Array3D &F1,
                         const Array3D &F2, const Array3D &F3,
                         const Array3D &H, Array3D &Out, const Box3 &Region) {
@@ -79,6 +85,7 @@ void fluxDivergenceSimd(const Array3D &In, const Array3D &F1,
 /// S5: fused extrema. Matches the reference's evaluation sequence
 /// (centre, then dims 0..2 with offsets -1, +1) with the neighbour loop
 /// unrolled to twelve fixed-stride loads.
+ICORES_ROW_KERNEL
 void minMaxSimd(const Array3D &X, const Array3D &Act, Array3D &Mx,
                 Array3D &Mn, const Box3 &Region) {
   const int NK = Region.extent(2);
@@ -113,6 +120,7 @@ void minMaxSimd(const Array3D &X, const Array3D &Act, Array3D &Mx,
 }
 
 /// S6..S8: antidiffusive pseudo-velocity along Dim.
+ICORES_ROW_KERNEL
 void pseudoVelocitySimd(const Array3D &Act, const Array3D &UD,
                         const Array3D &UT1, int DimT1, const Array3D &UT2,
                         int DimT2, Array3D &V, int Dim, const Box3 &Region) {
@@ -161,6 +169,7 @@ void pseudoVelocitySimd(const Array3D &Act, const Array3D &UD,
 
 /// S9: cp. The reference accumulates In over dims 0..2 in order; the
 /// dimension loop is unrolled so every load has a fixed stride.
+ICORES_ROW_KERNEL
 void cpSimd(const Array3D &Mx, const Array3D &Act, const Array3D &H,
             const Array3D &V1, const Array3D &V2, const Array3D &V3,
             Array3D &Cp, const Box3 &Region) {
@@ -192,6 +201,7 @@ void cpSimd(const Array3D &Mx, const Array3D &Act, const Array3D &H,
 }
 
 /// S10: cn.
+ICORES_ROW_KERNEL
 void cnSimd(const Array3D &Mn, const Array3D &Act, const Array3D &H,
             const Array3D &V1, const Array3D &V2, const Array3D &V3,
             Array3D &Cn, const Box3 &Region) {
@@ -223,6 +233,7 @@ void cnSimd(const Array3D &Mn, const Array3D &Act, const Array3D &H,
 }
 
 /// S11..S13: non-oscillatory limiting along Dim.
+ICORES_ROW_KERNEL
 void limitSimd(const Array3D &Cp, const Array3D &Cn, const Array3D &V,
                Array3D &Vm, int Dim, const Box3 &Region) {
   const int NK = Region.extent(2);

@@ -3,9 +3,10 @@
 // The optimized strided-pointer kernels and the Simd contiguous-restrict
 // kernels must be bit-identical to the reference kernels: same
 // floating-point expression order, different loop machinery. Property-
-// tested per (stage, variant) over random fields — both unpadded and
-// vector-padded storage (via TestMatrix's fillStorePairRandom) — and over
-// whole multi-step runs through the registered workload's serial stepper.
+// tested per (stage, variant) over random fields and k extents 1-9, 16
+// and 17 — both unpadded and vector-padded storage (via TestMatrix's
+// fillStorePairRandom) — and over whole multi-step runs through the
+// registered workload's serial stepper.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 using namespace icores;
@@ -32,32 +34,37 @@ TEST_P(KernelVariantEquality, MatchesReferenceBitExactly) {
   MpdataProgram M = buildMpdataProgram();
   StageId Stage = std::get<0>(GetParam());
   KernelVariant Variant = std::get<1>(GetParam());
-  // Deliberately awkward extents (odd, small) to stress row handling,
-  // including partial vector tails in the Simd backend.
-  Box3 Target(1, 2, 3, 8, 9, 12);
-  Box3 Alloc = Target.grownAll(4);
+  // Deliberately awkward extents (odd, small) to stress row handling.
+  // Every k extent from 1 to 9, plus 16 and 17, so each vector width's
+  // main loop, epilogue and scalar tail run: 2-wide (baseline) and 4-wide
+  // (AVX2 clone) loops leave different remainders.
+  for (int NK : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}) {
+    SCOPED_TRACE("k extent " + std::to_string(NK));
+    Box3 Target(1, 2, 3, 8, 9, 3 + NK);
+    Box3 Alloc = Target.grownAll(4);
 
-  // \p Var gets vector-padded rows so the comparison also proves padding
-  // does not change results.
-  FieldStore Ref(M.Program.numArrays());
-  FieldStore Var(M.Program.numArrays());
-  fillStorePairRandom(M.Program, Alloc,
-                      0xC0FFEE + static_cast<uint64_t>(Stage), Ref, Var,
-                      [&](ArrayId Id) {
-                        bool IsVelocity =
-                            Id == M.U1 || Id == M.U2 || Id == M.U3;
-                        return IsVelocity
-                                   ? std::make_pair(-0.4, 0.4)
-                                   : std::make_pair(0.05, 1.5);
-                      });
+    // \p Var gets vector-padded rows so the comparison also proves
+    // padding does not change results.
+    FieldStore Ref(M.Program.numArrays());
+    FieldStore Var(M.Program.numArrays());
+    fillStorePairRandom(M.Program, Alloc,
+                        0xC0FFEE + static_cast<uint64_t>(Stage), Ref, Var,
+                        [&](ArrayId Id) {
+                          bool IsVelocity =
+                              Id == M.U1 || Id == M.U2 || Id == M.U3;
+                          return IsVelocity
+                                     ? std::make_pair(-0.4, 0.4)
+                                     : std::make_pair(0.05, 1.5);
+                        });
 
-  runMpdataStage(M, Ref, Stage, Target, KernelVariant::Reference);
-  runMpdataStage(M, Var, Stage, Target, Variant);
+    runMpdataStage(M, Ref, Stage, Target, KernelVariant::Reference);
+    runMpdataStage(M, Var, Stage, Target, Variant);
 
-  for (ArrayId Out : M.Program.stage(Stage).Outputs) {
-    EXPECT_EQ(Var.get(Out).maxAbsDiff(Ref.get(Out), Target), 0.0)
-        << "stage " << M.Program.stage(Stage).Name << " variant "
-        << kernelVariantName(Variant);
+    for (ArrayId Out : M.Program.stage(Stage).Outputs) {
+      EXPECT_EQ(Var.get(Out).maxAbsDiff(Ref.get(Out), Target), 0.0)
+          << "stage " << M.Program.stage(Stage).Name << " variant "
+          << kernelVariantName(Variant);
+    }
   }
 }
 
