@@ -38,17 +38,15 @@ void WorkerPool::ensureSpawned() {
   Spawned += NumThreads;
 }
 
-void WorkerPool::dispatch(JobFn Fn, void *Ctx) {
+void WorkerPool::runOnAll(const std::function<void(int)> &AJob) {
   std::unique_lock<std::mutex> Lock(Mutex);
   ensureSpawned();
-  Job = Fn;
-  JobCtx = Ctx;
+  Job = &AJob;
   Remaining = NumThreads;
   ++Generation;
   JobReady.notify_all();
   JobDone.wait(Lock, [this] { return Remaining == 0; });
   Job = nullptr;
-  JobCtx = nullptr;
   ++Dispatches;
 }
 
@@ -69,8 +67,7 @@ void WorkerPool::workerLoop(int Index) {
 
   uint64_t SeenGeneration = 0;
   for (;;) {
-    JobFn MyJob;
-    void *MyCtx;
+    const std::function<void(int)> *MyJob;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       JobReady.wait(Lock, [&] {
@@ -80,9 +77,8 @@ void WorkerPool::workerLoop(int Index) {
         return;
       SeenGeneration = Generation;
       MyJob = Job;
-      MyCtx = JobCtx;
     }
-    MyJob(MyCtx, Index);
+    (*MyJob)(Index);
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       if (--Remaining == 0)

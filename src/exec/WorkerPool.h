@@ -11,9 +11,7 @@
 /// creation instead of schedule quality. The pool spawns its workers once,
 /// on the first dispatch, optionally pins each to a core, and reuses them
 /// for every subsequent dispatch; spawnedThreads() exposes how many OS
-/// threads were ever created so tests can assert the reuse. A dispatch
-/// allocates nothing: the job is passed by reference as a plain function
-/// pointer plus context, never copied into a type-erased holder.
+/// threads were ever created so tests can assert the reuse.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,9 +21,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace icores {
@@ -41,15 +39,7 @@ public:
 
   /// Runs \p Job(WorkerIndex) on every worker and blocks until all have
   /// finished. Workers are spawned on the first call and reused after.
-  /// \p Job is called concurrently from every worker and is referenced,
-  /// not copied, so it must stay alive until the call returns (it does:
-  /// the call blocks).
-  template <typename Fn> void runOnAll(Fn &&Job) {
-    using JobT = std::remove_reference_t<Fn>;
-    dispatch(
-        [](void *Ctx, int Worker) { (*static_cast<JobT *>(Ctx))(Worker); },
-        const_cast<void *>(static_cast<const void *>(&Job)));
-  }
+  void runOnAll(const std::function<void(int)> &Job);
 
   int numThreads() const { return NumThreads; }
 
@@ -75,10 +65,6 @@ public:
   }
 
 private:
-  using JobFn = void (*)(void *Ctx, int Worker);
-
-  /// Runs \p Fn(Ctx, WorkerIndex) on every worker; runOnAll's engine.
-  void dispatch(JobFn Fn, void *Ctx);
   void workerLoop(int Index);
   void ensureSpawned();
 
@@ -89,8 +75,7 @@ private:
   std::mutex Mutex;
   std::condition_variable JobReady;
   std::condition_variable JobDone;
-  JobFn Job = nullptr; ///< The current dispatch's job and its context.
-  void *JobCtx = nullptr;
+  const std::function<void(int)> *Job = nullptr;
   uint64_t Generation = 0; ///< Bumped per dispatch; workers wait on it.
   int Remaining = 0;       ///< Workers still running the current job.
   bool Stopping = false;

@@ -30,7 +30,8 @@
 /// under ThreadSanitizer, whose instrumented resolver would run before the
 /// TSan runtime is up and crash the program on load. The ctest
 /// KernelClones.EveryRowKernelHasAnAvx2Clone checks that every tag
-/// produced both clones.
+/// produced both clones; tests/CMakeLists.txt mirrors this guard to decide
+/// where the clones must exist, so the two change together.
 ///
 //===----------------------------------------------------------------------===//
 

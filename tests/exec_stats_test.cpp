@@ -1,8 +1,7 @@
 //===- tests/exec_stats_test.cpp - Executor observability tests -----------===//
 //
 // Tests of the executor observability layer: the persistent WorkerPool
-// (threads spawn once and are reused by every run(), and a dispatch never
-// touches the heap), and ExecStats
+// (threads spawn once and are reused by every run()), and ExecStats
 // (pass/barrier counts match the plan with and without stealing, elision
 // and an armed observer, profiling never perturbs the numerics, reduction
 // folds are booked as neither kernel nor idle time, the JSON report
@@ -26,53 +25,11 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 using namespace icores;
-
-// Every unaligned operator new and delete of the test binary is replaced
-// by a counting malloc/free pair, so a test can assert that a code path
-// allocates nothing. All of them are replaced together because sanitizer
-// runtimes flag memory that is allocated by one family and freed by
-// another; the aligned forms keep their defaults and pair among
-// themselves.
-static std::atomic<int64_t> HeapAllocations{0};
-
-static void *countedAlloc(std::size_t Size) {
-  HeapAllocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(Size ? Size : 1);
-}
-
-void *operator new(std::size_t Size) {
-  if (void *P = countedAlloc(Size))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  return countedAlloc(Size);
-}
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  return countedAlloc(Size);
-}
-// Out of line, so the compiler does not see free() meet a new-expression.
-__attribute__((noinline)) static void releaseBlock(void *P) { std::free(P); }
-
-void operator delete(void *P) noexcept { releaseBlock(P); }
-void operator delete[](void *P) noexcept { releaseBlock(P); }
-void operator delete(void *P, std::size_t) noexcept { releaseBlock(P); }
-void operator delete[](void *P, std::size_t) noexcept { releaseBlock(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept {
-  releaseBlock(P);
-}
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  releaseBlock(P);
-}
 
 namespace {
 
@@ -128,27 +85,6 @@ TEST(WorkerPoolTest, RunsTheJobOnEveryWorkerAndReusesThreads) {
     EXPECT_EQ(H.load(), 3);
   EXPECT_EQ(Pool.spawnedThreads(), 4); // Spawned once, not per dispatch.
   EXPECT_EQ(Pool.dispatches(), 3);
-}
-
-TEST(WorkerPoolTest, DispatchDoesNotAllocate) {
-  // The job is referenced, not copied into a type-erased holder: even a
-  // closure far larger than any small-buffer optimisation dispatches with
-  // no heap allocation, whatever it captures.
-  WorkerPool Pool(2);
-  std::vector<std::atomic<int64_t>> Sums(2);
-  std::array<int64_t, 8> Big{1, 2, 3, 4, 5, 6, 7, 8};
-  auto Job = [&Sums, Big](int Worker) {
-    for (int64_t V : Big)
-      Sums[static_cast<size_t>(Worker)] += V;
-  };
-  Pool.runOnAll(Job); // Spawns the workers, which allocates.
-
-  int64_t Before = HeapAllocations.load();
-  Pool.runOnAll(Job);
-  Pool.runOnAll([&](int Worker) { Job(Worker); });
-  EXPECT_EQ(HeapAllocations.load() - Before, 0);
-  for (const auto &S : Sums)
-    EXPECT_EQ(S.load(), 3 * 36);
 }
 
 TEST(ExecStatsTest, PassAndBarrierCountsMatchThePlan) {
