@@ -17,17 +17,34 @@
 // assert the point of the Simd backend: aggregate hot-cache Gflop/s at
 // least 1.5x the Reference kernels.
 //
+// It ends with the host-measured half of the performance model's check:
+// the barrier share the simulator predicts for a plan vs the share the
+// real threaded executor measures running it here (median and min-max of
+// 9 runs; informational, host timings are noisy). The model-only tables
+// are bench/paper_tables.cpp's.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
+#include "core/PlanBuilder.h"
+#include "core/ScheduleOptimizer.h"
+#include "exec/ProgramExecutor.h"
+#include "machine/MachineModel.h"
+#include "mpdata/InitialConditions.h"
 #include "mpdata/Kernels.h"
 #include "mpdata/MpdataProgram.h"
+#include "sim/Simulator.h"
 #include "stencil/FieldStore.h"
+#include "support/Format.h"
+#include "support/OStream.h"
 #include "support/Random.h"
+#include "support/Table.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 using namespace icores;
 using namespace icores::bench;
@@ -115,6 +132,138 @@ struct VariantAggregate {
   double gflops() const { return Seconds > 0 ? Flops / Seconds / 1e9 : 0; }
 };
 
+/// One configuration of the barrier-share model check: a strategy and
+/// island count planned on the toy host machine, stock or with barrier
+/// elision applied.
+struct ModelCheckCase {
+  std::string Label;
+  Strategy Strat = Strategy::IslandsOfCores;
+  int Islands = 1;
+  bool Optimize = false;
+};
+
+constexpr int CheckNI = 64, CheckNJ = 32, CheckNK = 16, CheckSteps = 5;
+/// One 5-step run's measured share swings several-fold on a busy or
+/// oversubscribed host; the median of this many runs is stable enough to
+/// read the model error's sign on most rows (EXPERIMENTS.md, "Model
+/// check").
+constexpr int ModelCheckRuns = 9;
+
+/// The toy machine both sides of the model check target: enough sockets
+/// for the requested island count, host-friendly team sizes.
+MachineModel hostCheckMachine(int Islands) {
+  MachineModel M = makeToyMachine();
+  M.NumSockets = Islands;
+  return M;
+}
+
+/// Predicted vs measured share of barrier time for one configuration.
+/// The executor's team-barrier waits correspond to the simulator's Barrier
+/// term; its kernel time covers Compute + Dram + Remote (the kernels both
+/// compute and stream); the global barriers and turnover (Overhead) are
+/// excluded from both shares.
+struct BarrierShareComparison {
+  double PredictedShare = 0.0; ///< Barrier / (Compute+Dram+Remote+Barrier).
+  double MeasuredShare = 0.0;  ///< Barrier wait / (kernel + barrier wait).
+
+  /// Model error in percentage points (positive: model over-predicts).
+  double errorPoints() const {
+    return (PredictedShare - MeasuredShare) * 100.0;
+  }
+};
+
+BarrierShareComparison compareBarrierShare(const SimBreakdown &Predicted,
+                                           double MeasuredKernelSeconds,
+                                           double MeasuredBarrierWaitSeconds) {
+  BarrierShareComparison C;
+  double PredictedTotal = Predicted.Compute + Predicted.Dram +
+                          Predicted.Remote + Predicted.Barrier;
+  if (PredictedTotal > 0.0)
+    C.PredictedShare = Predicted.Barrier / PredictedTotal;
+  double MeasuredTotal = MeasuredKernelSeconds + MeasuredBarrierWaitSeconds;
+  if (MeasuredTotal > 0.0)
+    C.MeasuredShare = MeasuredBarrierWaitSeconds / MeasuredTotal;
+  return C;
+}
+
+ExecutionPlan hostCheckPlan(const MpdataProgram &M, const ModelCheckCase &C,
+                            const Box3 &Grid) {
+  PlanConfig Config;
+  Config.Strat = C.Strat;
+  Config.Sockets = C.Islands;
+  ExecutionPlan Plan =
+      buildPlan(M.Program, Grid, hostCheckMachine(C.Islands), Config);
+  if (C.Optimize)
+    optimizeBarriers(M.Program, Plan);
+  return Plan;
+}
+
+/// Runs the case's plan on the real threaded executor with profiling on
+/// and compares the measured barrier share against \p Predicted.
+BarrierShareComparison measureHostRun(const MpdataProgram &M,
+                                      const ModelCheckCase &C,
+                                      const SimBreakdown &Predicted) {
+  Domain Dom(CheckNI, CheckNJ, CheckNK, mpdataHaloDepth());
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       hostCheckPlan(M, C, Dom.coreBox()));
+  seedMpdata(Exec, M, 42, 0.1, 2.0, 0.25, -0.2, 0.15);
+  Exec.enableProfiling(true);
+  Exec.run(CheckSteps);
+  const ExecStats &Stats = Exec.stats();
+  return compareBarrierShare(Predicted, Stats.kernelSeconds(),
+                             Stats.teamBarrierWaitSeconds());
+}
+
+/// Prints the predicted-vs-measured barrier-share table for \p Cases on
+/// a small host grid (64x32x16, 5 steps). The predicted share comes from
+/// the simulator on the toy machine; the measured share is the median of
+/// 9 profiled runs of the real threaded executor on the same plan,
+/// printed with its min-max spread so host noise is visible next to the
+/// "model error" column. Informational: host timings are noisy.
+void printBarrierShareModelCheck(const MpdataProgram &M,
+                                 const std::string &Title,
+                                 const std::vector<ModelCheckCase> &Cases) {
+  std::printf("\nmodel check: predicted vs measured barrier share for %s "
+              "(real executor, %dx%dx%d, %d steps, median of %d runs)\n",
+              Title.c_str(), CheckNI, CheckNJ, CheckNK, CheckSteps,
+              ModelCheckRuns);
+  unsigned HostThreads = std::thread::hardware_concurrency();
+  int PlanThreads = 0;
+  for (const ModelCheckCase &C : Cases)
+    PlanThreads = std::max(PlanThreads,
+                           C.Islands * hostCheckMachine(C.Islands)
+                                           .CoresPerSocket);
+  if (HostThreads != 0 && PlanThreads > static_cast<int>(HostThreads))
+    std::printf("note: plans run up to %d threads on %u hardware threads "
+                "— oversubscription inflates the measured share\n",
+                PlanThreads, HostThreads);
+  TablePrinter Table({"Configuration", "Predicted barrier [%]",
+                      "Measured barrier [%]", "Measured min-max [%]",
+                      "Model error [pts]"});
+  for (const ModelCheckCase &C : Cases) {
+    SimResult Predicted =
+        simulate(hostCheckPlan(M, C,
+                               Box3::fromExtents(CheckNI, CheckNJ, CheckNK)),
+                 M.Program, hostCheckMachine(C.Islands), CheckSteps);
+    std::vector<BarrierShareComparison> Runs;
+    for (int R = 0; R != ModelCheckRuns; ++R)
+      Runs.push_back(measureHostRun(M, C, Predicted.CriticalIsland));
+    std::sort(Runs.begin(), Runs.end(),
+              [](const BarrierShareComparison &A,
+                 const BarrierShareComparison &B) {
+                return A.MeasuredShare < B.MeasuredShare;
+              });
+    const BarrierShareComparison &Median = Runs[Runs.size() / 2];
+    Table.addRow({C.Label, formatFixed(Median.PredictedShare * 100.0, 2),
+                  formatFixed(Median.MeasuredShare * 100.0, 2),
+                  formatFixed(Runs.front().MeasuredShare * 100.0, 2) +
+                      "-" +
+                      formatFixed(Runs.back().MeasuredShare * 100.0, 2),
+                  formatFixed(Median.errorPoints(), 2)});
+  }
+  Table.print(outs());
+}
+
 } // namespace
 
 int main() {
@@ -195,5 +344,25 @@ int main() {
                          "Simd aggregate hot-cache Gflop/s not behind "
                          "Optimized (>= 0.9x)");
   writeKernelBenchJson("kernels", Rows);
+
+  // Close the loop against the real executor: the barrier share the
+  // simulator predicts vs the share ExecStats measures on this host, for
+  // each strategy on 2 islands and for the islands at P = 1, 2, 4, each
+  // stock and barrier-elision optimized.
+  std::vector<ModelCheckCase> Strategies, Islands;
+  for (Strategy Strat : {Strategy::Original, Strategy::Block31D,
+                         Strategy::IslandsOfCores})
+    for (bool Optimize : {false, true})
+      Strategies.push_back({formatString(Optimize ? "%s+elide" : "%s",
+                                         strategyName(Strat)),
+                            Strat, /*Islands=*/2, Optimize});
+  for (int P : {1, 2, 4})
+    for (bool Optimize : {false, true})
+      Islands.push_back({formatString(Optimize ? "islands P=%d+elide"
+                                               : "islands P=%d",
+                                      P),
+                         Strategy::IslandsOfCores, P, Optimize});
+  printBarrierShareModelCheck(M, "each strategy on 2 islands", Strategies);
+  printBarrierShareModelCheck(M, "islands-of-cores", Islands);
   return Failures;
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Runs the table-reproduction benches and collects their machine-readable
-# BENCH_*.json records (schema icores.bench.v1) into one directory, next
-# to the exec_stats records of three `mpdata_cli execute --profile`
-# smokes, then validates them all against their schemas. Usage:
+# Runs the two bench drivers (paper_tables, bench_kernels) and collects
+# their machine-readable BENCH_*.json records (schema icores.bench.v1)
+# into one directory, next to the exec_stats records of three
+# `mpdata_cli execute --profile` smokes, then validates them all against
+# their schemas. Usage:
 #
 #   bench/run_benches.sh [BUILD_DIR] [OUT_DIR]
 #
@@ -24,8 +25,7 @@ mkdir -p "$OUT_DIR"
 export ICORES_BENCH_DIR=$OUT_DIR
 
 STATUS=0
-for BENCH in bench_table1 bench_table2 bench_table3 bench_table4 \
-             bench_kernels; do
+for BENCH in paper_tables bench_kernels; do
   BIN=$BUILD_DIR/bench/$BENCH
   [ -x "$BIN" ] || continue
   LOG=$OUT_DIR/$BENCH.log

@@ -13,7 +13,7 @@ Accepted schemas (any other "schema" value is a validation failure):
     "rows": [...]
   }
   Two row shapes share the schema, distinguished by the "variant" field:
-    strategy rows (bench_table3/4):
+    strategy rows (paper_tables, BENCH_table3/4):
       {"strategy": str, "p": int >= 1, "seconds": float > 0,
        "barrier_share": float in [0, 1], "total_barriers": int >= 0,
        "elided_barriers": int >= 0 (<= total_barriers),

@@ -21,6 +21,7 @@
 #include "stencil/GraphExport.h"
 #include "stencil/SerialStepper.h"
 #include "support/CommandLine.h"
+#include "support/Format.h"
 #include "support/OStream.h"
 
 #include <cmath>
@@ -40,6 +41,22 @@ int main(int Argc, char **Argv) {
   int Islands = static_cast<int>(CL.getInt("islands", 2));
   int Steps = static_cast<int>(CL.getInt("steps", 30));
 
+  const int N = 48;
+  Domain Dom(N, N, 16, advDiffHaloDepth());
+  MachineModel Machine = makeToyMachine();
+  Machine.NumSockets = Islands;
+  PlanConfig Config;
+  Config.Strat = Strategy::IslandsOfCores;
+  Config.Sockets = Islands;
+  // Refuse what the library cannot run before building anything.
+  std::string Why =
+      Steps < 0 ? formatString("--steps=%d must be at least 0", Steps)
+                : checkPlanConfig(Dom.coreBox(), Machine, Config);
+  if (!Why.empty()) {
+    std::fprintf(stderr, "error: %s\n", Why.c_str());
+    return 1;
+  }
+
   // --- 1. The program: 8 heterogeneous stages, described once ----------
   AdvDiffProgram A = buildAdvDiffProgram();
   std::printf("a user-defined 8-stage advection-diffusion program:\n");
@@ -48,13 +65,6 @@ int main(int Argc, char **Argv) {
               advDiffHaloDepth());
 
   // --- 2. Plan + verify the islands-of-cores schedule ------------------
-  const int N = 48;
-  Domain Dom(N, N, 16, advDiffHaloDepth());
-  MachineModel Machine = makeToyMachine();
-  Machine.NumSockets = Islands;
-  PlanConfig Config;
-  Config.Strat = Strategy::IslandsOfCores;
-  Config.Sockets = Islands;
   ExecutionPlan Plan = buildPlan(A.Program, Dom.coreBox(), Machine, Config);
   PlanVerification V = verifyPlan(Plan, A.Program);
   std::printf("static plan verification: %s\n",

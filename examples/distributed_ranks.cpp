@@ -18,6 +18,7 @@
 #include "stencil/GraphExport.h"
 #include "stencil/SerialStepper.h"
 #include "support/CommandLine.h"
+#include "support/Format.h"
 #include "support/OStream.h"
 
 #include <cstdio>
@@ -53,6 +54,15 @@ int main(int Argc, char **Argv) {
   std::printf("distributed MPDATA: %d ranks over a %dx%dx%d grid, %d "
               "steps\n\n",
               Ranks, NI, NJ, NK, Steps);
+
+  // Refuse what the library cannot run before starting any rank.
+  std::string Why = Steps < 0
+                        ? formatString("--steps=%d must be at least 0", Steps)
+                        : checkRankConfig(Spec, Ranks, 1, NI, NJ, NK);
+  if (!Why.empty()) {
+    std::fprintf(stderr, "error: %s\n", Why.c_str());
+    return 1;
+  }
 
   std::printf("the 17-stage program each rank executes:\n");
   exportProgramText(Spec.Program, outs());

@@ -16,6 +16,7 @@
 #include "machine/MachineModel.h"
 #include "stencil/SerialStepper.h"
 #include "support/CommandLine.h"
+#include "support/Format.h"
 
 #include <cstdio>
 
@@ -48,6 +49,23 @@ int main(int Argc, char **Argv) {
               NI, NJ, NK, Steps, Islands);
 
   const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  MachineModel Machine = makeToyMachine();
+  Machine.NumSockets = Islands; // One island per model socket.
+  PlanConfig Config;
+  Config.Strat = Strategy::IslandsOfCores;
+  Config.Sockets = Islands;
+  // Refuse what the library cannot run before building anything.
+  std::string Why =
+      Steps < 0 ? formatString("--steps=%d must be at least 0", Steps)
+                : checkPlanConfig(Box3::fromExtents(NI, NJ, NK), Machine,
+                                  Config);
+  if (Why.empty())
+    Why = workloadDomain(Spec, NI, NJ, NK).checkHalo();
+  if (!Why.empty()) {
+    std::fprintf(stderr, "error: %s\n", Why.c_str());
+    return 1;
+  }
+
   const uint64_t Seed = 1;
   Domain Dom = workloadDomain(Spec, NI, NJ, NK);
   // MPDATA advances its tracer in the feedback target xIn; the registered
@@ -65,11 +83,6 @@ int main(int Argc, char **Argv) {
               MassBefore, MassAfter, MassAfter - MassBefore);
 
   // --- 2. Islands-of-cores run with real threads -----------------------
-  MachineModel Machine = makeToyMachine();
-  Machine.NumSockets = Islands; // One island per model socket.
-  PlanConfig Config;
-  Config.Strat = Strategy::IslandsOfCores;
-  Config.Sockets = Islands;
   ExecutionPlan Plan =
       buildPlan(Spec.Program, Dom.coreBox(), Machine, Config);
   std::printf("islands plan: %zu islands x %d threads, %zu blocks on "

@@ -4,7 +4,9 @@
 // used in numerical weather prediction): a moisture plume carried around a
 // cyclonic (solid-body) wind field over many time steps, computed with the
 // islands-of-cores executor. Prints conservation/extremum diagnostics and
-// an ASCII rendering of a horizontal slice as the plume rotates.
+// an ASCII rendering of a horizontal slice as the plume rotates, and exits
+// 1 unless mass is conserved to round-off and the plume stays positive
+// and below its initial peak.
 //
 // Run:  ./weather_advection [--size=48 --steps=120 --islands=2]
 //
@@ -16,8 +18,10 @@
 #include "mpdata/InitialConditions.h"
 #include "mpdata/Kernels.h"
 #include "support/CommandLine.h"
+#include "support/Format.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 using namespace icores;
@@ -65,13 +69,24 @@ int main(int Argc, char **Argv) {
 
   MachineModel Machine = makeToyMachine();
   Machine.NumSockets = Islands;
-  MpdataProgram M = buildMpdataProgram();
-  Domain Dom(N, N, 8, mpdataHaloDepth());
-  Box3 Core = Dom.coreBox();
   PlanConfig Config;
   Config.Strat = Strategy::IslandsOfCores;
   Config.Sockets = Islands;
-  ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
+  // Refuse what the library cannot run before building anything.
+  std::string Why =
+      Steps < 0 ? formatString("--steps=%d must be at least 0", Steps)
+                : checkPlanConfig(Box3::fromExtents(N, N, 8), Machine, Config);
+  if (Why.empty())
+    Why = Domain(N, N, 8, mpdataHaloDepth()).checkHalo();
+  if (!Why.empty()) {
+    std::fprintf(stderr, "error: %s\n", Why.c_str());
+    return 1;
+  }
+
+  MpdataProgram M = buildMpdataProgram();
+  Domain Dom(N, N, 8, mpdataHaloDepth());
+  Box3 Core = Dom.coreBox();
+  ExecutionPlan Plan = buildPlan(M.Program, Core, Machine, Config);
   ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
                        std::move(Plan));
 
@@ -90,22 +105,43 @@ int main(int Argc, char **Argv) {
   Exec.array(M.H).fill(1.0); // Uniform density: the mass is the sum of psi.
   Exec.prepareInputs();
 
-  double Mass0 = Exec.array(M.XIn).sumRegion(Core);
-  int Quarter = Steps / 4;
-  for (int Leg = 0; Leg != 4; ++Leg) {
-    Exec.run(Quarter);
-    double Peak = 0.0;
+  // The plume's smallest and largest value over the core.
+  auto extrema = [&] {
+    const Array3D &Psi = Exec.array(M.XIn);
+    std::pair<double, double> MinMax{HUGE_VAL, -HUGE_VAL};
     for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
       for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
-        for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K)
-          Peak = std::max(Peak, Exec.array(M.XIn).at(I, J, K));
-    std::printf("after %3d steps: mass drift %+.2e, plume peak %.3f\n",
-                (Leg + 1) * Quarter,
-                (Exec.array(M.XIn).sumRegion(Core) - Mass0) / Mass0, Peak);
+        for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K) {
+          MinMax.first = std::min(MinMax.first, Psi.at(I, J, K));
+          MinMax.second = std::max(MinMax.second, Psi.at(I, J, K));
+        }
+    return MinMax;
+  };
+  const double Mass0 = Exec.array(M.XIn).sumRegion(Core);
+  const auto [Min0, Peak0] = extrema();
+  // Four legs; the last one also runs the steps a quarter leaves over.
+  double Drift = 0.0, Min = Min0, Peak = Peak0;
+  for (int Leg = 0, Done = 0; Leg != 4; ++Leg) {
+    int LegSteps = Steps / 4 + (Leg == 3 ? Steps % 4 : 0);
+    Exec.run(LegSteps);
+    Done += LegSteps;
+    auto [LegMin, LegPeak] = extrema();
+    Min = std::min(Min, LegMin);
+    Peak = std::max(Peak, LegPeak);
+    double LegDrift = (Exec.array(M.XIn).sumRegion(Core) - Mass0) / Mass0;
+    Drift = std::max(Drift, std::fabs(LegDrift));
+    std::printf("after %3d steps: mass drift %+.2e, plume peak %.3f\n", Done,
+                LegDrift, LegPeak);
     renderSlice(Exec.array(M.XIn), Dom);
     std::printf("\n");
   }
-  std::printf("mass conserved to round-off; the plume rotates with the "
-              "wind while staying positive and bounded\n");
-  return 0;
+
+  // MPDATA conserves mass to round-off and, with its nonoscillatory
+  // limiters, keeps the plume positive and below its initial peak.
+  const double MaxDrift = 1e-12;
+  bool Ok = Drift <= MaxDrift && Min >= 0.0 && Peak <= Peak0;
+  std::printf("%s: |mass drift| %.2e (bound %.0e), plume min %.3e (>= 0), "
+              "peak %.6f (<= initial %.6f)\n",
+              Ok ? "PASS" : "FAIL", Drift, MaxDrift, Min, Peak, Peak0);
+  return Ok ? 0 : 1;
 }
