@@ -41,9 +41,17 @@ ScheduleOptimizerReport icores::optimizeBarriers(const StencilProgram &Program,
     // Elision never crosses a fused-step boundary (TemporalDepth > 1
     // plans): the epoch script rebinds the feedback buffers there between
     // structural barriers, so each fused step's final pass keeps its
-    // barrier, just like the island's final pass keeps the step-end
-    // rendezvous that makes island lockstep independent of the executor's
-    // global step barrier.
+    // barrier. The island's final pass keeps its bit too; the epoch
+    // script ends on the next epoch's global barrier instead.
+    // A T = 1 pass that produces a feedback Source also writes the halo
+    // images of its cells: they are part of its footprint.
+    auto scheduled = [&](size_t P) {
+      const StagePass &Pass = *Live[P].first;
+      return ScheduledPass{Pass.Stage, Pass.Region, true, Live[P].second,
+                           passWritesImages(Program, Plan, Pass.Stage)
+                               ? Plan.GlobalTarget
+                               : Box3()};
+    };
     size_t EpochBegin = 0;
     for (size_t I = 0; I != Live.size(); ++I) {
       E.Passes += 1;
@@ -55,12 +63,10 @@ ScheduleOptimizerReport icores::optimizeBarriers(const StencilProgram &Program,
       // Reduced arrays need no special case: the executor folds each
       // worker's own sub-region right after computing it, so a reduction
       // adds no cross-thread access beyond the pass's own writes.
-      ScheduledPass Next{Live[I + 1].first->Stage, Live[I + 1].first->Region,
-                         true, Live[I + 1].second};
+      const ScheduledPass Next = scheduled(I + 1);
       bool Conflict = false;
       for (size_t A = EpochBegin; A <= I && !Conflict; ++A) {
-        ScheduledPass Prev{Live[A].first->Stage, Live[A].first->Region,
-                           false, Live[A].second};
+        const ScheduledPass Prev = scheduled(A);
         PassConflict C;
         Conflict = findPassPairConflict(Program, Prev, Next, N, C);
       }

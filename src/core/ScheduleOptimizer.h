@@ -19,9 +19,10 @@
 /// query is findPassPairConflict() from exec/ScheduleCheck.h — the same
 /// query the race checker uses, so `checkPlanRaces`/`LintSuite` certify
 /// every optimized plan by construction (and are run on it in tests as the
-/// safety gate). The barrier after each island's final pass is always
-/// kept: it is the step-end rendezvous that makes island lockstep
-/// independent of the executor's global barrier.
+/// safety gate). The bit after each island's final pass is always kept;
+/// the epoch script (exec/EpochScript.h) crosses no team barrier there,
+/// since the next epoch's leading global barrier orders everything it
+/// would.
 ///
 /// See DESIGN.md §8 for the soundness argument.
 ///

@@ -35,8 +35,6 @@ struct EpochOp {
     CombineAndSwap, ///< First island, thread 0, every epoch but a run's
                     ///< first: combine the reduction partials, swap the
                     ///< feedback pairs' shared arrays.
-    HaloSlab,       ///< Each worker refreshes the feedback targets' halos
-                    ///< on its slab of planes (T = 1).
     Rebind,         ///< Thread 0 binds fused step Step's buffers.
     Import,         ///< The team gathers the import buffers (T > 1).
     Slide,          ///< The team slides the intermediates (slide Index).
@@ -48,8 +46,18 @@ struct EpochOp {
 
   Kind K = Kind::GlobalBarrier;
   /// Pass: real barriers bracket it on both sides, so the work-stealing
-  /// scheduler may run it (when ExecutorOptions::Stealing is set).
+  /// scheduler may run it (when ExecutorOptions::Stealing is set). The
+  /// epoch's last pass counts as bracketed: the next epoch's leading
+  /// global barrier, or the end of the run, follows it.
   bool Steals = false;
+  /// Pass: a TeamBarrier op follows it. False for a pass the barrier
+  /// optimizer left barrier-free and for the epoch's last pass.
+  bool BarrierAfter = false;
+  /// Pass (T = 1): the stage produces a feedback Source, so every share
+  /// also writes the halo images of the Source cells it computed
+  /// (Domain::writeImages), which the next epoch's leading global barrier
+  /// publishes to the readers of the swapped-in Target.
+  bool Images = false;
   StageId Stage = NoStage;
   int Step = 0;
   int Index = 0;
@@ -67,8 +75,13 @@ struct EpochScript {
   int64_t count(EpochOp::Kind K) const;
 };
 
-/// The op kind's name ("slide", "halo-slab", ...).
+/// The op kind's name ("slide", "combine-and-swap", ...).
 const char *epochOpName(EpochOp::Kind K);
+
+/// Whether the passes of \p Stage write halo images under \p Plan
+/// (EpochOp::Images): at T = 1, when the stage produces a feedback Source.
+bool passWritesImages(const StencilProgram &Program, const ExecutionPlan &Plan,
+                      StageId Stage);
 
 /// Builds the script of \p Island, one of \p Plan's islands, whose
 /// planIslandWindows() are \p Windows. Its Pass ops point into \p Plan.

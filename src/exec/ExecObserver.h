@@ -12,7 +12,7 @@
 /// store resolved for the current fused step, so temporal rebinds are
 /// visible as the actual Array3D instances touched), every epoch import
 /// gather, every live-plane copy of a sliding intermediate, and every
-/// worker's slab of the T = 1 feedback halo refresh. The shadow race
+/// halo-image write of a T = 1 feedback Source. The shadow race
 /// detector (verify/ShadowStore.h) is the canonical implementation; the
 /// executor itself has no verify dependency.
 ///
@@ -89,12 +89,13 @@ public:
   virtual void onSlide(int Worker, const Array3D &Buf,
                        const SlideShare &Share) = 0;
 
-  /// Worker \p Worker refreshes the halo cells of the shared array \p A on
-  /// dim-0 planes [PlaneLo, PlaneHi) (Domain::fillHaloPlanes): each halo
-  /// cell is written from the core cell Dom.boundarySource() maps it to.
-  /// Reported before each non-empty slab fill, at T = 1 epoch starts.
-  virtual void onHaloFill(int Worker, const Domain &Dom, const Array3D &A,
-                          int PlaneLo, int PlaneHi) = 0;
+  /// Worker \p Worker writes the halo images of the cells \p Core of the
+  /// shared array \p A (Domain::writeImages): each halo cell whose
+  /// Dom.boundarySource() lies in Core is written from that cell. Reported
+  /// before each write, by every pass share of a T = 1 stage that
+  /// produces a feedback Source, right after it computed Core.
+  virtual void onImages(int Worker, const Domain &Dom, const Array3D &A,
+                        const Box3 &Core) = 0;
 };
 
 } // namespace icores

@@ -55,7 +55,9 @@ struct StageStat {
   double KernelSeconds = 0.0;
   double BarrierWaitSeconds = 0.0;
   int64_t Passes = 0; ///< Team-level pass executions (not x threads).
-  int64_t BarriersElided = 0; ///< Team-level passes run without a barrier.
+  /// Team-level passes no team barrier follows in the epoch script: the
+  /// elided ones and each epoch's last pass.
+  int64_t BarriersElided = 0;
 };
 
 /// Totals for one thread of an island's team.
@@ -67,7 +69,7 @@ struct ThreadStat {
   /// and are booked to no stage.
   double BarrierWaitSeconds = 0.0;
   int64_t Passes = 0;              ///< Pass visits by this thread.
-  int64_t BarriersElided = 0;      ///< Passes this thread ran barrier-free.
+  int64_t BarriersElided = 0;      ///< Passes no team barrier followed.
   int64_t SpinWakes = 0;  ///< Barrier releases observed while spinning.
   int64_t SleepWakes = 0; ///< Barrier releases via the futex sleep path.
   int64_t Steals = 0;        ///< Chunks claimed from teammates' deques.
@@ -204,8 +206,10 @@ struct ExecStats {
   double kernelSeconds() const;
   double teamBarrierWaitSeconds() const;
 
-  /// Team-level pass barriers elided across all islands (schedule counts,
-  /// not x threads), summed over all profiled steps.
+  /// Team-level passes no team barrier followed, across all islands
+  /// (schedule counts, not x threads), summed over all profiled steps:
+  /// the elided pass barriers plus each epoch's last pass, which the next
+  /// epoch's leading global barrier orders.
   int64_t barriersElided() const;
 
   /// Barrier releases observed while spinning / after the futex sleep

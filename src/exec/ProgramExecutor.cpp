@@ -57,6 +57,13 @@ uint32_t rangeEnd(uint64_t Word) {
 /// at slightly higher claim overhead.
 constexpr uint32_t StealChunksPerThread = 4;
 
+/// Cells per slab of a share with an epilogue (runShare): 128 KiB per
+/// array, so the slab a stage just wrote is still in a 1-2 MiB L2 when its
+/// epilogue reads it, and a share no larger keeps one kernel call (one
+/// call per i-plane cost hotspot-sync's 7 x 12 x 48 shares 9 % of a step
+/// on a 4-vCPU Xeon with a 2 MiB L2).
+constexpr int64_t EpilogueSlabCells = 16384;
+
 /// Claims one chunk of \p Deque into \p Chunk: the front for its
 /// \p Owner, the back for a thief. Returns false once the range is empty.
 /// Every lost CAS race is counted into \p Failures when it is non-null.
@@ -104,9 +111,10 @@ struct ProgramExecutor::IslandState {
 };
 
 /// The one per-worker instrumentation seam of threadMain: every pass
-/// share, reduction fold, barrier crossing and chaos stall goes through
-/// it, and it is the only code on that path that branches on profiling,
-/// the observer or the chaos injector. Unprofiled, it takes no timestamps.
+/// share, reduction fold, halo-image write, barrier crossing and chaos
+/// stall goes through it, and it is the only code on that path that
+/// branches on profiling, the observer or the chaos injector. Unprofiled,
+/// it takes no timestamps.
 class ProgramExecutor::WorkerSeam {
 public:
   WorkerSeam(ProgramExecutor &E, IslandState &IS, int Worker, int Island,
@@ -159,6 +167,21 @@ public:
     Accum.FoldSeconds += secondsSince(T0, LastWork);
   }
 
+  /// Writes the halo images of the cells \p Sub of every feedback Source
+  /// \p Stage produces, booked as work but neither kernel nor fold time.
+  void images(StageId Stage, const Box3 &Sub) {
+    for (const FeedbackPair &FB : E.Program.feedbacks()) {
+      if (E.Program.producerOf(FB.Source) != Stage)
+        continue;
+      Array3D &Source = IS.Store.get(FB.Source);
+      if (Obs)
+        Obs->onImages(Worker, E.Dom, Source, Sub);
+      E.Dom.writeImages(Source, Sub);
+    }
+    if (Prof)
+      LastWork = ProfileClock::now();
+  }
+
   /// Crosses the barrier of \p Op: the run's \p Global barrier (site 0)
   /// or the island's team barrier (site Island + 1), whose wait is booked
   /// to the stage of the pass it ends, or as a structural wait when it
@@ -192,7 +215,7 @@ public:
       Obs->onBarrierDepart(Site, Worker);
   }
 
-  /// Books a pass of \p Stage (elided without \p BarrierAfter; a
+  /// Books a pass of \p Stage (elided when no team barrier follows it; a
   /// \p Stealing pass's time since the worker's last work is idle).
   void endPass(StageId Stage, bool BarrierAfter, bool Stealing) {
     if (!Prof)
@@ -700,15 +723,35 @@ const std::vector<double> &ProgramExecutor::reductionHistory(size_t R) const {
   return ReductionLog[R];
 }
 
-/// One share of a pass: \p Stage's kernel over \p Sub, then the worker's
-/// fold of the reduced arrays over exactly the cells it just computed.
-/// The static split and every stolen chunk run through here.
-void ProgramExecutor::runShare(WorkerSeam &Seam, StageId Stage,
-                               int StepInEpoch, const Box3 &Sub) {
+/// One share of pass \p Op: its stage's kernel over \p Sub, then the
+/// share's epilogue over exactly the cells it just computed: the worker's
+/// fold of the reduced arrays, and at T = 1 the halo images of the
+/// feedback Sources. A share with an epilogue runs slab by slab (kernel,
+/// fold, images for each slab of whole i-planes, at most
+/// EpilogueSlabCells cells but at least one plane), so the epilogue reads
+/// the slab while it is still in L1/L2; kernels are pointwise and the
+/// fold sees the same rows in the same order, so the bits are those of
+/// one call over Sub. The static split and every stolen chunk run through
+/// here.
+void ProgramExecutor::runShare(WorkerSeam &Seam, const EpochOp &Op,
+                               const Box3 &Sub) {
   if (Sub.empty())
     return;
-  Seam.kernel(Stage, StepInEpoch, Sub);
-  Seam.fold(Stage, StepInEpoch, Sub);
+  if (!Op.Images && StageFolds[static_cast<size_t>(Op.Stage)].empty()) {
+    Seam.kernel(Op.Stage, Op.Step, Sub);
+    return;
+  }
+  const int Planes = static_cast<int>(std::max<int64_t>(
+      1, EpilogueSlabCells / (Sub.numPoints() / Sub.extent(0))));
+  Box3 Slab = Sub;
+  for (int I = Sub.Lo[0]; I < Sub.Hi[0]; I += Planes) {
+    Slab.Lo[0] = I;
+    Slab.Hi[0] = std::min(Sub.Hi[0], I + Planes);
+    Seam.kernel(Op.Stage, Op.Step, Slab);
+    Seam.fold(Op.Stage, Op.Step, Slab);
+    if (Op.Images)
+      Seam.images(Op.Stage, Slab);
+  }
 }
 
 /// One pass's work-stealing schedule: the region is diced into
@@ -718,8 +761,8 @@ void ProgramExecutor::runShare(WorkerSeam &Seam, StageId Stage,
 /// front-first, then steals teammates' backs until a sweep claims nothing.
 void ProgramExecutor::runStealingPass(IslandState &IS, WorkerSeam &Seam,
                                       int ThreadInTeam, int NumThreads,
-                                      const StagePass &Pass,
-                                      int StepInEpoch) {
+                                      const EpochOp &Op) {
+  const StagePass &Pass = *Op.Pass;
   const int Chunks = NumThreads * static_cast<int>(StealChunksPerThread);
   const int Dim = teamSplitDim(Pass.Region);
   const int Extent = Pass.Region.extent(Dim);
@@ -729,7 +772,7 @@ void ProgramExecutor::runStealingPass(IslandState &IS, WorkerSeam &Seam,
                   static_cast<int>(chunkBegin(Extent, Chunks, C));
     Sub.Hi[Dim] = Pass.Region.Lo[Dim] +
                   static_cast<int>(chunkBegin(Extent, Chunks, C + 1));
-    runShare(Seam, Pass.Stage, StepInEpoch, Sub);
+    runShare(Seam, Op, Sub);
   };
 
   std::atomic<uint64_t> &Mine = IS.Deques[static_cast<size_t>(ThreadInTeam)];
@@ -770,16 +813,6 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
       Program, Plan, Plan.Islands[static_cast<size_t>(Island)], Win);
   WorkerSeam Seam(*this, IS, Worker, Island, ThreadInTeam, NumThreads);
   ExecObserver *const Obs = Opts.Observer;
-
-  // This worker's slab of alloc-box planes in the T = 1 halo refresh.
-  const Box3 Alloc = Dom.allocBox();
-  const int64_t NumWorkers = static_cast<int64_t>(WorkerCoords.size());
-  const int SlabLo =
-      Alloc.Lo[0] +
-      static_cast<int>(chunkBegin(Alloc.extent(0), NumWorkers, Worker));
-  const int SlabHi =
-      Alloc.Lo[0] +
-      static_cast<int>(chunkBegin(Alloc.extent(0), NumWorkers, Worker + 1));
   const int Epochs = Steps / Plan.TemporalDepth; // run() checked divisibility.
   for (int Epoch = 0; Epoch != Epochs; ++Epoch)
     for (const EpochOp &Op : Script.Ops)
@@ -807,17 +840,6 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
             std::swap(array(FB.Source), array(FB.Target));
         }
         break;
-      case EpochOp::Kind::HaloSlab:
-        // Each slab writes only halo cells of its own planes and reads
-        // only core cells.
-        if (SlabLo != SlabHi)
-          for (const FeedbackPair &FB : Program.feedbacks()) {
-            Array3D &Target = array(FB.Target);
-            if (Obs)
-              Obs->onHaloFill(Worker, Dom, Target, SlabLo, SlabHi);
-            Dom.fillHaloPlanes(Target, SlabLo, SlabHi);
-          }
-        break;
       case EpochOp::Kind::Rebind:
         if (ThreadInTeam == 0)
           rebindForStep(IS, Op.Step);
@@ -831,15 +853,14 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
                      ThreadInTeam, NumThreads);
         break;
       case EpochOp::Kind::Pass: {
-        const StagePass &Pass = *Op.Pass;
         Seam.beforePass(Epoch, Op.Index);
         const bool Steals = Opts.Stealing && Op.Steals;
         if (Steals)
-          runStealingPass(IS, Seam, ThreadInTeam, NumThreads, Pass, Op.Step);
+          runStealingPass(IS, Seam, ThreadInTeam, NumThreads, Op);
         else
-          runShare(Seam, Pass.Stage, Op.Step,
-                   teamSubRegion(Pass.Region, ThreadInTeam, NumThreads));
-        Seam.endPass(Pass.Stage, Pass.BarrierAfter, Steals);
+          runShare(Seam, Op,
+                   teamSubRegion(Op.Pass->Region, ThreadInTeam, NumThreads));
+        Seam.endPass(Op.Stage, Op.BarrierAfter, Steals);
         break;
       }
       }

@@ -53,6 +53,7 @@ namespace icores {
 
 class ExecObserver;
 class FaultInjector;
+struct EpochOp;
 struct MachineModel;
 
 /// Runtime options of the executor. Results are bit-identical for every
@@ -70,9 +71,9 @@ struct ExecutorOptions {
   /// counters are mirrored into ExecStats (schema v3).
   FaultInjector *Chaos = nullptr;
   /// Observation hook: when non-null, worker threads report every barrier
-  /// crossing, pass, epoch import, intermediate slide and halo-refresh
-  /// slab (see exec/ExecObserver.h). The shadow race detector rides on this. Results
-  /// are bit-identical; only timing changes.
+  /// crossing, pass, epoch import, intermediate slide and halo-image write
+  /// (see exec/ExecObserver.h). The shadow race detector rides on this.
+  /// Results are bit-identical; only timing changes.
   ExecObserver *Observer = nullptr;
   /// NUMA page placement for every array the executor allocates. None is
   /// the legacy behaviour: the constructing thread zero-fills serially,
@@ -149,8 +150,10 @@ public:
 
   /// Refreshes the halos of every step input and marks the static inputs
   /// for a fresh gather in the next run(). Call after initialization and
-  /// after rewriting any step input: at T > 1 a rewritten static input
-  /// takes effect only here, as SerialStepper's halos do.
+  /// after rewriting any step input: a rewritten input's halo, and at
+  /// T > 1 a rewritten static input, take effect only here. Afterwards
+  /// the T = 1 passes keep the feedback targets' halos current: the
+  /// shares that compute a Source's cells write their halo images.
   void prepareInputs();
 
   /// Turns per-stage/per-pass timing collection on or off for subsequent
@@ -208,11 +211,9 @@ private:
 
   void threadMain(int Worker, int Island, int ThreadInTeam, int Steps,
                   TeamBarrier &Global);
-  void runShare(WorkerSeam &Seam, StageId Stage, int StepInEpoch,
-                const Box3 &Sub);
+  void runShare(WorkerSeam &Seam, const EpochOp &Op, const Box3 &Sub);
   void runStealingPass(IslandState &IS, WorkerSeam &Seam, int ThreadInTeam,
-                       int NumThreads, const StagePass &Pass,
-                       int StepInEpoch);
+                       int NumThreads, const EpochOp &Op);
   void rebindForStep(IslandState &IS, int StepInEpoch);
   void importEpochInputs(IslandState &IS, int Worker, int ThreadInTeam,
                          int NumThreads, bool Statics);

@@ -7,6 +7,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace icores;
 
@@ -23,8 +24,9 @@ icores::buildIslandSchedules(const ExecutionPlan &Plan,
       if (Op.isBarrier() && !S.Passes.empty())
         S.Passes.back().BarrierAfter = true;
       else if (Op.K == EpochOp::Kind::Pass && !Op.Pass->Region.empty())
-        S.Passes.push_back(
-            {Op.Stage, Op.Pass->Region, /*BarrierAfter=*/false, Op.Step});
+        S.Passes.push_back({Op.Stage, Op.Pass->Region,
+                            /*BarrierAfter=*/false, Op.Step,
+                            Op.Images ? Plan.GlobalTarget : Box3()});
     }
   }
   return Schedules;
@@ -39,8 +41,7 @@ using OpKind = EpochOp::Kind;
 /// import's trailing one need only publish the island's own buffers), and
 /// no two kinds of them may share a barrier interval.
 bool touchesRunState(OpKind K) {
-  return K == OpKind::CombineAndSwap || K == OpKind::HaloSlab ||
-         K == OpKind::Import;
+  return K == OpKind::CombineAndSwap || K == OpKind::Import;
 }
 
 } // namespace
@@ -135,6 +136,52 @@ bool writesArray(const StageDef &S, ArrayId A) {
   return std::find(S.Outputs.begin(), S.Outputs.end(), A) != S.Outputs.end();
 }
 
+bool isFeedbackSource(const StencilProgram &Program, ArrayId A) {
+  for (const FeedbackPair &FB : Program.feedbacks())
+    if (FB.Source == A)
+      return true;
+  return false;
+}
+
+/// Whether the halo images that a share writing \p W of array \p A in
+/// pass \p P may write overlap \p R; fills \p Witness when they do. The
+/// footprint holds under either boundary mode and any halo depth: per
+/// axis, a periodic image shifts the range by the core extent, and a
+/// clamped one fills the whole halo side beyond a boundary cell. Image
+/// writes never collide with each other where the core writes do not
+/// (every halo cell has one source cell), so only reads are checked
+/// against them.
+bool imagesOverlap(const StencilProgram &Program, const ScheduledPass &P,
+                   ArrayId A, const Box3 &W, const Box3 &R, Box3 &Witness) {
+  const Box3 &Core = P.ImageCore;
+  if (Core.empty() || W.empty() || !isFeedbackSource(Program, A))
+    return false;
+  // Per axis: the written range, then its image ranges below and above.
+  constexpr int Far = std::numeric_limits<int>::max() / 4;
+  int Lo[3][3], Hi[3][3];
+  for (int D = 0; D != 3; ++D) {
+    const int N = Core.extent(D);
+    const bool AtLo = W.Lo[D] == Core.Lo[D], AtHi = W.Hi[D] == Core.Hi[D];
+    Lo[D][0] = W.Lo[D];
+    Hi[D][0] = W.Hi[D];
+    Lo[D][1] = AtLo ? -Far : W.Lo[D] - N;
+    Hi[D][1] = AtLo ? Core.Lo[D] : W.Hi[D] - N;
+    Lo[D][2] = AtHi ? Core.Hi[D] : W.Lo[D] + N;
+    Hi[D][2] = AtHi ? Far : W.Hi[D] + N;
+  }
+  for (int X = 0; X != 3; ++X)
+    for (int Y = 0; Y != 3; ++Y)
+      for (int Z = X == 0 && Y == 0 ? 1 : 0; Z != 3; ++Z) {
+        Box3 Image(Lo[0][X], Lo[1][Y], Lo[2][Z], Hi[0][X], Hi[1][Y],
+                   Hi[2][Z]);
+        if (overlaps(Image, R)) {
+          Witness = Image.intersect(R);
+          return true;
+        }
+      }
+  return false;
+}
+
 } // namespace
 
 bool icores::findPassPairConflict(const StencilProgram &Program,
@@ -183,8 +230,10 @@ bool icores::findPassPairConflict(const StencilProgram &Program,
     for (const ReadHull &H : readHulls(RS)) {
       if (!writesArray(WS, H.Array))
         continue;
-      if (!overlaps(WP.Region,
-                    expandByWindow(RP.Region, H.MinOff, H.MaxOff)))
+      const Box3 Reads = expandByWindow(RP.Region, H.MinOff, H.MaxOff);
+      Box3 Hit;
+      if (!overlaps(WP.Region, Reads) &&
+          !imagesOverlap(Program, WP, H.Array, WP.Region, Reads, Hit))
         continue;
       for (int T1 = 0; T1 != N; ++T1)
         for (int T2 = 0; T2 != N; ++T2) {
@@ -193,7 +242,9 @@ bool icores::findPassPairConflict(const StencilProgram &Program,
           Box3 W = teamSubRegion(WP.Region, T1, N);
           Box3 R = expandByWindow(teamSubRegion(RP.Region, T2, N), H.MinOff,
                                   H.MaxOff);
-          if (!overlaps(W, R))
+          Box3 Witness = W.intersect(R);
+          if (Witness.empty() &&
+              !imagesOverlap(Program, WP, H.Array, W, R, Witness))
             continue;
           Out.ConflictKind = PassConflict::Kind::ReadWrite;
           Out.Array = H.Array;
@@ -201,7 +252,7 @@ bool icores::findPassPairConflict(const StencilProgram &Program,
           Out.ThreadB = T2;
           Out.StageA = WP.Stage;
           Out.StageB = RP.Stage;
-          Out.Overlap = W.intersect(R);
+          Out.Overlap = Witness;
           return true;
         }
     }
@@ -338,7 +389,9 @@ void checkInterIsland(const StencilProgram &Program,
           if (H.Array != Out || !sharedRead(Out, PB))
             continue;
           Box3 R = expandByWindow(PB.Region, H.MinOff, H.MaxOff);
-          if (overlaps(PA.Region, R))
+          Box3 Witness = PA.Region.intersect(R);
+          if (!Witness.empty() ||
+              imagesOverlap(Program, PA, Out, PA.Region, R, Witness))
             reportOnce("race.inter.read-write",
                        formatString("island %d writes shared array '%s' "
                                     "(stage '%s') while island %d reads it "
@@ -347,7 +400,7 @@ void checkInterIsland(const StencilProgram &Program,
                                     A.Index, Program.array(Out).Name.c_str(),
                                     SA.Name.c_str(), B.Index,
                                     SB.Name.c_str()),
-                       Out, PA.Region.intersect(R));
+                       Out, Witness);
         }
       }
     }
@@ -372,12 +425,75 @@ bool icores::checkScheduleRaces(const StencilProgram &Program,
   return Diags.numErrors() == ErrorsBefore;
 }
 
+namespace {
+
+/// At T = 1 the shares that compute a feedback Source's cells also write
+/// their halo images, so the Source's producer passes, over all islands,
+/// must write each core cell exactly once per step: inside the core,
+/// pairwise disjoint, and as many cells as the core holds. A gap leaves
+/// some halo cells stale; an overlap images them twice.
+bool checkImageCoverage(const StencilProgram &Program,
+                        const ExecutionPlan &Plan, DiagnosticEngine &Diags) {
+  if (Plan.TemporalDepth > 1)
+    return true;
+  size_t ErrorsBefore = Diags.numErrors();
+  const Box3 &Core = Plan.GlobalTarget;
+  for (const FeedbackPair &FB : Program.feedbacks()) {
+    const StageId Producer = Program.producerOf(FB.Source);
+    std::vector<std::pair<int, const Box3 *>> Writes; // Island, region.
+    for (const IslandPlan &Island : Plan.Islands)
+      for (const BlockTask &Block : Island.Blocks)
+        for (const StagePass &Pass : Block.Passes)
+          if (Pass.Stage == Producer && !Pass.Region.empty())
+            Writes.push_back({Island.Index, &Pass.Region});
+    const std::string &Name = Program.array(FB.Source).Name;
+    auto report = [&](const std::string &What, const Box3 &Cells) {
+      Diags
+          .report(Severity::Error, "race.images.coverage",
+                  formatString("feedback source '%s' %s; its halo images "
+                               "need exactly one writer per core cell",
+                               Name.c_str(), What.c_str()))
+          .note("array", Name)
+          .note("cells", Cells.str());
+    };
+    int64_t Written = 0;
+    bool Reported = false;
+    for (size_t A = 0; A != Writes.size() && !Reported; ++A) {
+      const auto [IslandA, RegionA] = Writes[A];
+      Written += RegionA->numPoints();
+      if (!Core.containsBox(*RegionA)) {
+        report(formatString("is written outside the core by island %d",
+                            IslandA),
+               *RegionA);
+        Reported = true;
+      }
+      for (size_t B = A + 1; B != Writes.size() && !Reported; ++B)
+        if (overlaps(*RegionA, *Writes[B].second)) {
+          report(formatString("is written twice per step, by passes of "
+                              "islands %d and %d",
+                              IslandA, Writes[B].first),
+                 RegionA->intersect(*Writes[B].second));
+          Reported = true;
+        }
+    }
+    if (!Reported && Written != Core.numPoints())
+      report(formatString("has %lld of its %lld core cells written per step",
+                          static_cast<long long>(Written),
+                          static_cast<long long>(Core.numPoints())),
+             Core);
+  }
+  return Diags.numErrors() == ErrorsBefore;
+}
+
+} // namespace
+
 bool icores::checkPlanRaces(const StencilProgram &Program,
                             const ExecutionPlan &Plan,
                             DiagnosticEngine &Diags) {
   const std::vector<EpochScript> Scripts = buildEpochScripts(Program, Plan);
   const bool Fenced = checkScriptFences(Scripts, Diags);
+  const bool Covered = checkImageCoverage(Program, Plan, Diags);
   return checkScheduleRaces(Program, buildIslandSchedules(Plan, Scripts),
                             Diags) &&
-         Fenced;
+         Fenced && Covered;
 }

@@ -13,11 +13,11 @@
 /// themselves, so what it proves is what runs:
 ///
 ///  - *Fences* (`race.script.*`): every non-pass op of a script — rebase,
-///    combine-and-swap, halo slab, rebind, import, slide — needs a barrier
-///    on each side with no pass in between. Ops that touch state other
-///    islands reach (the combine and swap, the halo slab, the import's
-///    shared reads) need global barriers there, and no two kinds of them
-///    may share a barrier interval.
+///    combine-and-swap, rebind, import, slide — needs a barrier on each
+///    side with no pass in between. Ops that touch state other islands
+///    reach (the combine and swap, the import's shared reads) need global
+///    barriers there, and no two kinds of them may share a barrier
+///    interval.
 ///
 ///  - *Intra-island* (`race.intra.*`): within a maximal barrier-free run
 ///    of passes (an "epoch"), thread t1's writes may overlap thread t2's
@@ -32,6 +32,13 @@
 ///    intermediates). Two islands whose passes write overlapping cells of a
 ///    shared array, or where one writes cells another reads, race for the
 ///    whole time step.
+///
+///  - *Halo images* (`race.images.coverage`): at T = 1 every share of a
+///    pass that produces a feedback Source also writes the halo images of
+///    the cells it computed. A pass's write footprint includes them (under
+///    either boundary mode and any halo depth), and the Source's producer
+///    passes must write each core cell exactly once per step, or some
+///    halo cell is imaged twice or never.
 ///
 /// Findings use the stable `race.*` id namespace (see DESIGN.md §7).
 ///
@@ -61,6 +68,10 @@ struct ScheduledPass {
   /// Which fused time step of the temporal epoch this pass belongs to
   /// (always 0 for TemporalDepth == 1 plans).
   int StepInEpoch = 0;
+  /// The core box whose halo images each share of the pass also writes
+  /// for the feedback Sources its stage produces (EpochOp::Images); empty
+  /// when the pass writes none.
+  Box3 ImageCore = {};
 };
 
 /// The per-island view the race check operates on.
@@ -80,7 +91,8 @@ struct IslandSchedule {
 /// BarrierAfter set when any barrier op comes before the next pass. So an
 /// empty pass's barrier lands on the previous retained pass, and
 /// structural and slide barriers end a barrier-free run like pass
-/// barriers do.
+/// barriers do. Passes that write halo images carry the plan's target as
+/// their ImageCore.
 std::vector<IslandSchedule>
 buildIslandSchedules(const ExecutionPlan &Plan,
                      const std::vector<EpochScript> &Scripts);
@@ -132,8 +144,10 @@ bool checkScheduleRaces(const StencilProgram &Program,
                         const std::vector<IslandSchedule> &Schedules,
                         DiagnosticEngine &Diags);
 
-/// Builds every island's epoch script and certifies it: checkScriptFences
-/// plus checkScheduleRaces over the schedules derived from the scripts.
+/// Builds every island's epoch script and certifies it: checkScriptFences,
+/// checkScheduleRaces over the schedules derived from the scripts, and at
+/// T = 1 that the producer passes of every feedback Source write each
+/// core cell exactly once (`race.images.coverage`).
 bool checkPlanRaces(const StencilProgram &Program, const ExecutionPlan &Plan,
                     DiagnosticEngine &Diags);
 

@@ -6,11 +6,13 @@
 ///
 /// \file
 /// Domain describes the physical MPDATA grid (NI x NJ x NK cells) plus the
-/// halo depth carried by every allocated array. Before each time step the
-/// halo shell of every *input* array is filled from the core: with wrapped
-/// copies under periodic boundaries, which makes redundant recomputation of
-/// intermediate stages near the physical boundary exact (see DESIGN.md §5),
-/// or with clamped copies under zero-gradient (open) boundaries.
+/// halo depth carried by every allocated array. The halo shell of every
+/// *input* array mirrors the core: with wrapped copies under periodic
+/// boundaries, which makes redundant recomputation of intermediate stages
+/// near the physical boundary exact (see DESIGN.md §5), or with clamped
+/// copies under zero-gradient (open) boundaries. fillHalo() refreshes a
+/// whole shell; writeImages() writes the halo images of one core box, so
+/// the threads that compute a state's cells can also publish its halo.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 
 #include "grid/Box3.h"
 
+#include <array>
 #include <cassert>
 #include <string>
 
@@ -84,19 +87,37 @@ public:
   std::string checkHalo() const;
 
   /// Fills every halo cell of \p A (cells of allocBox() outside coreBox())
-  /// according to the domain's boundary mode: fillHaloPlanes() over every
-  /// plane of the alloc box. The array must cover allocBox().
+  /// from its boundarySource() core cell. The array must cover allocBox()
+  /// and the domain must pass checkHalo().
   void fillHalo(Array3D &A) const;
 
-  /// Fills the halo cells of \p A on the dim-0 planes [PlaneLo, PlaneHi)
-  /// (clipped to allocBox()) with their boundarySource() core cells. Every
-  /// write lands in a halo cell and every read comes from a core cell, so
-  /// disjoint plane ranges may be filled concurrently, and any split of
-  /// the planes yields the same bits as fillHalo(). The domain must pass
-  /// checkHalo().
-  void fillHaloPlanes(Array3D &A, int PlaneLo, int PlaneHi) const;
+  /// The halo cells whose boundarySource() lies in a core box: at most 26
+  /// disjoint boxes, one per combination of an axis's core range and its
+  /// images below and above.
+  struct HaloImages {
+    std::array<Box3, 26> Boxes;
+    int Count = 0;
+    const Box3 *begin() const { return Boxes.data(); }
+    const Box3 *end() const { return Boxes.data() + Count; }
+  };
+
+  /// The halo images of the cells of \p Core (clipped to coreBox()). Each
+  /// halo cell has exactly one source cell, so disjoint core boxes have
+  /// disjoint images, and the images of a partition of the core are the
+  /// whole halo shell. The domain must pass checkHalo().
+  HaloImages haloImages(const Box3 &Core) const;
+
+  /// Writes the halo images of the cells of \p Core into \p A: every cell
+  /// of haloImages(Core) gets the value of its boundarySource() cell. It
+  /// writes only halo cells and reads only Core's cells, so disjoint core
+  /// boxes may be imaged concurrently, and the images of any partition of
+  /// the core give the bits of fillHalo(). The array must cover allocBox().
+  void writeImages(Array3D &A, const Box3 &Core) const;
 
 private:
+  /// checkHalo()'s rule: a periodic halo deeper than an extent.
+  bool wrapsTwice() const;
+
   int NI;
   int NJ;
   int NK;

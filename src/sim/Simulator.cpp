@@ -35,7 +35,7 @@ struct IslandCosts {
   std::vector<ArrayDramBytes> DramByArray;
   int64_t RemoteBytes = 0;
   int64_t Barriers = 0; ///< Team barriers charged per epoch.
-  int64_t Elided = 0;   ///< Pass barriers skipped via BarrierAfter=false.
+  int64_t Elided = 0;   ///< Non-empty passes no team barrier follows.
 };
 
 /// Simulates one island's step under the given stream rate (bytes/s
@@ -139,9 +139,6 @@ IslandCosts simulateIsland(const IslandPlan &Island,
           Costs.Breakdown.Remote += static_cast<double>(PerLinkBytes) /
                                     RemoteRate * RemoteVisible;
       }
-
-      // The team barriers are charged from the epoch script below.
-      Costs.Elided += !Pass.BarrierAfter;
     }
 
     double BlockDram = StreamRate > 0.0
@@ -205,8 +202,12 @@ IslandCosts simulateIsland(const IslandPlan &Island,
     }
 
   // Every team barrier the island's epoch script crosses: the plan's pass
-  // barriers, the structural and slide barriers.
+  // barriers (none after the epoch's last pass), the structural and slide
+  // barriers; the passes no team barrier follows are the elided ones.
   Costs.Barriers = Script.count(EpochOp::Kind::TeamBarrier);
+  for (const EpochOp &Op : Script.Ops)
+    Costs.Elided += Op.K == EpochOp::Kind::Pass && !Op.BarrierAfter &&
+                    !Op.Pass->Region.empty();
   Costs.Breakdown.Barrier +=
       static_cast<double>(Costs.Barriers) *
       Machine.barrierCost(Island.NumSockets, Island.NumThreads);

@@ -30,8 +30,8 @@
 ///    cache-resident data);
 ///  - barrier: every team barrier of the island's epoch script
 ///    (exec/EpochScript.h, the protocol the executor runs): one per pass
-///    whose BarrierAfter bit is set, plus the structural and slide
-///    barriers, cost growing with the socket span — the term that sinks
+///    whose BarrierAfter bit is set but the epoch's last, plus the
+///    structural and slide barriers, cost growing with the socket span — the term that sinks
 ///    the pure (3+1)D decomposition. Plans transformed by the
 ///    barrier-elision optimizer (core/ScheduleOptimizer.h) are charged
 ///    only for the barriers that remain, so predicted barrier share tracks
@@ -103,14 +103,15 @@ struct SimResult {
   int64_t RemoteBytesPerStep = 0; ///< Interconnect halo traffic.
 
   /// Team barriers per epoch across all islands: the TeamBarrier ops of
-  /// the islands' epoch scripts (exec/EpochScript.h) — every pass barrier,
-  /// empty passes' included, plus the structural and slide barriers —
-  /// each the crossing the executor makes.
+  /// the islands' epoch scripts (exec/EpochScript.h) — every pass barrier
+  /// but the epoch's last, empty passes' included, plus the structural
+  /// and slide barriers — each the crossing the executor makes.
   int64_t TeamBarriersPerEpoch = 0;
   /// Global barriers per epoch: the GlobalBarrier ops of one script (every
   /// island's script crosses the same ones).
   int64_t GlobalBarriersPerEpoch = 0;
-  /// Non-empty passes whose barrier the plan elides (not charged).
+  /// Non-empty passes no team barrier follows (not charged): those whose
+  /// barrier the plan elides, and each island's last pass of the epoch.
   int64_t ElidedBarriersPerStep = 0;
 
   /// Projected logical traffic between the islands and the shared arrays

@@ -235,30 +235,26 @@ void ShadowStore::onSlide(int Worker, const Array3D &Buf,
     writeSlot(Worker, AS, AS.indexSlot(), 0, 0, 0);
 }
 
-void ShadowStore::onHaloFill(int Worker, const Domain &Dom, const Array3D &A,
-                             int PlaneLo, int PlaneHi) {
+void ShadowStore::onImages(int Worker, const Domain &Dom, const Array3D &A,
+                           const Box3 &Core) {
   std::lock_guard<std::mutex> Lock(Mutex);
   ArrayShadow &AS = shadowFor(A, "");
-  const Box3 Alloc = Dom.allocBox();
-  const Box3 Core = Dom.coreBox();
   auto slotOf = [&A](int I, int J, int K) {
     return static_cast<size_t>(A.pointerTo(I, J, K) - A.data());
   };
-  readSlot(Worker, AS, AS.indexSlot(), PlaneLo, Alloc.Lo[1], Alloc.Lo[2]);
-  for (int I = std::max(PlaneLo, Alloc.Lo[0]);
-       I < std::min(PlaneHi, Alloc.Hi[0]); ++I) {
-    const int SI = Dom.boundarySource(I, Dom.ni());
-    for (int J = Alloc.Lo[1]; J != Alloc.Hi[1]; ++J) {
-      const int SJ = Dom.boundarySource(J, Dom.nj());
-      for (int K = Alloc.Lo[2]; K != Alloc.Hi[2]; ++K) {
-        if (Core.contains(I, J, K))
-          continue;
-        const int SK = Dom.boundarySource(K, Dom.nk());
-        readSlot(Worker, AS, slotOf(SI, SJ, SK), SI, SJ, SK);
-        writeSlot(Worker, AS, slotOf(I, J, K), I, J, K);
+  readSlot(Worker, AS, AS.indexSlot(), Core.Lo[0], Core.Lo[1], Core.Lo[2]);
+  for (const Box3 &Image : Dom.haloImages(Core))
+    for (int I = Image.Lo[0]; I != Image.Hi[0]; ++I) {
+      const int SI = Dom.boundarySource(I, Dom.ni());
+      for (int J = Image.Lo[1]; J != Image.Hi[1]; ++J) {
+        const int SJ = Dom.boundarySource(J, Dom.nj());
+        for (int K = Image.Lo[2]; K != Image.Hi[2]; ++K) {
+          const int SK = Dom.boundarySource(K, Dom.nk());
+          readSlot(Worker, AS, slotOf(SI, SJ, SK), SI, SJ, SK);
+          writeSlot(Worker, AS, slotOf(I, J, K), I, J, K);
+        }
       }
     }
-  }
 }
 
 void ShadowStore::recordWrite(int Worker, const Array3D &Arr,

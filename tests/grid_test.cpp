@@ -4,6 +4,7 @@
 #include "grid/Box3.h"
 #include "grid/Domain.h"
 #include "support/MathUtil.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -284,14 +285,14 @@ TEST(DomainTest, HaloFillPreservesCore) {
 
 namespace {
 
-/// One slab-fill sweep case: a domain whose core cells hold distinct
+/// One halo-image sweep case: a domain whose core cells hold distinct
 /// values and whose halo cells (pads untouched) all hold a NaN poison.
-struct SlabCase {
+struct ImageCase {
   Domain Dom;
   Array3D Start;
   Array3D Full; ///< Start after one full fillHalo().
 
-  explicit SlabCase(const Domain &D)
+  explicit ImageCase(const Domain &D)
       : Dom(D), Start(D.allocBox(), Array3D::VectorPadK) {
     const double Poison = std::numeric_limits<double>::quiet_NaN();
     Box3 Alloc = D.allocBox();
@@ -305,26 +306,19 @@ struct SlabCase {
     D.fillHalo(Full);
   }
 
-  int planes() const { return Dom.allocBox().extent(0); }
-  /// First alloc plane of slab \p S of \p Slabs.
-  int slabLo(int Slabs, int S) const {
-    return Dom.allocBox().Lo[0] +
-           static_cast<int>(chunkBegin(planes(), Slabs, S));
-  }
-
-  std::string name(int Slabs) const {
+  std::string name(uint64_t Seed) const {
     return (Dom.boundaryMode() == BoundaryMode::Periodic ? "periodic "
                                                          : "zero-gradient ") +
            std::to_string(Dom.ni()) + "x" + std::to_string(Dom.nj()) + "x" +
            std::to_string(Dom.nk()) + " halo " +
-           std::to_string(Dom.haloDepth()) + ", " + std::to_string(Slabs) +
-           " slabs";
+           std::to_string(Dom.haloDepth()) + ", partition " +
+           std::to_string(Seed);
   }
 };
 
 /// Both boundary modes x halo depths 1-3 x odd extents, each axis once
-/// equal to the halo depth.
-std::vector<Domain> slabDomains() {
+/// equal to the halo depth; zero-gradient also on one-cell axes.
+std::vector<Domain> imageDomains() {
   std::vector<Domain> Out;
   for (BoundaryMode Mode :
        {BoundaryMode::Periodic, BoundaryMode::ZeroGradient})
@@ -333,57 +327,95 @@ std::vector<Domain> slabDomains() {
       Out.emplace_back(7, H, 5, H, Mode);
       Out.emplace_back(5, 7, H, H, Mode);
       Out.emplace_back(9, 3, 5, H, Mode);
+      if (Mode == BoundaryMode::ZeroGradient) {
+        Out.emplace_back(1, 4, 3, H, Mode);
+        Out.emplace_back(3, 1, 1, H, Mode);
+      }
     }
   return Out;
 }
 
-std::vector<int> slabCounts(const SlabCase &C) {
-  return {1, 2, 3, 4, 7, C.planes() + 3};
+/// A random partition of \p Core into boxes: guillotine cuts at random
+/// positions of random axes, each part split at most \p Depth times.
+void randomPartition(const Box3 &Core, SplitMix64 &Rng, int Depth,
+                     std::vector<Box3> &Parts) {
+  const int Dim = static_cast<int>(Rng.nextBounded(3));
+  const int Extent = Core.extent(Dim);
+  if (Depth == 0 || Extent < 2 || Rng.nextBounded(4) == 0) {
+    Parts.push_back(Core);
+    return;
+  }
+  const int Cut =
+      Core.Lo[Dim] + 1 + static_cast<int>(Rng.nextBounded(
+                             static_cast<uint64_t>(Extent - 1)));
+  Box3 Lo = Core, Hi = Core;
+  Lo.Hi[Dim] = Cut;
+  Hi.Lo[Dim] = Cut;
+  randomPartition(Lo, Rng, Depth - 1, Parts);
+  randomPartition(Hi, Rng, Depth - 1, Parts);
 }
+
+constexpr uint64_t NumPartitions = 12;
 
 } // namespace
 
-TEST(DomainTest, HaloSlabFillsUnionToTheFullFillBitForBit) {
-  // Every slab runs on its own thread, as the executor's workers do.
-  for (const Domain &D : slabDomains()) {
-    SlabCase C(D);
-    for (int Slabs : slabCounts(C)) {
+TEST(DomainTest, ImagesOfAPartitionUnionToTheFullFillBitForBit) {
+  // Every part runs on its own thread, as the executor's shares do.
+  for (const Domain &D : imageDomains()) {
+    ImageCase C(D);
+    for (uint64_t Seed = 0; Seed != NumPartitions; ++Seed) {
+      SplitMix64 Rng(Seed);
+      std::vector<Box3> Parts;
+      randomPartition(D.coreBox(), Rng, 4, Parts);
+      // Each halo cell is the image of exactly one part's cell.
+      int64_t Images = 0;
+      for (const Box3 &Part : Parts)
+        for (const Box3 &Image : D.haloImages(Part))
+          Images += Image.numPoints();
+      EXPECT_EQ(Images, D.allocBox().numPoints() - D.coreBox().numPoints())
+          << C.name(Seed);
       Array3D Union = C.Start;
       std::vector<std::thread> Workers;
-      for (int S = 0; S != Slabs; ++S)
-        Workers.emplace_back([&C, &Union, Slabs, S] {
-          C.Dom.fillHaloPlanes(Union, C.slabLo(Slabs, S),
-                               C.slabLo(Slabs, S + 1));
-        });
+      for (const Box3 &Part : Parts)
+        Workers.emplace_back(
+            [&D, &Union, Part] { D.writeImages(Union, Part); });
       for (std::thread &W : Workers)
         W.join();
       EXPECT_EQ(std::memcmp(Union.data(), C.Full.data(),
                             static_cast<size_t>(C.Full.paddedBytes())),
                 0)
-          << C.name(Slabs);
+          << C.name(Seed);
     }
   }
 }
 
-TEST(DomainTest, HaloSlabFillWritesOnlyItsOwnPlanes) {
-  for (const Domain &D : slabDomains()) {
-    SlabCase C(D);
+TEST(DomainTest, ImagesWriteOnlyTheHaloOfTheirOwnCells) {
+  for (const Domain &D : imageDomains()) {
+    ImageCase C(D);
     const Box3 Alloc = D.allocBox();
-    const size_t PlaneBytes =
-        static_cast<size_t>(C.Start.strideI()) * sizeof(double);
-    for (int Slabs : slabCounts(C))
-      for (int S = 0; S != Slabs; ++S) {
-        const int Lo = C.slabLo(Slabs, S), Hi = C.slabLo(Slabs, S + 1);
+    for (uint64_t Seed = 0; Seed != NumPartitions; ++Seed) {
+      SplitMix64 Rng(Seed);
+      std::vector<Box3> Parts;
+      randomPartition(D.coreBox(), Rng, 4, Parts);
+      for (const Box3 &Part : Parts) {
         Array3D One = C.Start;
-        D.fillHaloPlanes(One, Lo, Hi);
-        for (int I = Alloc.Lo[0]; I != Alloc.Hi[0]; ++I) {
-          const Array3D &Want = I >= Lo && I < Hi ? C.Full : C.Start;
-          EXPECT_EQ(std::memcmp(One.pointerTo(I, Alloc.Lo[1], Alloc.Lo[2]),
-                                Want.pointerTo(I, Alloc.Lo[1], Alloc.Lo[2]),
-                                PlaneBytes),
-                    0)
-              << C.name(Slabs) << ", slab " << S << ", plane " << I;
-        }
+        D.writeImages(One, Part);
+        // Exactly the halo cells whose source cell lies in the part
+        // change, each to its full-fill value.
+        Array3D Want = C.Start;
+        for (int I = Alloc.Lo[0]; I != Alloc.Hi[0]; ++I)
+          for (int J = Alloc.Lo[1]; J != Alloc.Hi[1]; ++J)
+            for (int K = Alloc.Lo[2]; K != Alloc.Hi[2]; ++K)
+              if (!D.coreBox().contains(I, J, K) &&
+                  Part.contains(D.boundarySource(I, D.ni()),
+                                D.boundarySource(J, D.nj()),
+                                D.boundarySource(K, D.nk())))
+                Want.at(I, J, K) = C.Full.at(I, J, K);
+        EXPECT_EQ(std::memcmp(One.data(), Want.data(),
+                              static_cast<size_t>(Want.paddedBytes())),
+                  0)
+            << C.name(Seed) << ", part " << Part.str();
       }
+    }
   }
 }

@@ -557,10 +557,12 @@ TEST(ScheduleCheck, BuiltPlansAreRaceFree) {
     ExecutionPlan Plan = buildPlan(M.Program, Target, Machine, Config);
     std::vector<IslandSchedule> Schedules =
         buildIslandSchedules(Plan, buildEpochScripts(M.Program, Plan));
-    // The executor barriers after every pass; the schedule must say so.
+    // The executor barriers after every pass but the epoch's last, which
+    // the next epoch's leading global barrier orders; the schedule must
+    // say so.
     for (const IslandSchedule &S : Schedules)
       for (const ScheduledPass &Pass : S.Passes) {
-        EXPECT_TRUE(Pass.BarrierAfter);
+        EXPECT_EQ(Pass.BarrierAfter, &Pass != &S.Passes.back());
         EXPECT_FALSE(Pass.Region.empty());
       }
     DiagnosticEngine Diags;
@@ -609,9 +611,156 @@ TEST(ScheduleCheck, DroppedFenceAfterSlideIsReported) {
       droppedFenceIsReported(EpochOp::Kind::Slide, 2, "race.script.slide"));
 }
 
-TEST(ScheduleCheck, DroppedFenceAfterHaloSlabIsReported) {
-  EXPECT_TRUE(droppedFenceIsReported(EpochOp::Kind::HaloSlab, 1,
-                                     "race.script.halo-slab"));
+TEST(ScheduleCheck, DroppedEpochStartGlobalBarrierIsReported) {
+  // The epoch's leading global barrier publishes the previous epoch's
+  // writes (at T = 1 the feedback Sources' halo images too) before the
+  // combine and swap; without it the swap has no barrier before it.
+  for (int Depth : {1, 2}) {
+    MpdataProgram M = buildMpdataProgram();
+    MachineModel Machine = makeToyMachine();
+    Machine.NumSockets = std::max(Machine.NumSockets, 2);
+    PlanConfig Config;
+    Config.Strat = Strategy::IslandsOfCores;
+    Config.Sockets = 2;
+    Config.TemporalDepth = Depth;
+    ExecutionPlan Plan =
+        buildPlan(M.Program, Box3::fromExtents(48, 24, 8), Machine, Config);
+    std::vector<EpochScript> Scripts = buildEpochScripts(M.Program, Plan);
+    std::vector<EpochOp> &Ops = Scripts[0].Ops;
+    ASSERT_EQ(Ops.front().K, EpochOp::Kind::GlobalBarrier);
+    Ops.erase(Ops.begin());
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(checkScriptFences(Scripts, Diags)) << "T=" << Depth;
+    EXPECT_TRUE(Diags.hasFinding("race.script.combine-and-swap"))
+        << "T=" << Depth;
+  }
+}
+
+TEST(ScheduleCheck, ScriptsEndNoEpochOnATeamBarrier) {
+  // T = 1 epochs cross two global barriers, T > 1 ones too; no epoch ends
+  // on a team barrier, and only T = 1 passes of the feedback Source's
+  // producer write halo images.
+  MpdataProgram M = buildMpdataProgram();
+  MachineModel Machine = makeToyMachine();
+  Machine.NumSockets = std::max(Machine.NumSockets, 2);
+  for (Strategy Strat : {Strategy::Original, Strategy::Block31D,
+                         Strategy::IslandsOfCores})
+    for (int Depth : {1, 2}) {
+      PlanConfig Config;
+      Config.Strat = Strat;
+      Config.Sockets = 2;
+      Config.TemporalDepth = Depth;
+      ExecutionPlan Plan = buildPlan(M.Program, Box3::fromExtents(48, 24, 8),
+                                     Machine, Config);
+      for (const EpochScript &S : buildEpochScripts(M.Program, Plan)) {
+        EXPECT_EQ(S.count(EpochOp::Kind::GlobalBarrier), 2);
+        ASSERT_FALSE(S.Ops.empty());
+        EXPECT_EQ(S.Ops.back().K, EpochOp::Kind::Pass);
+        EXPECT_FALSE(S.Ops.back().BarrierAfter);
+        for (const EpochOp &Op : S.Ops) {
+          if (Op.K != EpochOp::Kind::Pass)
+            continue;
+          EXPECT_EQ(Op.Images, Depth == 1 && Op.Stage == M.Program.producerOf(
+                                                            M.XOut));
+        }
+      }
+    }
+}
+
+TEST(ScheduleCheck, HaloImagesAreInThePassFootprint) {
+  // Island 0 produces the feedback Source 'out' on i in [0, 16) of a
+  // 32-plane core; island 1 reads 'out' one plane past i = 31. Only
+  // island 0's halo images (periodic: plane 32 mirrors plane 0) reach the
+  // read, so the race exists exactly when the pass writes them.
+  RaceApp App = makeRaceApp();
+  App.P.addFeedback(App.Out, App.In);
+  const Box3 Core = Box3::fromExtents(32, 8, 4);
+  for (bool Images : {false, true}) {
+    IslandSchedule A, B;
+    A.Index = 0;
+    A.Passes = {{App.S0, Box3::fromExtents(16, 8, 4), true, 0,
+                 Images ? Core : Box3()}};
+    B.Index = 1;
+    B.Passes = {{App.S1, Box3(31, 0, 0, 32, 8, 4), true}};
+    DiagnosticEngine Diags;
+    EXPECT_EQ(checkScheduleRaces(App.P, {A, B}, Diags), !Images);
+    EXPECT_EQ(Diags.hasFinding("race.inter.read-write"), Images);
+  }
+  // Within one team of two: 'next' reads 'out' one plane up, so on the
+  // core's last plane it reads only plane 32's images. Thread 0 writes
+  // the images of plane 0; thread 1 reads half of them.
+  StencilProgram P;
+  ArrayId In = P.addArray("in", ArrayRole::StepInput);
+  ArrayId Out = P.addArray("out", ArrayRole::StepOutput);
+  ArrayId Next = P.addArray("next", ArrayRole::StepOutput);
+  StageDef Produce;
+  Produce.Name = "produce";
+  Produce.Outputs = {Out};
+  Produce.Inputs = {StageInput::center(In)};
+  StageId SProduce = P.addStage(Produce);
+  StageDef Shift;
+  Shift.Name = "shift";
+  Shift.Outputs = {Next};
+  Shift.Inputs = {StageInput::alongDim(Out, 0, 1, 1)};
+  StageId SShift = P.addStage(Shift);
+  P.addFeedback(Out, In);
+  const Box3 Team = Box3::fromExtents(32, 2, 4);
+  for (bool Images : {false, true}) {
+    ScheduledPass First{SProduce, Team, false, 0, Images ? Team : Box3()};
+    ScheduledPass Second{SShift, Box3(31, 0, 0, 32, 2, 4), true};
+    PassConflict C;
+    ASSERT_EQ(findPassPairConflict(P, First, Second, 2, C), Images);
+    if (Images) {
+      EXPECT_EQ(C.ConflictKind, PassConflict::Kind::ReadWrite);
+      EXPECT_EQ(C.ThreadA, 0);
+      EXPECT_EQ(C.ThreadB, 1);
+      EXPECT_EQ(C.Overlap, Box3(32, 1, 0, 33, 2, 4));
+    }
+  }
+}
+
+TEST(ScheduleCheck, SourceWrittenTwiceOrNeverIsAFinding) {
+  // At T = 1 every feedback Source core cell must be written exactly once
+  // per step, or its halo images are written twice or never. The check
+  // reports either defect instead of aborting.
+  MpdataProgram M = buildMpdataProgram();
+  MachineModel Machine = makeToyMachine();
+  PlanConfig Config;
+  Config.Strat = Strategy::IslandsOfCores;
+  Config.Sockets = 2;
+  const ExecutionPlan Built =
+      buildPlan(M.Program, Box3::fromExtents(48, 24, 8), Machine, Config);
+  {
+    DiagnosticEngine Diags;
+    EXPECT_TRUE(checkPlanRaces(M.Program, Built, Diags))
+        << Diags.firstErrorMessage();
+  }
+  const StageId Producer = M.Program.producerOf(M.XOut);
+  auto sourcePass = [&](ExecutionPlan &Plan) -> StagePass & {
+    for (BlockTask &Block : Plan.Islands.front().Blocks)
+      for (StagePass &Pass : Block.Passes)
+        if (Pass.Stage == Producer)
+          return Pass;
+    ADD_FAILURE() << "no source pass";
+    return Plan.Islands.front().Blocks.front().Passes.front();
+  };
+  for (bool Twice : {true, false}) {
+    ExecutionPlan Plan = Built;
+    StagePass &Pass = sourcePass(Plan);
+    if (Twice)
+      Pass.Region = Pass.Region.grown(0, 0, 1);
+    else
+      Pass.Region.Hi[0] -= 1;
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(checkPlanRaces(M.Program, Plan, Diags));
+    EXPECT_TRUE(Diags.hasFinding("race.images.coverage"))
+        << (Twice ? "twice" : "never");
+    // Temporal epochs import core cells and write no images.
+    Plan.TemporalDepth = 2;
+    DiagnosticEngine Temporal;
+    checkPlanRaces(M.Program, Plan, Temporal);
+    EXPECT_FALSE(Temporal.hasFinding("race.images.coverage"));
+  }
 }
 
 TEST(ScheduleCheck, DroppedFenceAfterCombineAndSwapIsReported) {

@@ -182,45 +182,67 @@ TEST(ShadowStoreTest, SlideCopyWithoutItsTrailingBarrierIsARace) {
   EXPECT_EQ(replay(false), 2u * 2 * 2 + 1);
 }
 
-TEST(ShadowStoreTest, HaloFillWithoutItsTrailingBarrierIsARace) {
-  // Worker 0 refreshes the halo slab of planes [-1, 1); worker 1 then runs
-  // a pass reading plane -1, whose every cell is a halo cell worker 0
-  // wrote. Only a global barrier crossing after the fill orders the read.
-  auto replay = [](bool TrailingBarrier) {
+TEST(ShadowStoreTest, ImagesWithoutTheEpochBarrierAreARace) {
+  // Worker 0 computes core plane 0 and writes its halo images, plane NI
+  // among them; worker 1 then runs a pass reading plane NI, whose every
+  // cell is an image worker 0 wrote. Only a barrier crossing after the
+  // images (the next epoch's leading global barrier) orders the read.
+  auto replay = [](bool Barrier) {
     Domain Dom(4, 3, 2, 1);
     Array3D A(Dom.allocBox(), Array3D::VectorPadK);
     ShadowStore Shadow;
-    Shadow.onHaloFill(0, Dom, A, -1, 1);
-    if (TrailingBarrier)
+    Shadow.onImages(0, Dom, A, Box3(0, 0, 0, 1, 3, 2));
+    if (Barrier)
       crossBarrier(Shadow, 0, 2);
-    Shadow.recordRead(1, A, Box3(-1, 0, 0, 0, 3, 2), "a");
+    Shadow.recordRead(1, A, Box3(4, 0, 0, 5, 3, 2), "a");
     DiagnosticEngine Diags;
     Shadow.reportFindings(Diags);
-    EXPECT_EQ(Diags.hasFinding("shadow.race.read-write"), !TrailingBarrier);
+    EXPECT_EQ(Diags.hasFinding("shadow.race.read-write"), !Barrier);
     return Shadow.raceCount();
   };
   EXPECT_EQ(replay(true), 0u);
   EXPECT_EQ(replay(false), 3u * 2);
 }
 
-TEST(ShadowStoreTest, HaloFillReadsTheCoreCellOfTheDomainsBoundaryMap) {
-  // Plane -1's halo copies plane NI - 1 under periodic boundaries and
-  // plane 0 under zero-gradient ones: an unordered write of the copied
-  // core plane races with the fill, a write of the other one does not.
+TEST(ShadowStoreTest, ImagesWriteTheHaloCellsOfTheDomainsBoundaryMap) {
+  // Core plane NI - 1 is imaged onto plane -1 under periodic boundaries
+  // and onto plane NI under zero-gradient ones: an unordered read of the
+  // imaged halo plane races with the image write, a read of the other
+  // one does not.
   for (BoundaryMode Mode :
        {BoundaryMode::Periodic, BoundaryMode::ZeroGradient}) {
     const bool Periodic = Mode == BoundaryMode::Periodic;
-    for (int Plane : {0, 3}) {
+    for (int Plane : {-1, 4}) {
       Domain Dom(4, 3, 2, 1, Mode);
       Array3D A(Dom.allocBox());
       ShadowStore Shadow;
-      Shadow.onHaloFill(0, Dom, A, -1, 0);
-      Shadow.recordWrite(1, A, Box3(Plane, 0, 0, Plane + 1, 3, 2), "a");
-      EXPECT_EQ(Shadow.clean(), (Plane == 3) != Periodic)
+      Shadow.onImages(0, Dom, A, Box3(3, 0, 0, 4, 3, 2));
+      Shadow.recordRead(1, A, Box3(Plane, 0, 0, Plane + 1, 3, 2), "a");
+      EXPECT_EQ(Shadow.clean(), (Plane == 4) == Periodic)
           << (Periodic ? "periodic" : "zero-gradient") << " plane "
           << Plane;
     }
   }
+}
+
+TEST(ShadowStoreTest, OverlappingSourceSharesRaceOnTheirImages) {
+  // Two workers image the Source cells of their shares with no barrier
+  // between them: disjoint shares write disjoint halo cells, shares
+  // overlapping by one plane both write that plane's j and k images.
+  for (BoundaryMode Mode :
+       {BoundaryMode::Periodic, BoundaryMode::ZeroGradient})
+    for (int Overlap : {0, 1}) {
+      Domain Dom(4, 3, 2, 1, Mode);
+      Array3D A(Dom.allocBox());
+      ShadowStore Shadow;
+      Shadow.onImages(0, Dom, A, Box3(0, 0, 0, 2, 3, 2));
+      Shadow.onImages(1, Dom, A, Box3(2 - Overlap, 0, 0, 4, 3, 2));
+      DiagnosticEngine Diags;
+      Shadow.reportFindings(Diags);
+      EXPECT_EQ(Diags.hasFinding("shadow.race.write-write"), Overlap == 1)
+          << "overlap " << Overlap;
+      EXPECT_EQ(Shadow.clean(), Overlap == 0) << "overlap " << Overlap;
+    }
 }
 
 //===----------------------------------------------------------------------===//

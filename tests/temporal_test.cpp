@@ -66,7 +66,7 @@ public:
     G.Epochs.insert(GlobalArrivals[Worker] / 2 - 1);
   }
   void onSlide(int, const Array3D &, const SlideShare &) override {}
-  void onHaloFill(int, const Domain &, const Array3D &, int, int) override {}
+  void onImages(int, const Domain &, const Array3D &, const Box3 &) override {}
 
   std::map<const Array3D *, Gathers> ByBuffer;
 

@@ -162,7 +162,7 @@ TEST_P(WorkloadConformance, ThreadedPlansAreBitExactAcrossTheMatrix) {
 
 TEST_P(WorkloadConformance, ZeroGradientPlansAreBitExactAtDepthOne) {
   // Open boundaries clamp the halos instead of wrapping them, so the
-  // executor's per-worker halo slabs run their clamp path here. Temporal
+  // pass shares' halo images run their clamp path here. Temporal
   // blocking requires periodic boundaries, so only T = 1 is swept.
   const WorkloadSpec &Spec = spec();
   Domain Dom =
@@ -293,7 +293,7 @@ public:
   void onImport(int, const Array3D &, const Array3D &, const Box3 &, int,
                 int, int) override {}
   void onSlide(int, const Array3D &, const SlideShare &) override {}
-  void onHaloFill(int, const Domain &, const Array3D &, int, int) override {}
+  void onImages(int, const Domain &, const Array3D &, const Box3 &) override {}
 
 private:
   std::vector<std::atomic<int64_t>> Arrivals;
@@ -417,6 +417,46 @@ TEST_P(WorkloadConformance, DistributedRanksAreBitExact) {
           << PI << "x" << PJ << " variant=" << kernelVariantName(V);
     }
   }
+}
+
+TEST(EpilogueSlabTest, SharesSpanningSeveralSlabsAreBitExact) {
+  // A share with an epilogue (a reduction fold, T = 1 halo images) runs
+  // in slabs of whole i-planes of at most 16384 cells. On a 12 x 160 x 128
+  // grid the original plan's shares are 12 x 80 x 128 (two threads: one
+  // plane per slab) and 12 x 40 x 128 (four threads: three planes per
+  // slab), so every share spans several slabs; the conformance grid's
+  // shares fit one.
+  constexpr int SlabSteps = 3;
+  for (const char *Name : {"cfl-advect", "hotspot"})
+    for (BoundaryMode Mode :
+         {BoundaryMode::Periodic, BoundaryMode::ZeroGradient})
+      for (int Sockets : {1, 2}) {
+        const WorkloadSpec &Spec = *builtinWorkloads().find(Name);
+        Domain Dom = workloadDomain(Spec, 12, 160, 128, Mode);
+        auto Oracle = serialOracle(Spec, Dom, SlabSteps, Seed);
+        auto Exec = makeWorkloadExecutor(
+            Spec, Dom,
+            makeTestPlan(Spec.Program, Dom, Strategy::Original, 1,
+                         /*ElideBarriers=*/false, Sockets),
+            KernelVariant::Reference, {}, Seed);
+        Exec->run(SlabSteps);
+        EXPECT_EQ(
+            maxNewestStateDiff(Spec.Program, *Exec, *Oracle, Dom.coreBox()),
+            0.0)
+            << Name << " sockets=" << Sockets;
+        EXPECT_TRUE(reductionHistoriesMatch(Spec.Program, *Exec, *Oracle))
+            << Name << " sockets=" << Sockets;
+        // The images leave each feedback Target's halo equal to a full
+        // fill of its core.
+        for (const FeedbackPair &FB : Spec.Program.feedbacks()) {
+          Array3D Filled = Exec->array(FB.Target);
+          Dom.fillHalo(Filled);
+          EXPECT_EQ(
+              Exec->array(FB.Target).maxAbsDiff(Filled, Dom.allocBox()), 0.0)
+              << Name << " sockets=" << Sockets << " array "
+              << Spec.Program.array(FB.Target).Name;
+        }
+      }
 }
 
 INSTANTIATE_TEST_SUITE_P(
