@@ -81,11 +81,14 @@ EpochScript icores::buildEpochScript(const StencilProgram &Program,
                         Windows.SlideBlocks[NextSlide] == static_cast<int>(B);
     if (Depth > 1 && Block.StepInEpoch != CurStep) {
       // Structural fused-step boundary: quiesce the team, swap the
-      // feedback bindings, and publish them before the next step. A slide
-      // here has no live planes to copy (windows never span steps), so it
-      // is a rebase that rides on the same barriers.
+      // feedback bindings, and publish them before the next step. The
+      // previous step's last pass barrier, when it has one, already
+      // quiesces the team. A slide here has no live planes to copy
+      // (windows never span steps), so it is a rebase that rides on the
+      // same barriers.
       CurStep = Block.StepInEpoch;
-      emit(K::TeamBarrier);
+      if (!PrevBarrier)
+        emit(K::TeamBarrier);
       emit(K::Rebind, CurStep);
       if (Slides)
         emit(K::Slide, CurStep, NoStage, static_cast<int>(NextSlide++));

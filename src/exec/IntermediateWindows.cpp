@@ -121,7 +121,10 @@ IslandWindows icores::planIslandWindows(const StencilProgram &Program,
     return Result;
 
   // Replay the epoch's blocks: the buffer of Sliding[A] holds planes
-  // [Base[A], Base[A] + Capacity[A]).
+  // [Base[A], Base[A] + Capacity[A]). This first replay slides every array
+  // to its own window's low plane; the blocks where that is needed are the
+  // slide blocks.
+  const size_t NumBlocks = Island.Blocks.size();
   const size_t NumSliding = Result.Sliding.size();
   std::vector<int> Base(NumSliding);
   for (size_t A = 0; A != NumSliding; ++A) {
@@ -130,43 +133,74 @@ IslandWindows icores::planIslandWindows(const StencilProgram &Program,
     Base[A] = First.empty() ? Result.Buffers[Id].Lo[0] : First.Lo;
   }
   const std::vector<int> EpochBase = Base;
+  auto inside = [&](const PlaneRange &Win, size_t A, int At) {
+    return Win.empty() || (At <= Win.Lo && Win.Hi <= At + Capacity[A]);
+  };
+  // Sets \p Move's copy of the live planes of Sliding[A] at block B, from
+  // buffer base \p From to Move.NewBase: those of the new window that the
+  // previous one already held. Returns false when the ascending copy
+  // cannot serve it.
+  auto copyLive = [&](size_t B, size_t A, int From, SlideMove &Move) {
+    const size_t Id = static_cast<size_t>(Result.Sliding[A]);
+    const PlaneRange &Win = Windows[B][Id];
+    if (Island.Blocks[B].StepInEpoch != Island.Blocks[B - 1].StepInEpoch ||
+        Win.empty() || Move.NewBase == From)
+      return true;
+    const PlaneRange &Prev = Windows[B - 1][Id];
+    const int Lo = std::max(Win.Lo, Prev.Lo);
+    const int Hi = std::min(Win.Hi, Prev.Hi);
+    if (Lo >= Hi)
+      return true;
+    Move.From = Lo - From;
+    Move.To = Lo - Move.NewBase;
+    Move.Count = Hi - Lo;
+    // The copy runs in ascending plane order, so it must move data towards
+    // the buffer front, and it must read inside the buffer.
+    return Move.NewBase > From && Move.From + Move.Count <= Capacity[A];
+  };
   bool Feasible = true;
-  for (size_t B = 1; B != Island.Blocks.size() && Feasible; ++B) {
+  for (size_t B = 1; B != NumBlocks && Feasible; ++B) {
     bool Leaves = false;
-    for (size_t A = 0; A != NumSliding; ++A) {
-      const PlaneRange &Win =
-          Windows[B][static_cast<size_t>(Result.Sliding[A])];
-      Leaves |= !Win.empty() &&
-                (Win.Lo < Base[A] || Win.Hi > Base[A] + Capacity[A]);
-    }
+    for (size_t A = 0; A != NumSliding; ++A)
+      Leaves |= !inside(Windows[B][static_cast<size_t>(Result.Sliding[A])],
+                        A, Base[A]);
     if (!Leaves)
       continue;
     Result.SlideBlocks.push_back(static_cast<int>(B));
-    const bool SameStep =
-        Island.Blocks[B].StepInEpoch == Island.Blocks[B - 1].StepInEpoch;
     for (size_t A = 0; A != NumSliding; ++A) {
-      const size_t Id = static_cast<size_t>(Result.Sliding[A]);
-      const PlaneRange &Win = Windows[B][Id];
+      const PlaneRange &Win =
+          Windows[B][static_cast<size_t>(Result.Sliding[A])];
       SlideMove Move;
       Move.NewBase = Win.empty() ? Base[A] : Win.Lo;
-      // Live planes: those of the new window the previous one already
-      // held. They move from their old buffer position to their new one.
-      if (SameStep && !Win.empty() && Move.NewBase != Base[A]) {
-        const PlaneRange &Prev = Windows[B - 1][Id];
-        const int Lo = std::max(Win.Lo, Prev.Lo);
-        const int Hi = std::min(Win.Hi, Prev.Hi);
-        if (Lo < Hi) {
-          Move.From = Lo - Base[A];
-          Move.To = Lo - Move.NewBase;
-          Move.Count = Hi - Lo;
-          // The copy runs in ascending plane order, so it must move data
-          // towards the buffer front, and it must read inside the buffer.
-          Feasible &= Move.NewBase > Base[A] &&
-                      Move.From + Move.Count <= Capacity[A];
-        }
-      }
+      Feasible &= copyLive(B, A, Base[A], Move);
       Base[A] = Move.NewBase;
       Result.Moves.push_back(Move);
+    }
+  }
+
+  // The second replay keeps those slide blocks, and with them the script
+  // and its barriers, but moves only the arrays that must: at a slide, an
+  // array whose windows stay inside its buffer up to the next slide keeps
+  // its base and copies nothing; the others move to their first-replay
+  // base. It rewrites the moves in place: slide S reads only its own.
+  Base = EpochBase;
+  for (size_t S = 0; S != Result.SlideBlocks.size() && Feasible; ++S) {
+    const size_t B = static_cast<size_t>(Result.SlideBlocks[S]);
+    const size_t Next = S + 1 != Result.SlideBlocks.size()
+                            ? static_cast<size_t>(Result.SlideBlocks[S + 1])
+                            : NumBlocks;
+    for (size_t A = 0; A != NumSliding; ++A) {
+      const size_t Id = static_cast<size_t>(Result.Sliding[A]);
+      bool Stays = true;
+      for (size_t C = B; C != Next; ++C)
+        Stays &= inside(Windows[C][Id], A, Base[A]);
+      // The first replay's base holds every window up to the next slide,
+      // or that replay would have slid earlier.
+      SlideMove Move;
+      Move.NewBase = Stays ? Base[A] : Result.move(S, A).NewBase;
+      Feasible &= copyLive(B, A, Base[A], Move);
+      Base[A] = Move.NewBase;
+      Result.Moves[S * NumSliding + A] = Move;
     }
   }
 

@@ -18,11 +18,12 @@
 /// unchanged. Each intermediate gets a dim-0 capacity of twice its widest
 /// window, capped at the union extent its passes compute; capped arrays
 /// keep today's full layout and never move. Before a block whose window
-/// leaves a buffer, every sliding intermediate of the island slides: the
-/// still-live planes are copied to the buffer front and the index space is
-/// rebased (Array3D::rebasePlanes) to the window's low plane. Plans with one
-/// block per step never slide. DESIGN.md §16 has the protocol and why the
-/// race proofs still hold.
+/// leaves a buffer, the island slides: each sliding intermediate whose
+/// windows would leave its buffer before the next slide copies its
+/// still-live planes to the buffer front and rebases its index space
+/// (Array3D::rebasePlanes) to its window's low plane; the others keep their
+/// base and copy nothing. Plans with one block per step never slide.
+/// DESIGN.md §16 has the protocol and why the race proofs still hold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +51,8 @@ struct PlaneRange {
 /// [From, From + Count) (counted from the buffer start) are copied to
 /// planes [To, To + Count), To < From, and the index space is rebased to
 /// start at NewBase. To is 0 unless the block writes planes below every
-/// live one.
+/// live one. An array that keeps its base has Count 0 and NewBase equal to
+/// its current base.
 struct SlideMove {
   int NewBase = 0;
   int From = 0;

@@ -306,7 +306,7 @@ void expectStagesMatchSpec(const StencilProgram &Program,
                            const KernelTable &Spec) {
   ASSERT_TRUE(Registered.coversProgram(Program));
   ASSERT_TRUE(Spec.coversProgram(Program));
-  const int KExtents[] = {1, 3, 7, 64};
+  const int KExtents[] = {1, 3, 7, 24, 25, 64};
   const int IJExtents[][2] = {{1, 1}, {1, 4}, {3, 1}, {4, 5}};
   uint64_t Seed = 1;
   for (Layout L : {Layout::Plain, Layout::Padded, Layout::Mixed})

@@ -6,9 +6,10 @@
 //
 //  - the schedule: for every registered workload, strategy shape and
 //    temporal depth, every intermediate read and write lies inside the
-//    live window of its block, and a plane-level replay of the buffers
+//    live window of its block, a plane-level replay of the buffers
 //    (slides included) finds every read plane holding the value its step
-//    wrote;
+//    wrote, and an array moves at a slide only when it would otherwise
+//    leave its buffer before the next one;
 //  - the footprint: an islands plan's owned intermediate bytes do not grow
 //    with the part's dim-0 extent;
 //  - the execution: runs that slide are bit-exact against the serial
@@ -27,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -117,9 +120,26 @@ void replayIsland(const StencilProgram &Program, const IslandPlan &Island,
       const int Step = Epoch * 1000 + Block.StepInEpoch;
       if (Next != W.SlideBlocks.size() &&
           W.SlideBlocks[Next] == static_cast<int>(B)) {
+        const size_t End = Next + 1 != W.SlideBlocks.size()
+                               ? static_cast<size_t>(W.SlideBlocks[Next + 1])
+                               : Island.Blocks.size();
         for (size_t S = 0; S != W.Sliding.size(); ++S) {
           const SlideMove &M = W.move(Next, S);
-          Buffer &Buf = Bufs[static_cast<size_t>(W.Sliding[S])];
+          const size_t Id = static_cast<size_t>(W.Sliding[S]);
+          Buffer &Buf = Bufs[Id];
+          // An array moves only when one of its windows up to the next
+          // slide would leave the buffer it has now.
+          if (M.NewBase != Buf.Base || M.Count > 0) {
+            bool Stays = true;
+            for (size_t C = B; C != End; ++C)
+              Stays &= Live[C][Id].empty() ||
+                       (Buf.Base <= Live[C][Id].Lo &&
+                        Live[C][Id].Hi <=
+                            Buf.Base + static_cast<int>(Buf.Slots.size()));
+            EXPECT_FALSE(Stays) << Case << " block " << B << ": "
+                                << Program.array(W.Sliding[S]).Name
+                                << " moves but would stay in its buffer";
+          }
           if (M.Count > 0) {
             EXPECT_LT(M.To, M.From) << Case;
             EXPECT_LE(M.From + M.Count, static_cast<int>(Buf.Slots.size()))
@@ -279,6 +299,46 @@ TEST(IntermediateWindowSchedule, UnservableHandBuiltPlanKeepsTheFullLayout) {
   W = planIslandWindows(P, Island);
   ASSERT_EQ(W.Sliding, std::vector<ArrayId>{T});
   EXPECT_FALSE(W.SlideBlocks.empty());
+}
+
+TEST(IntermediateWindowSchedule, SlidesCopyFewerPlanesThanMovingEveryArray) {
+  // The benchmark's mpdata-cold shape: MPDATA on 2 islands of a 256 x 192
+  // x 128 grid at T = 1. Each array that has to move copies the planes of
+  // its new window that its previous window held, as when every sliding
+  // array moves at every slide; the arrays that stay put copy nothing, so
+  // the island copies fewer planes per step.
+  const WorkloadSpec &Spec = *builtinWorkloads().find("mpdata");
+  const Domain Dom = workloadDomain(Spec, 256, 192, 128);
+  ExecutionPlan Plan =
+      makeTestPlan(Spec.Program, Dom, Strategy::IslandsOfCores, 1, true);
+  ASSERT_EQ(Plan.Islands.size(), 2u);
+  for (const IslandPlan &Island : Plan.Islands) {
+    const IslandWindows W = planIslandWindows(Spec.Program, Island);
+    const std::vector<std::vector<PlaneRange>> Live =
+        liveWindows(Spec.Program, Island);
+    ASSERT_FALSE(W.SlideBlocks.empty());
+    int64_t Copied = 0;
+    int64_t EveryArray = 0;
+    for (size_t A = 0; A != W.Sliding.size(); ++A) {
+      const size_t Id = static_cast<size_t>(W.Sliding[A]);
+      int Base = W.Buffers[Id].Lo[0];
+      for (size_t S = 0; S != W.SlideBlocks.size(); ++S) {
+        Copied += W.move(S, A).Count;
+        const size_t B = static_cast<size_t>(W.SlideBlocks[S]);
+        const PlaneRange &Win = Live[B][Id];
+        if (Win.empty())
+          continue;
+        const PlaneRange &Prev = Live[B - 1][Id];
+        if (Island.Blocks[B].StepInEpoch == Island.Blocks[B - 1].StepInEpoch &&
+            Win.Lo != Base)
+          EveryArray += std::max(0, std::min(Win.Hi, Prev.Hi) -
+                                        std::max(Win.Lo, Prev.Lo));
+        Base = Win.Lo;
+      }
+    }
+    EXPECT_GT(Copied, 0);
+    EXPECT_LT(Copied, EveryArray);
+  }
 }
 
 TEST(IntermediateWindowFootprint, OwnedBytesDoNotGrowWithThePartLength) {

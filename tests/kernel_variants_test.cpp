@@ -3,8 +3,8 @@
 // The optimized strided-pointer kernels and the Simd contiguous-restrict
 // kernels must be bit-identical to the reference kernels: same
 // floating-point expression order, different loop machinery. Property-
-// tested per (stage, variant) over random fields and k extents 1-9, 16
-// and 17 — both unpadded and vector-padded storage (via TestMatrix's
+// tested per (stage, variant) over random fields and k extents 1-9, 16,
+// 17, 24 and 25 — both unpadded and vector-padded storage (via TestMatrix's
 // fillStorePairRandom) — and over whole multi-step runs through the
 // registered workload's serial stepper.
 //
@@ -35,10 +35,11 @@ TEST_P(KernelVariantEquality, MatchesReferenceBitExactly) {
   StageId Stage = std::get<0>(GetParam());
   KernelVariant Variant = std::get<1>(GetParam());
   // Deliberately awkward extents (odd, small) to stress row handling.
-  // Every k extent from 1 to 9, plus 16 and 17, so each vector width's
-  // main loop, epilogue and scalar tail run: 2-wide (baseline) and 4-wide
-  // (AVX2 clone) loops leave different remainders.
-  for (int NK : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}) {
+  // Every k extent from 1 to 9, plus 16, 17, 24 and 25, so each vector
+  // width's main loop, epilogue and scalar tail run: 2-wide (baseline),
+  // 4-wide (AVX2 clone) and 8-wide (AVX-512F clone) loops leave different
+  // remainders.
+  for (int NK : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 24, 25}) {
     SCOPED_TRACE("k extent " + std::to_string(NK));
     Box3 Target(1, 2, 3, 8, 9, 3 + NK);
     Box3 Alloc = Target.grownAll(4);
