@@ -50,7 +50,7 @@ std::string writeBenchJson(const std::string &BenchName,
 /// bench/validate_bench_json.py). Stage "all" rows carry the aggregate
 /// over a full 17-stage sweep.
 struct KernelBenchJsonRow {
-  std::string Variant; ///< "ref", "opt" or "simd".
+  std::string Variant; ///< "ref" or "simd".
   std::string Stage;   ///< IR stage name, or "all" for the aggregate.
   std::string Region;  ///< "hot" (cache-resident) or "cold" (streaming).
   double Seconds = 0.0; ///< Best-of-reps seconds for one sweep.

@@ -19,7 +19,7 @@ Accepted schemas (any other "schema" value is a validation failure):
        "elided_barriers": int >= 0 (<= total_barriers),
        "optimized_seconds": float >= 0, "gflops": float >= 0}
     kernel-roofline rows (bench_kernels; has a "variant" field):
-      {"variant": "ref"|"opt"|"simd", "stage": str,
+      {"variant": "ref"|"simd", "stage": str,
        "region": "hot"|"cold", "seconds": float > 0,
        "gflops": float >= 0, "gbps": float >= 0}
 
@@ -367,8 +367,8 @@ def validate_kernel_row(where, row):
     errors = check_fields(where, row, KERNEL_ROW_FIELDS)
     if errors:
         return errors
-    if row["variant"] not in ("ref", "opt", "simd"):
-        errors.append("%s: variant = %r not in ref/opt/simd"
+    if row["variant"] not in ("ref", "simd"):
+        errors.append("%s: variant = %r not in ref/simd"
                       % (where, row["variant"]))
     if row["region"] not in ("hot", "cold"):
         errors.append("%s: region = %r not in hot/cold"

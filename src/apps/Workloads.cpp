@@ -40,8 +40,7 @@ bool registerMpdata(WorkloadRegistry &R, DiagnosticEngine &Diags) {
       "17-stage positive-definite MPDATA advection (upwind + antidiffusive "
       "corrector with nonoscillatory limiters)";
   Spec.HaloDepth = mpdataHaloDepth();
-  Spec.Variants = {KernelVariant::Reference, KernelVariant::Optimized,
-                   KernelVariant::Simd};
+  Spec.Variants = {KernelVariant::Reference, KernelVariant::Simd};
   Spec.Kernels = [](KernelVariant V) { return buildMpdataKernels(V); };
   ArrayId XIn = M.XIn, U1 = M.U1, U2 = M.U2, U3 = M.U3, H = M.H;
   Spec.Init = [XIn, U1, U2, U3, H](const WorkloadInitContext &Ctx) {

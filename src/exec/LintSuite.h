@@ -28,7 +28,7 @@ namespace icores {
 class DiagnosticEngine;
 class KernelTable;
 
-/// One kernel variant to audit (e.g. "ref" / "opt").
+/// One kernel variant to audit (e.g. "ref" / "simd").
 struct LintKernelSet {
   std::string Label;
   const KernelTable *Kernels = nullptr;

@@ -188,9 +188,6 @@ public:
   /// construction.
   int64_t remoteBytesPerStep() const;
 
-  /// The plan-derived page-ownership map the init epoch placed by.
-  const PlacementMap &placementMap() const { return PMap; }
-
   /// Island \p Island's field store: its owned intermediates and the
   /// bindings of the current (or last) fused step.
   const FieldStore &islandStore(size_t Island) const;

@@ -6,7 +6,6 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <memory>
 #include <cmath>
 
 using namespace icores;
@@ -178,12 +177,17 @@ void kernelLimit(const Array3D &Cp, const Array3D &Cn, const Array3D &V,
 } // namespace
 
 KernelTable icores::buildMpdataKernels(KernelVariant Variant) {
-  auto M = std::make_shared<const MpdataProgram>(buildMpdataProgram());
-  KernelTable Table(M->Program.numStages());
-  for (unsigned S = 0; S != M->Program.numStages(); ++S)
+  // One program per process, never destroyed, so each closure is small
+  // enough for std::function to store inline and a table allocates
+  // nothing per stage. A heap program per table, shared by 17
+  // heap-allocated closures, put later executor set-ups into glibc's
+  // slower heap mode (EXPERIMENTS.md, "One MPDATA backend").
+  static const MpdataProgram &M = *new MpdataProgram(buildMpdataProgram());
+  KernelTable Table(M.Program.numStages());
+  for (unsigned S = 0; S != M.Program.numStages(); ++S)
     Table.set(static_cast<StageId>(S),
-              [M, S, Variant](FieldStore &Fields, const Box3 &Region) {
-                runMpdataStage(*M, Fields, static_cast<StageId>(S), Region,
+              [S, Variant](FieldStore &Fields, const Box3 &Region) {
+                runMpdataStage(M, Fields, static_cast<StageId>(S), Region,
                                Variant);
               });
   return Table;
@@ -194,10 +198,6 @@ void icores::runMpdataStage(const MpdataProgram &M, FieldStore &Fields,
                             KernelVariant Variant) {
   if (Region.empty())
     return;
-  if (Variant == KernelVariant::Optimized) {
-    runMpdataStageOptimized(M, Fields, Stage, Region);
-    return;
-  }
   if (Variant == KernelVariant::Simd) {
     runMpdataStageSimd(M, Fields, Stage, Region);
     return;

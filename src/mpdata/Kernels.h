@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Scalar reference kernels for the 17 MPDATA stages. Each kernel evaluates
-/// one stage over an arbitrary Box3 region of a FieldStore; the access
+/// The two kernel backends of the 17 MPDATA stages: the scalar reference
+/// kernels (Kernels.cpp, the readable spec) and the Simd row kernels
+/// (KernelsSimd.cpp, the production backend). Each kernel evaluates one
+/// stage over an arbitrary Box3 region of a FieldStore; the access
 /// pattern of every kernel is exactly the pattern declared for that stage
-/// in the stencil IR (property-tested in tests/mpdata via NaN poisoning).
+/// in the stencil IR (property-tested in tests/kernels_test.cpp via NaN
+/// poisoning).
 ///
 /// Kernels are pointwise with a fixed evaluation order and no reductions,
 /// so results are bit-identical regardless of how a region is partitioned
@@ -28,10 +31,10 @@ namespace icores {
 
 class FieldStore;
 
-// KernelVariant (Reference / Optimized / Simd) lives in
-// stencil/KernelTable.h so backend-agnostic layers can name a variant
-// without linking this library. All variants produce bit-identical
-// results: identical floating-point expression order per element.
+// KernelVariant (Reference / Simd) lives in stencil/KernelTable.h so
+// backend-agnostic layers can name a variant without linking this
+// library. Both variants produce bit-identical results: identical
+// floating-point expression order per element.
 
 /// Evaluates stage \p Stage of \p M over \p Region using the arrays in
 /// \p Fields. All arrays read/written must cover the regions implied by the
@@ -39,11 +42,6 @@ class FieldStore;
 void runMpdataStage(const MpdataProgram &M, FieldStore &Fields, StageId Stage,
                     const Box3 &Region,
                     KernelVariant Variant = KernelVariant::Reference);
-
-/// Implementation detail of the Optimized variant, exposed for direct
-/// benchmarking; behaves exactly like runMpdataStage(..., Optimized).
-void runMpdataStageOptimized(const MpdataProgram &M, FieldStore &Fields,
-                             StageId Stage, const Box3 &Region);
 
 /// Implementation detail of the Simd variant (contiguous __restrict
 /// k-inner loops shaped for auto-vectorization), exposed for direct
@@ -53,7 +51,8 @@ void runMpdataStageSimd(const MpdataProgram &M, FieldStore &Fields,
 
 /// Builds the stage-kernel table binding the 17 MPDATA stages to the
 /// chosen kernel implementation, for use with the generic runtimes
-/// (SerialStepper, ProgramExecutor).
+/// (SerialStepper, ProgramExecutor). Every table shares one process-wide
+/// MpdataProgram, built on first use and never destroyed.
 KernelTable buildMpdataKernels(KernelVariant Variant =
                                    KernelVariant::Reference);
 

@@ -1,7 +1,7 @@
 //===- mpdata/KernelsSimd.cpp - Vectorization-shaped MPDATA kernels -------===//
 //
-// The third kernel backend: identical floating-point expression order to
-// Kernels.cpp / KernelsOptimized.cpp (bit-for-bit equal results,
+// MPDATA's production kernel backend: identical floating-point expression
+// order to the reference spec in Kernels.cpp (bit-for-bit equal results,
 // property-tested by the variant-equality and strategy-equivalence
 // suites), restructured so the compiler auto-vectorizes every inner
 // k-loop:
@@ -17,13 +17,13 @@
 //    each k-loop is annotated with ICORES_SIMD_LOOP so the CI
 //    vectorization check can pin a -Rpass=loop-vectorize remark to it;
 //  * each kernel is an ICORES_ROW_KERNEL: on x86-64 it is compiled for
-//    AVX2 and for the baseline ISA, and the loader binds the AVX2 clone
-//    where the CPU has it.
+//    AVX-512F, AVX2 and the baseline ISA, and the loader binds the
+//    widest clone the CPU has.
 //
 // This TU is compiled with -ffp-contract=off (see src/mpdata/
 // CMakeLists.txt) so FMA contraction can never perturb results relative
-// to the other two variants, at either clone's vector width. No
-// fast-math anywhere.
+// to the reference spec, at any clone's vector width. No fast-math
+// anywhere.
 //
 //===----------------------------------------------------------------------===//
 

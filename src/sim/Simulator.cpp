@@ -237,8 +237,6 @@ double icores::kernelThroughputFactor(KernelVariant Variant) {
   switch (Variant) {
   case KernelVariant::Reference:
     return 0.12;
-  case KernelVariant::Optimized:
-    return 0.58;
   case KernelVariant::Simd:
     return 1.0;
   }

@@ -128,7 +128,7 @@ probeStageAccess(const StencilProgram &Program, const KernelTable &Kernels,
                  StageId Stage, const AccessAuditOptions &Opts = {});
 
 /// Probes one stage and reports `access.*` findings into \p Diags.
-/// \p Label distinguishes kernel variants in the findings ("ref"/"opt").
+/// \p Label distinguishes kernel variants in the findings ("ref"/"simd").
 /// Returns true when the stage produced no error-severity finding.
 bool auditStageAccess(const StencilProgram &Program, const KernelTable &Kernels,
                       StageId Stage, DiagnosticEngine &Diags,

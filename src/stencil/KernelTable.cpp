@@ -10,8 +10,6 @@ const char *icores::kernelVariantName(KernelVariant Variant) {
   switch (Variant) {
   case KernelVariant::Reference:
     return "ref";
-  case KernelVariant::Optimized:
-    return "opt";
   case KernelVariant::Simd:
     return "simd";
   }
@@ -22,10 +20,6 @@ bool icores::parseKernelVariant(const std::string &Name,
                                 KernelVariant &Variant) {
   if (Name == "ref") {
     Variant = KernelVariant::Reference;
-    return true;
-  }
-  if (Name == "opt") {
-    Variant = KernelVariant::Optimized;
     return true;
   }
   if (Name == "simd") {

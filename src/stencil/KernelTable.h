@@ -32,7 +32,7 @@ namespace icores {
 
 class FieldStore;
 
-/// Which kernel implementation backs a KernelTable. All variants of a
+/// Which kernel implementation backs a KernelTable. Both variants of a
 /// program must produce bit-identical results (identical floating-point
 /// expression order per element); they differ only in loop/pointer shape.
 /// Lives in the stencil layer so backend-agnostic consumers (simulator,
@@ -41,12 +41,12 @@ enum class KernelVariant {
   Reference, ///< MPDATA: index-checked scalar loops (its readable spec).
              ///< Single-table workloads (advdiff, hotspot, cfl-advect)
              ///< register their row kernels under this name.
-  Optimized, ///< Strided-pointer loops (the portable production path).
-  Simd,      ///< Contiguous __restrict k-loops shaped for vectorization.
+  Simd,      ///< MPDATA's production backend: contiguous __restrict
+             ///< k-loops shaped for vectorization.
 };
 
-/// Short stable name: "ref", "opt" or "simd" (CLI flag values, bench JSON
-/// and lint labels).
+/// Short stable name: "ref" or "simd" (CLI flag values, bench JSON and
+/// lint labels).
 const char *kernelVariantName(KernelVariant Variant);
 
 /// Parses kernelVariantName() output back to the enum. Returns false when

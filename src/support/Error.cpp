@@ -9,15 +9,3 @@ void icores::reportFatalError(const char *Msg, const char *File, int Line) {
   std::fprintf(stderr, "icores fatal error: %s (%s:%d)\n", Msg, File, Line);
   std::abort();
 }
-
-const char *icores::Error::kindName(Kind K) {
-  switch (K) {
-  case Kind::RecvTimeout:
-    return "recv-timeout";
-  case Kind::WorldPoisoned:
-    return "world-poisoned";
-  case Kind::Generic:
-    return "generic";
-  }
-  ICORES_UNREACHABLE("unknown error kind");
-}

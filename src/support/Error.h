@@ -57,8 +57,6 @@ public:
   /// to this failure; empty when no fault plan was armed.
   const std::vector<std::string> &faultTrace() const { return Trace; }
 
-  static const char *kindName(Kind K);
-
 private:
   Kind K;
   std::string Message;

@@ -23,9 +23,6 @@ constexpr int64_t ceilDiv(int64_t A, int64_t B) {
   return (A + B - 1) / B;
 }
 
-/// Rounds \p A up to the next multiple of \p B.
-constexpr int64_t roundUpTo(int64_t A, int64_t B) { return ceilDiv(A, B) * B; }
-
 /// Splits \p Total into \p Parts nearly equal chunks; returns the size of
 /// chunk \p Index (first Total % Parts chunks get one extra element).
 constexpr int64_t chunkSize(int64_t Total, int64_t Parts, int64_t Index) {

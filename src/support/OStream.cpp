@@ -41,8 +41,3 @@ OStream &icores::outs() {
   static FileOStream Stream(stdout);
   return Stream;
 }
-
-OStream &icores::errs() {
-  static FileOStream Stream(stderr);
-  return Stream;
-}

@@ -86,9 +86,6 @@ private:
 /// Returns a process-wide stream bound to stdout.
 OStream &outs();
 
-/// Returns a process-wide stream bound to stderr.
-OStream &errs();
-
 } // namespace icores
 
 #endif // ICORES_SUPPORT_OSTREAM_H

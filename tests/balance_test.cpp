@@ -231,8 +231,7 @@ TEST(StealingEquivalenceTest, BitExactAcrossStrategiesBackendsAndDepths) {
   };
   for (const Case &C : Cases)
     for (KernelVariant Kernels :
-         {KernelVariant::Reference, KernelVariant::Optimized,
-          KernelVariant::Simd})
+         {KernelVariant::Reference, KernelVariant::Simd})
       for (int Depth : {1, 2, 4}) {
         Array3D Result = stealingResult(C.Strat, C.Sockets, C.Variant,
                                         C.Balance, Depth, Kernels);

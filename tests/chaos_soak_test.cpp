@@ -93,7 +93,6 @@ TEST(ChaosSoakTest, RandomizedSweepStaysBitExact) {
   const Strategy Strategies[] = {Strategy::Original, Strategy::Block31D,
                                  Strategy::IslandsOfCores};
   const KernelVariant Backends[] = {KernelVariant::Reference,
-                                    KernelVariant::Optimized,
                                     KernelVariant::Simd};
   // The default spin budget, a short one that exercises the sleep path,
   // and none (sleep at once).

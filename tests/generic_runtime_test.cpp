@@ -136,7 +136,7 @@ TEST(ProgramExecutorTest, MpdataThroughGenericPathMatchesDirectStageLoop) {
   Config.Strat = Strategy::IslandsOfCores;
   Config.Sockets = 2;
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  ProgramExecutor Exec(M.Program, buildMpdataKernels(KernelVariant::Optimized),
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(KernelVariant::Simd),
                        Dom, std::move(Plan));
   initMpdata(Exec, M, Dom);
   Exec.run(4);

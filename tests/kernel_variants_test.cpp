@@ -1,12 +1,11 @@
 //===- tests/kernel_variants_test.cpp - Kernel backend equivalence --------===//
 //
-// The optimized strided-pointer kernels and the Simd contiguous-restrict
-// kernels must be bit-identical to the reference kernels: same
-// floating-point expression order, different loop machinery. Property-
-// tested per (stage, variant) over random fields and k extents 1-9, 16,
-// 17, 24 and 25 — both unpadded and vector-padded storage (via TestMatrix's
-// fillStorePairRandom) — and over whole multi-step runs through the
-// registered workload's serial stepper.
+// The Simd contiguous-restrict kernels must be bit-identical to the
+// reference kernels: same floating-point expression order, different
+// loop machinery. Property-tested per stage over random fields and k
+// extents 1-9, 16, 17, 24 and 25 — both unpadded and vector-padded
+// storage (via TestMatrix's fillStorePairRandom) — and over whole
+// multi-step runs through the registered workload's serial stepper.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,8 +71,7 @@ TEST_P(KernelVariantEquality, MatchesReferenceBitExactly) {
 INSTANTIATE_TEST_SUITE_P(
     AllStages, KernelVariantEquality,
     ::testing::Combine(::testing::Range(0, 17),
-                       ::testing::Values(KernelVariant::Optimized,
-                                         KernelVariant::Simd)),
+                       ::testing::Values(KernelVariant::Simd)),
     [](const ::testing::TestParamInfo<std::tuple<int, KernelVariant>>
            &Info) {
       MpdataProgram M = buildMpdataProgram();
@@ -107,6 +105,6 @@ TEST(KernelVariantsTest, EmptyRegionIsANoOpForBothVariants) {
   for (unsigned Id = 0; Id != M.Program.numArrays(); ++Id)
     Fields.allocateOwned(static_cast<ArrayId>(Id), Box3::fromExtents(4, 4, 4));
   Fields.get(M.F1).fill(3.0);
-  runMpdataStage(M, Fields, M.SFlux1, Box3(), KernelVariant::Optimized);
+  runMpdataStage(M, Fields, M.SFlux1, Box3(), KernelVariant::Simd);
   EXPECT_EQ(Fields.get(M.F1).at(0, 0, 0), 3.0);
 }

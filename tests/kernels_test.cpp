@@ -222,7 +222,6 @@ INSTANTIATE_TEST_SUITE_P(
     AllStages, StageAccessPattern,
     ::testing::Combine(::testing::Range(0, 17),
                        ::testing::Values(KernelVariant::Reference,
-                                         KernelVariant::Optimized,
                                          KernelVariant::Simd)),
     [](const ::testing::TestParamInfo<std::tuple<int, KernelVariant>>
            &Info) {

@@ -366,8 +366,7 @@ TEST(AccessAudit, FootprintReportsObservedHull) {
 TEST(AccessAudit, MpdataWindowsAreExactlyTightAllVariants) {
   MpdataProgram M = buildMpdataProgram();
   for (KernelVariant Variant :
-       {KernelVariant::Reference, KernelVariant::Optimized,
-        KernelVariant::Simd}) {
+       {KernelVariant::Reference, KernelVariant::Simd}) {
     KernelTable T = buildMpdataKernels(Variant);
     DiagnosticEngine Diags;
     EXPECT_TRUE(auditProgramAccess(M.Program, T, Diags));
@@ -831,7 +830,6 @@ TEST(LintSuite, ShippedMpdataApplicationIsClean) {
   Box3 Target = Box3::fromExtents(48, 24, 8);
 
   KernelTable Ref = buildMpdataKernels(KernelVariant::Reference);
-  KernelTable Opt = buildMpdataKernels(KernelVariant::Optimized);
   KernelTable Simd = buildMpdataKernels(KernelVariant::Simd);
 
   std::vector<ExecutionPlan> Plans;
@@ -850,7 +848,7 @@ TEST(LintSuite, ShippedMpdataApplicationIsClean) {
 
   DiagnosticEngine Diags;
   EXPECT_TRUE(runLintSuite(M.Program,
-                           {{"ref", &Ref}, {"opt", &Opt}, {"simd", &Simd}},
+                           {{"ref", &Ref}, {"simd", &Simd}},
                            PlanSets, Diags));
   std::string Buf;
   StringOStream OS(Buf);

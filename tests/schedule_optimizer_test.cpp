@@ -140,9 +140,9 @@ TEST(ScheduleOptimizerTest, OptimizedPlansPassLintSuite) {
   // audit is plan-independent and covered by lint_test, so skipped here).
   MpdataProgram M = buildMpdataProgram();
   KernelTable RefKernels = buildMpdataKernels(KernelVariant::Reference);
-  KernelTable OptKernels = buildMpdataKernels(KernelVariant::Optimized);
+  KernelTable SimdKernels = buildMpdataKernels(KernelVariant::Simd);
   std::vector<LintKernelSet> KernelSets = {{"ref", &RefKernels},
-                                           {"opt", &OptKernels}};
+                                           {"simd", &SimdKernels}};
   std::vector<ExecutionPlan> Plans;
   Plans.reserve(kPlanCases.size());
   std::vector<LintPlanSet> PlanSets;
@@ -353,22 +353,22 @@ INSTANTIATE_TEST_SUITE_P(
                     PartitionVariant::A, "original_p1_ref"},
         ElisionCase{Strategy::Original, 2, KernelVariant::Reference,
                     PartitionVariant::A, "original_p2_ref"},
-        ElisionCase{Strategy::Original, 2, KernelVariant::Optimized,
-                    PartitionVariant::A, "original_p2_opt"},
+        ElisionCase{Strategy::Original, 2, KernelVariant::Simd,
+                    PartitionVariant::A, "original_p2_simd"},
         ElisionCase{Strategy::Block31D, 3, KernelVariant::Reference,
                     PartitionVariant::A, "block31d_p3_ref"},
-        ElisionCase{Strategy::Block31D, 3, KernelVariant::Optimized,
-                    PartitionVariant::A, "block31d_p3_opt"},
+        ElisionCase{Strategy::Block31D, 3, KernelVariant::Simd,
+                    PartitionVariant::A, "block31d_p3_simd"},
         ElisionCase{Strategy::IslandsOfCores, 2, KernelVariant::Reference,
                     PartitionVariant::A, "islands_p2_ref"},
-        ElisionCase{Strategy::IslandsOfCores, 2, KernelVariant::Optimized,
-                    PartitionVariant::A, "islands_p2_opt"},
+        ElisionCase{Strategy::IslandsOfCores, 2, KernelVariant::Simd,
+                    PartitionVariant::A, "islands_p2_simd"},
         ElisionCase{Strategy::IslandsOfCores, 2, KernelVariant::Reference,
                     PartitionVariant::B, "islands_p2_varB_ref"},
         ElisionCase{Strategy::IslandsOfCores, 4, KernelVariant::Reference,
                     PartitionVariant::A, "islands_p4_ref"},
-        ElisionCase{Strategy::IslandsOfCores, 4, KernelVariant::Optimized,
-                    PartitionVariant::A, "islands_p4_opt"}),
+        ElisionCase{Strategy::IslandsOfCores, 4, KernelVariant::Simd,
+                    PartitionVariant::A, "islands_p4_simd"}),
     [](const ::testing::TestParamInfo<ElisionCase> &Info) {
       return Info.param.Name;
     });

@@ -122,9 +122,7 @@ TEST(TemporalExecutorTest, BitExactAcrossDepthsStrategiesAndBackends) {
   for (Strategy Strat : {Strategy::Original, Strategy::Block31D,
                          Strategy::IslandsOfCores})
     for (int T : {1, 2, 4})
-      for (KernelVariant V : {KernelVariant::Reference,
-                              KernelVariant::Optimized,
-                              KernelVariant::Simd}) {
+      for (KernelVariant V : {KernelVariant::Reference, KernelVariant::Simd}) {
         auto Exec = makeWorkloadExecutor(
             M, Dom, makeTestPlan(M.Program, Dom, Strat, T), V);
         Exec->run(Steps);
@@ -149,7 +147,7 @@ TEST(TemporalExecutorTest, BitExactUnderBothBarrierPoliciesAndElision) {
       auto Exec = makeWorkloadExecutor(
           M, Dom,
           makeTestPlan(M.Program, Dom, Strategy::IslandsOfCores, 2, Elide),
-          KernelVariant::Optimized, Opts);
+          KernelVariant::Simd, Opts);
       Exec->run(Steps);
       EXPECT_EQ(
           maxNewestStateDiff(M.Program, *Exec, *Oracle, Dom.coreBox()),

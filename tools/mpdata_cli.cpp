@@ -5,14 +5,14 @@
 //   mpdata_cli simulate  --strategy=islands --sockets=14 --machine=uv2000
 //                        [--ni --nj --nk --steps --variant --place]
 //   mpdata_cli execute   --strategy=islands --islands=2
-//                        [--ni --nj --nk --steps --kernels=opt]
+//                        [--ni --nj --nk --steps --kernels=simd]
 //                        [--profile=stats.json --pin --no-elide]
 //                        [--chaos=SEED[,stall=p,wake=p,...]]
 //   mpdata_cli advise    --machine=uv2000 [--sockets --ni --nj --nk --steps]
 //   mpdata_cli traffic   --strategy=original [--machine ...]
 //   mpdata_cli plan      --strategy=islands [--sockets ...]  (dump the plan)
 //   mpdata_cli lint      [--workload=all|NAME] [--strategy=...] [--json]
-//                        [--no-audit] [--kernels=ref|opt|simd]
+//                        [--no-audit] [--kernels=ref|simd]
 //
 // `simulate`, `advise`, `traffic` and `plan` are instantaneous model
 // queries; `execute` runs the real threaded numerics on this host and
@@ -95,7 +95,7 @@ void printUsage() {
       "                              init epoch (firsttouch and interleave\n"
       "                              with worker pinning) so the shared\n"
       "                              arenas are first-touched per island\n"
-      "  --kernels=ref|opt|simd      kernel variant: execute mode runs\n"
+      "  --kernels=ref|simd          kernel variant: execute mode runs\n"
       "                              it, simulate mode scales the model's\n"
       "                              compute term, lint audits only it\n"
       "                              (default: execute ref, simulate simd,\n"
@@ -140,6 +140,19 @@ bool parseStrategy(const std::string &Name, Strategy &Out) {
   else
     return false;
   return true;
+}
+
+/// Reads --kernels (\p Default when absent) into \p Out. An unknown name
+/// prints an error naming it and the accepted set, and returns false.
+bool parseKernelsFlag(const CommandLine &CL, const char *Default,
+                      KernelVariant &Out) {
+  std::string Name = CL.getString("kernels", Default);
+  if (parseKernelVariant(Name, Out))
+    return true;
+  std::fprintf(stderr,
+               "error: unknown kernel variant '%s' (expected ref or simd)\n",
+               Name.c_str());
+  return false;
 }
 
 bool parseMachine(const std::string &Name, MachineModel &Out) {
@@ -317,11 +330,8 @@ int main(int Argc, char **Argv) {
     // without it is only plan-checked.
     const bool OneBackend = CL.hasOption("kernels");
     KernelVariant Only = KernelVariant::Reference;
-    if (OneBackend &&
-        !parseKernelVariant(CL.getString("kernels", "ref"), Only)) {
-      std::fprintf(stderr, "error: unknown kernel variant\n");
+    if (OneBackend && !parseKernelsFlag(CL, "ref", Only))
       return 1;
-    }
     auto hasBackend = [&](const WorkloadSpec *Spec) {
       return std::find(Spec->Variants.begin(), Spec->Variants.end(),
                        Only) != Spec->Variants.end();
@@ -391,11 +401,8 @@ int main(int Argc, char **Argv) {
       return 0;
     }
     SimOptions SimOpts;
-    if (!parseKernelVariant(CL.getString("kernels", "simd"),
-                            SimOpts.Kernels)) {
-      std::fprintf(stderr, "error: unknown kernel variant\n");
+    if (!parseKernelsFlag(CL, "simd", SimOpts.Kernels))
       return 1;
-    }
     SimResult R = simulate(Plan, Prog, Machine, Steps, SimOpts);
     std::printf("%s on %s, %dx%dx%d, P=%d, %d steps (%s kernels):\n",
                 strategyName(Strat), Machine.Name.c_str(), NI, NJ, NK,
@@ -438,6 +445,9 @@ int main(int Argc, char **Argv) {
   }
 
   if (Mode == "execute") {
+    KernelVariant Kernels = KernelVariant::Reference;
+    if (!parseKernelsFlag(CL, "ref", Kernels))
+      return 1;
     Domain Dom = workloadDomain(*Workload, NI, NJ, NK);
     std::string Why = Dom.checkHalo();
     if (!Why.empty()) {
@@ -475,11 +485,6 @@ int main(int Argc, char **Argv) {
                   "per step (use --no-elide to keep all)\n",
                   static_cast<long long>(Report.ElidedBarriers),
                   static_cast<long long>(Report.TotalPasses));
-    }
-    KernelVariant Kernels = KernelVariant::Reference;
-    if (!parseKernelVariant(CL.getString("kernels", "ref"), Kernels)) {
-      std::fprintf(stderr, "error: unknown kernel variant\n");
-      return 1;
     }
 
     // Drive the registered program through the generic runtime:
